@@ -4,16 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cdsspec_core::{all_histories, CallOrder, HistoryPolicy};
+use cdsspec_core::{all_histories, for_each_history, CallOrder, HistoryPolicy};
 
-/// `k` chains of length `len` with no cross edges — the worst case for
-/// exhaustive enumeration (multinomial growth).
-fn parallel_chains(k: usize, len: usize) -> CallOrder {
-    let mut o = CallOrder::new(k * len);
-    for chain in 0..k {
+/// One chain per entry of `shape`, of that many calls, with no cross
+/// edges — the worst case for exhaustive enumeration (multinomial
+/// growth).
+fn parallel_chains(shape: &[usize]) -> CallOrder {
+    let mut o = CallOrder::new(shape.iter().sum());
+    let mut base = 0;
+    for &len in shape {
         for i in 1..len {
-            o.add_edge(chain * len + i - 1, chain * len + i);
+            o.add_edge(base + i - 1, base + i);
         }
+        base += len;
     }
     o.close();
     o
@@ -22,20 +25,32 @@ fn parallel_chains(k: usize, len: usize) -> CallOrder {
 fn bench_history_enum(c: &mut Criterion) {
     let mut group = c.benchmark_group("history-enumeration");
 
-    for &(k, len) in &[(2usize, 3usize), (3, 3), (2, 5)] {
-        let order = parallel_chains(k, len);
+    for shape in [&[3usize, 3][..], &[3, 3, 3], &[5, 5]] {
+        let order = parallel_chains(shape);
+        let label = format!("{}x{}", shape.len(), shape[0]);
         group.bench_with_input(
-            BenchmarkId::new("exhaustive", format!("{k}x{len}")),
+            BenchmarkId::new("exhaustive", &label),
             &order,
             |b, order| {
                 b.iter(|| all_histories(order, HistoryPolicy::Exhaustive { cap: 100_000 }).len())
             },
         );
+        group.bench_with_input(BenchmarkId::new("sample-64", &label), &order, |b, order| {
+            b.iter(|| all_histories(order, HistoryPolicy::Sample { count: 64, seed: 1 }).len())
+        });
+    }
+
+    // The `spec-wide` workload's thread shapes (25,200 / 27,720 / 34,650
+    // histories), walked without collecting, as the checker does; and a
+    // 70-call chain, whose rows span two mask words.
+    for shape in [&[3usize, 3, 2, 2][..], &[5, 4, 3], &[4, 4, 4], &[70]] {
+        let order = parallel_chains(shape);
+        let label = shape.iter().map(|l| l.to_string()).collect::<Vec<_>>();
         group.bench_with_input(
-            BenchmarkId::new("sample-64", format!("{k}x{len}")),
+            BenchmarkId::new("walk", label.join(",")),
             &order,
             |b, order| {
-                b.iter(|| all_histories(order, HistoryPolicy::Sample { count: 64, seed: 1 }).len())
+                b.iter(|| for_each_history(order, HistoryPolicy::default(), |h| h[0] < usize::MAX))
             },
         );
     }

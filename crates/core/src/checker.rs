@@ -23,19 +23,24 @@ use cdsspec_c11::Trace;
 use cdsspec_mc::{Bug, Plugin};
 
 use crate::call::{extract_calls, MethodCall};
-use crate::history::{for_each_history, CallOrder};
-use crate::spec::{CallEval, Spec};
+use crate::history::{CallOrder, HistoryPolicy, Walker};
+use crate::spec::{CallEval, MethodSpec, Spec};
 
 /// The plugin. Cheap to construct per exploration; the spec itself is
 /// shared via `Arc`.
 pub struct SpecChecker<S> {
     spec: Arc<Spec<S>>,
+    /// Enumeration buffers, reused across executions.
+    walker: Walker,
 }
 
 impl<S> SpecChecker<S> {
     /// Check executions against `spec`.
     pub fn new(spec: Arc<Spec<S>>) -> Self {
-        SpecChecker { spec }
+        SpecChecker {
+            spec,
+            walker: Walker::default(),
+        }
     }
 
     /// Convenience: build the boxed plugin list for
@@ -59,6 +64,10 @@ impl<S> SpecChecker<S> {
         Arc::new(move || SpecChecker::plugins(Arc::clone(&spec)))
     }
 }
+
+/// One call's method spec, resolved once per checked object, and its
+/// evaluation context.
+type Step<'a, S> = (&'a MethodSpec<S>, CallEval);
 
 /// Render a history as `name(args)=ret -> …` for diagnostics.
 fn render_history(calls: &[MethodCall], h: &[usize]) -> String {
@@ -104,7 +113,7 @@ impl<S: Send + 'static> SpecChecker<S> {
     /// Check one execution: extract calls, then check each data-structure
     /// instance independently against its own sequential state
     /// (specification composition, paper §3.2 / Theorem 1).
-    fn check_inner(&self, trace: &Trace) -> Vec<Bug> {
+    fn check_inner(&mut self, trace: &Trace) -> Vec<Bug> {
         let plugin_bug = |message: String| Bug::Plugin {
             plugin: "cdsspec",
             message,
@@ -138,13 +147,14 @@ impl<S: Send + 'static> SpecChecker<S> {
     }
 
     /// Check the projection of the execution onto one object.
-    fn check_object(&self, trace: &Trace, calls: &[MethodCall]) -> Vec<Bug> {
+    fn check_object(&mut self, trace: &Trace, calls: &[MethodCall]) -> Vec<Bug> {
+        let spec = &*self.spec;
         let plugin_bug = |message: String| Bug::Plugin {
             plugin: "cdsspec",
             message,
         };
         for c in calls {
-            if self.spec.lookup(c.name).is_none() {
+            if spec.lookup(c.name).is_none() {
                 return vec![plugin_bug(format!(
                     "no specification for method `{}`",
                     c.name
@@ -167,7 +177,7 @@ impl<S: Send + 'static> SpecChecker<S> {
                 if i >= j || !order.concurrent(i, j) {
                     continue;
                 }
-                for rule in &self.spec.admissibility {
+                for rule in &spec.admissibility {
                     for (a, b) in [(i, j), (j, i)] {
                         if calls[a].name == rule.m1
                             && calls[b].name == rule.m2
@@ -186,24 +196,29 @@ impl<S: Send + 'static> SpecChecker<S> {
 
         let mut bugs = Vec::new();
 
-        // 4. Sequential histories (Definitions 2/5/6). One `CallEval` per
-        // call, built once and reused across every replayed history — the
-        // deep `MethodCall`/`CONCURRENT` clones per history step dominated
-        // checking time on history-heavy traces. Only `s_ret` varies
-        // between replays; it is re-armed before each use.
-        let mut evals: Vec<CallEval> = (0..calls.len())
-            .map(|i| CallEval {
-                call: calls[i].clone(),
-                s_ret: cdsspec_c11::SpecVal::Unit,
-                concurrent: (0..calls.len())
-                    .filter(|&j| order.concurrent(i, j))
-                    .map(|j| calls[j].clone())
-                    .collect(),
+        // 4. Sequential histories (Definitions 2/5/6). Each call's method
+        // spec and `CallEval` are built once and reused across every
+        // replayed history — a name lookup or the deep `MethodCall`/
+        // `CONCURRENT` clones per history step dominated checking time on
+        // history-heavy traces. Only `s_ret` varies between replays; it
+        // is re-armed before each use.
+        let mut steps: Vec<Step<S>> = (0..calls.len())
+            .map(|i| {
+                let meth = spec.lookup(calls[i].name).expect("checked above");
+                let eval = CallEval {
+                    call: calls[i].clone(),
+                    s_ret: cdsspec_c11::SpecVal::Unit,
+                    concurrent: (0..calls.len())
+                        .filter(|&j| order.concurrent(i, j))
+                        .map(|j| calls[j].clone())
+                        .collect(),
+                };
+                (meth, eval)
             })
             .collect();
 
-        for_each_history(&order, self.spec.policy, |h| {
-            if let Err(msg) = self.run_history(h, calls, &mut evals) {
+        self.walker.histories(&order, spec.policy, |h| {
+            if let Err(msg) = run_history(spec, h, &mut steps) {
                 bugs.push(plugin_bug(format!(
                     "{msg}\n  history: {}",
                     render_history(calls, h)
@@ -220,118 +235,96 @@ impl<S: Send + 'static> SpecChecker<S> {
         // conditions, some topological sort of its r-prefix must satisfy
         // them.
         for (i, call) in calls.iter().enumerate() {
-            let meth = self.spec.lookup(call.name).expect("checked above");
-            if !meth.has_justification() {
+            if !steps[i].0.has_justification() {
                 continue;
             }
-            let mut scope = order.predecessors_of(i);
-            let prefix_len = scope.len();
-            scope.push(i);
-            let sub = order.restrict(&scope);
-            let target_pos = scope.len() - 1; // `i` is last in `scope`
-
             let mut justified = false;
-            for_each_history(&sub, self.spec.policy, |h| {
-                // Definition 3 clause 4 guarantees m can always be placed
-                // last; skip sortings where it is not (they are permutations
-                // of the same prefix with m interleaved earlier, which
-                // Definition 3 excludes).
-                if h[h.len() - 1] != target_pos {
-                    return true;
-                }
-                if self.justifies(h, &scope, calls, &mut evals) {
-                    justified = true;
-                    return false;
-                }
-                true
+            let searched = self.walker.justifying(&order, i, spec.policy, |h| {
+                justified = justifies(spec, h, &mut steps);
+                !justified
             });
             if !justified {
+                let why = match spec.policy {
+                    HistoryPolicy::Exhaustive { cap } if searched >= cap => {
+                        format!("the search was capped at {cap} subhistories")
+                    }
+                    _ => "no justifying subhistory permits it".to_owned(),
+                };
                 bugs.push(plugin_bug(format!(
-                    "justification failed: `{}#{}` returned {:?} but no justifying \
-                     subhistory permits it (prefix of {} call(s))",
-                    call.name, call.id.0, call.ret, prefix_len
+                    "justification failed: `{}#{}` returned {:?} but {why} \
+                     (prefix of {} call(s))",
+                    call.name,
+                    call.id.0,
+                    call.ret,
+                    order.predecessors_of(i).len()
                 )));
             }
         }
 
         bugs
     }
+}
 
-    /// Replay one full sequential history; `Err` = condition violated.
-    /// `evals` holds the pre-built per-call evaluation contexts; each is
-    /// re-armed (`s_ret` reset) before its pre/effect/post run.
-    fn run_history(
-        &self,
-        h: &[usize],
-        calls: &[MethodCall],
-        evals: &mut [CallEval],
-    ) -> Result<(), String> {
-        let mut state = (self.spec.init)();
-        for &idx in h {
-            let call = &calls[idx];
-            let meth = self.spec.lookup(call.name).expect("validated");
-            let eval = &mut evals[idx];
-            eval.s_ret = cdsspec_c11::SpecVal::Unit;
-            if let Some(pre) = &meth.pre {
-                if !pre(&state, eval) {
-                    return Err(format!(
-                        "precondition of `{}#{}` failed",
-                        call.name, call.id.0
-                    ));
-                }
+/// Replay one full sequential history; `Err` = condition violated.
+/// Each call's evaluation context is re-armed (`s_ret` reset) before
+/// its pre/effect/post run.
+fn run_history<S>(spec: &Spec<S>, h: &[usize], steps: &mut [Step<S>]) -> Result<(), String> {
+    let mut state = (spec.init)();
+    for &idx in h {
+        let (meth, eval) = &mut steps[idx];
+        eval.s_ret = cdsspec_c11::SpecVal::Unit;
+        if let Some(pre) = &meth.pre {
+            if !pre(&state, eval) {
+                let call = &eval.call;
+                return Err(format!(
+                    "precondition of `{}#{}` failed",
+                    call.name, call.id.0
+                ));
             }
-            if let Some(se) = &meth.side_effect {
-                se(&mut state, eval);
+        }
+        if let Some(se) = &meth.side_effect {
+            se(&mut state, eval);
+        }
+        if let Some(post) = &meth.post {
+            if !post(&state, eval) {
+                let call = &eval.call;
+                return Err(format!(
+                    "postcondition of `{}#{}` failed (C_RET={:?}, S_RET={:?})",
+                    call.name, call.id.0, call.ret, eval.s_ret
+                ));
             }
-            if let Some(post) = &meth.post {
-                if !post(&state, eval) {
-                    return Err(format!(
-                        "postcondition of `{}#{}` failed (C_RET={:?}, S_RET={:?})",
-                        call.name, call.id.0, call.ret, eval.s_ret
-                    ));
+        }
+    }
+    Ok(())
+}
+
+/// Replay one justifying subhistory; `true` when the justifying
+/// conditions of the last call hold.
+fn justifies<S>(spec: &Spec<S>, h: &[usize], steps: &mut [Step<S>]) -> bool {
+    let mut state = (spec.init)();
+    let last = h.len() - 1;
+    for (pos, &idx) in h.iter().enumerate() {
+        let (meth, eval) = &mut steps[idx];
+        eval.s_ret = cdsspec_c11::SpecVal::Unit;
+        if pos == last {
+            if let Some(jpre) = &meth.justify_pre {
+                if !jpre(&state, eval) {
+                    return false;
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Replay one justifying subhistory; `true` when the justifying
-    /// conditions of the last call hold.
-    fn justifies(
-        &self,
-        h: &[usize],
-        scope: &[usize],
-        calls: &[MethodCall],
-        evals: &mut [CallEval],
-    ) -> bool {
-        let mut state = (self.spec.init)();
-        let last = h.len() - 1;
-        for (pos, &sub_idx) in h.iter().enumerate() {
-            let idx = scope[sub_idx];
-            let call = &calls[idx];
-            let meth = self.spec.lookup(call.name).expect("validated");
-            let eval = &mut evals[idx];
-            eval.s_ret = cdsspec_c11::SpecVal::Unit;
-            if pos == last {
-                if let Some(jpre) = &meth.justify_pre {
-                    if !jpre(&state, eval) {
-                        return false;
-                    }
-                }
-            }
-            if let Some(se) = &meth.side_effect {
-                se(&mut state, eval);
-            }
-            if pos == last {
-                if let Some(jpost) = &meth.justify_post {
-                    if !jpost(&state, eval) {
-                        return false;
-                    }
+        if let Some(se) = &meth.side_effect {
+            se(&mut state, eval);
+        }
+        if pos == last {
+            if let Some(jpost) = &meth.justify_post {
+                if !jpost(&state, eval) {
+                    return false;
                 }
             }
         }
-        true
     }
+    true
 }
 
 impl<S: Send + 'static> Plugin for SpecChecker<S> {

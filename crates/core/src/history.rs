@@ -11,26 +11,36 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The ordering relation `r` over method calls of one execution, as an
-/// adjacency structure (edge `a → b` means `a` must precede `b`).
+/// Bits per mask word.
+const WORD: usize = u64::BITS as usize;
+
+/// The ordering relation `r` over method calls of one execution (edge
+/// `a → b` means `a` must precede `b`).
+///
+/// Each call `b` owns a predecessor bitset: bit `a` of row `b` is set iff
+/// `a → b`, packed into `⌈n/64⌉` `u64` words. [`CallOrder::close`] closes
+/// the rows transitively, after which row `b` is the whole `r`-prefix of
+/// `b`. That is the one set enumeration needs: the linear extensions of a
+/// relation and of its closure coincide, a call is ready to place once its
+/// row is a subset of the calls placed so far, and its justifying
+/// subhistories are the sortings of its row followed by the call itself.
 #[derive(Clone, Debug)]
 pub struct CallOrder {
     n: usize,
-    /// Reachability matrix: direct edges as added, transitively closed by
-    /// [`CallOrder::close`]. The sole edge store — the linear extensions
-    /// of a relation and of its closure are the same set, so enumeration
-    /// can walk closed rows and a per-vertex successor list would only
-    /// duplicate this matrix (one heap vector per call, on the hot
-    /// per-execution path).
-    reach: Vec<bool>,
+    /// Mask words per row.
+    words: usize,
+    /// Row-major predecessor rows, `n × words`.
+    pred: Vec<u64>,
 }
 
 impl CallOrder {
     /// An order over `n` calls with no edges yet.
     pub fn new(n: usize) -> Self {
+        let words = n.div_ceil(WORD);
         CallOrder {
             n,
-            reach: vec![false; n * n],
+            words,
+            pred: vec![0; n * words],
         }
     }
 
@@ -44,27 +54,29 @@ impl CallOrder {
         self.n == 0
     }
 
+    /// The predecessor row of `b`.
+    fn row(&self, b: usize) -> &[u64] {
+        &self.pred[b * self.words..(b + 1) * self.words]
+    }
+
     /// Add the edge `a → b`.
     pub fn add_edge(&mut self, a: usize, b: usize) {
-        self.reach[a * self.n + b] = true;
+        assert!(a < self.n, "call {a} out of range for {} calls", self.n);
+        self.pred[b * self.words + a / WORD] |= 1 << (a % WORD);
     }
 
-    /// Successors of `a` in the (possibly closed) relation.
-    fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&b| self.reach[a * self.n + b])
-    }
-
-    /// Transitively close the reachability matrix. Call once after all
-    /// edges are added; required before [`CallOrder::ordered`] and
-    /// [`CallOrder::predecessors_of`] are meaningful.
+    /// Transitively close the relation (Warshall's algorithm, one word of
+    /// the row at a time). Call once after all edges are added; required
+    /// before [`CallOrder::ordered`] and [`CallOrder::predecessors_of`]
+    /// are meaningful.
     pub fn close(&mut self) {
+        let w = self.words;
         for k in 0..self.n {
-            for i in 0..self.n {
-                if self.reach[i * self.n + k] {
-                    for j in 0..self.n {
-                        if self.reach[k * self.n + j] {
-                            self.reach[i * self.n + j] = true;
-                        }
+            let bit = 1u64 << (k % WORD);
+            for j in 0..self.n {
+                if self.pred[j * w + k / WORD] & bit != 0 {
+                    for x in 0..w {
+                        self.pred[j * w + x] |= self.pred[k * w + x];
                     }
                 }
             }
@@ -73,7 +85,7 @@ impl CallOrder {
 
     /// Is `a` (transitively) ordered before `b`?
     pub fn ordered(&self, a: usize, b: usize) -> bool {
-        self.reach[a * self.n + b]
+        self.row(b)[a / WORD] >> (a % WORD) & 1 != 0
     }
 
     /// Are `a` and `b` unordered (concurrent) under `r`?
@@ -83,7 +95,7 @@ impl CallOrder {
 
     /// Does the (closed) relation contain a cycle?
     pub fn cyclic(&self) -> bool {
-        (0..self.n).any(|i| self.reach[i * self.n + i])
+        (0..self.n).any(|i| self.ordered(i, i))
     }
 
     /// All calls transitively ordered before `m` (the justifying-prefix
@@ -138,138 +150,164 @@ impl Default for HistoryPolicy {
 pub fn for_each_history<F: FnMut(&[usize]) -> bool>(
     order: &CallOrder,
     policy: HistoryPolicy,
-    mut f: F,
+    f: F,
 ) -> usize {
-    if order.cyclic() {
-        return 0;
-    }
-    match policy {
-        HistoryPolicy::Exhaustive { cap } => {
-            // Executions have a handful of calls; keep the bookkeeping on
-            // the stack for them (this runs per feasible execution) and
-            // fall back to heap vectors past the inline capacity.
-            const INLINE: usize = 16;
-            let mut count = 0usize;
-            if order.n <= INLINE {
-                let mut indegree = [0usize; INLINE];
-                let mut used = [false; INLINE];
-                let mut prefix = [0usize; INLINE];
-                seed_indegrees(order, &mut indegree);
-                topo_recurse(
-                    order,
-                    &mut indegree[..order.n],
-                    &mut used[..order.n],
-                    &mut prefix[..order.n],
-                    0,
-                    cap,
-                    &mut count,
-                    &mut f,
-                );
-            } else {
-                let mut indegree = vec![0usize; order.n];
-                let mut used = vec![false; order.n];
-                let mut prefix = vec![0usize; order.n];
-                seed_indegrees(order, &mut indegree);
-                topo_recurse(
-                    order,
-                    &mut indegree,
-                    &mut used,
-                    &mut prefix,
-                    0,
-                    cap,
-                    &mut count,
-                    &mut f,
-                );
-            }
-            count
+    Walker::default().histories(order, policy, f)
+}
+
+/// Enumerate the justifying subhistories of call `m` (Definition 3) under
+/// `policy`: the topological sorts of `m`'s `r`-prefix, each ending in `m`
+/// (`m` follows its whole prefix, so it is always placed last). Indices
+/// are into the original call set. Sequence, cap and samples are those of
+/// [`for_each_history`] on the [`CallOrder::restrict`]ion of `order` to
+/// `predecessors_of(m)` followed by `m`, mapped back to original indices.
+/// Returns the number of subhistories produced (0 for a cyclic order).
+pub fn for_each_justifying_history<F: FnMut(&[usize]) -> bool>(
+    order: &CallOrder,
+    m: usize,
+    policy: HistoryPolicy,
+    f: F,
+) -> usize {
+    Walker::default().justifying(order, m, policy, f)
+}
+
+/// The topological-sort enumerator, with buffers that a caller
+/// enumerating once per execution can keep, so that it allocates only
+/// while they grow.
+#[derive(Default)]
+pub(crate) struct Walker {
+    /// Calls placed so far, plus every call outside the scope being
+    /// sorted; call `v` is ready iff `pred[v] & !placed == 0`.
+    placed: Vec<u64>,
+    /// `placed` before the first call of a sort (where a sample restarts).
+    start: Vec<u64>,
+    /// The sort built so far.
+    prefix: Vec<usize>,
+}
+
+impl Walker {
+    /// [`for_each_history`] on these buffers.
+    pub(crate) fn histories<F: FnMut(&[usize]) -> bool>(
+        &mut self,
+        order: &CallOrder,
+        policy: HistoryPolicy,
+        f: F,
+    ) -> usize {
+        self.placed.clear();
+        self.placed.resize(order.words, 0);
+        if let (Some(last), tail @ 1..) = (self.placed.last_mut(), order.n % WORD) {
+            *last = !0 << tail;
         }
-        HistoryPolicy::Sample { count, seed } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut produced = 0usize;
-            for _ in 0..count {
-                let h = random_topo(order, &mut rng);
-                produced += 1;
-                if !f(&h) {
-                    break;
+        self.sortings(order, policy, f)
+    }
+
+    /// [`for_each_justifying_history`] on these buffers: the scope is
+    /// `m`'s predecessor row plus `m`.
+    pub(crate) fn justifying<F: FnMut(&[usize]) -> bool>(
+        &mut self,
+        order: &CallOrder,
+        m: usize,
+        policy: HistoryPolicy,
+        f: F,
+    ) -> usize {
+        self.placed.clear();
+        self.placed.extend(order.row(m).iter().map(|w| !w));
+        self.placed[m / WORD] &= !(1 << (m % WORD));
+        self.sortings(order, policy, f)
+    }
+
+    /// Enumerate the sorts of the calls `placed` leaves out, a set closed
+    /// under predecessors.
+    fn sortings<F: FnMut(&[usize]) -> bool>(
+        &mut self,
+        order: &CallOrder,
+        policy: HistoryPolicy,
+        mut f: F,
+    ) -> usize {
+        if order.cyclic() {
+            return 0;
+        }
+        let len = self.placed.iter().map(|w| w.count_zeros() as usize).sum();
+        self.prefix.clear();
+        self.prefix.resize(len, 0);
+        match policy {
+            HistoryPolicy::Exhaustive { cap } => {
+                let mut count = 0usize;
+                self.exhaustive(order, 0, cap, &mut count, &mut f);
+                count
+            }
+            HistoryPolicy::Sample { count, seed } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                self.start.clone_from(&self.placed);
+                let mut produced = 0usize;
+                for _ in 0..count {
+                    self.placed.copy_from_slice(&self.start);
+                    self.random(order, &mut rng);
+                    produced += 1;
+                    if !f(&self.prefix) {
+                        break;
+                    }
+                }
+                produced
+            }
+        }
+    }
+
+    fn ready(&self, order: &CallOrder, v: usize) -> bool {
+        let row = order.row(v);
+        row.iter().zip(&self.placed).all(|(&p, &d)| p & !d == 0)
+    }
+
+    /// Depth-first over every sort extending `prefix[..depth]`, trying
+    /// ready calls in ascending index order at every depth. `false` once
+    /// `f` or the cap stopped the enumeration.
+    fn exhaustive<F: FnMut(&[usize]) -> bool>(
+        &mut self,
+        order: &CallOrder,
+        depth: usize,
+        cap: usize,
+        count: &mut usize,
+        f: &mut F,
+    ) -> bool {
+        if depth == self.prefix.len() {
+            *count += 1;
+            return f(&self.prefix) && *count < cap;
+        }
+        for k in 0..self.placed.len() {
+            // Placing and unplacing below restores `placed[k]` before the
+            // next candidate, so this snapshot stays exact.
+            let mut free = !self.placed[k];
+            while free != 0 {
+                let bit = free & free.wrapping_neg();
+                free ^= bit;
+                let v = k * WORD + bit.trailing_zeros() as usize;
+                if !self.ready(order, v) {
+                    continue;
+                }
+                self.placed[k] |= bit;
+                self.prefix[depth] = v;
+                let go = self.exhaustive(order, depth + 1, cap, count, f);
+                self.placed[k] ^= bit;
+                if !go {
+                    return false;
                 }
             }
-            produced
         }
+        true
     }
-}
 
-/// Count, for every vertex, the incoming edges of the (closed) relation.
-/// Closure edges only shift the counts, never the ready condition: a
-/// vertex hits zero exactly when all its predecessors — direct or
-/// transitive, the same set once closed — are placed.
-fn seed_indegrees(order: &CallOrder, indegree: &mut [usize]) {
-    for a in 0..order.n {
-        for b in order.successors(a) {
-            indegree[b] += 1;
+    /// Fill `prefix` with one random sort: at every step, a uniform draw
+    /// picks the k-th ready call in ascending index order.
+    fn random(&mut self, order: &CallOrder, rng: &mut StdRng) {
+        for depth in 0..self.prefix.len() {
+            let ready: Vec<usize> = (0..order.n)
+                .filter(|&v| self.placed[v / WORD] >> (v % WORD) & 1 == 0 && self.ready(order, v))
+                .collect();
+            let v = ready[rng.gen_range(0..ready.len())];
+            self.placed[v / WORD] |= 1 << (v % WORD);
+            self.prefix[depth] = v;
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn topo_recurse<F: FnMut(&[usize]) -> bool>(
-    order: &CallOrder,
-    indegree: &mut [usize],
-    used: &mut [bool],
-    prefix: &mut [usize],
-    depth: usize,
-    cap: usize,
-    count: &mut usize,
-    f: &mut F,
-) -> bool {
-    if depth == order.n {
-        *count += 1;
-        if !f(prefix) || *count >= cap {
-            return false;
-        }
-        return true;
-    }
-    for v in 0..order.n {
-        if used[v] || indegree[v] != 0 {
-            continue;
-        }
-        used[v] = true;
-        prefix[depth] = v;
-        for b in order.successors(v) {
-            indegree[b] -= 1;
-        }
-        let keep_going = topo_recurse(order, indegree, used, prefix, depth + 1, cap, count, f);
-        for b in order.successors(v) {
-            indegree[b] += 1;
-        }
-        used[v] = false;
-        if !keep_going {
-            return false;
-        }
-    }
-    true
-}
-
-fn random_topo(order: &CallOrder, rng: &mut StdRng) -> Vec<usize> {
-    let mut indegree = vec![0usize; order.n];
-    for a in 0..order.n {
-        for b in order.successors(a) {
-            indegree[b] += 1;
-        }
-    }
-    let mut used = vec![false; order.n];
-    let mut out = Vec::with_capacity(order.n);
-    while out.len() < order.n {
-        let ready: Vec<usize> = (0..order.n)
-            .filter(|&v| !used[v] && indegree[v] == 0)
-            .collect();
-        let v = ready[rng.gen_range(0..ready.len())];
-        used[v] = true;
-        out.push(v);
-        for b in order.successors(v) {
-            indegree[b] -= 1;
-        }
-    }
-    out
 }
 
 /// Collect all histories into a vector (testing convenience).

@@ -87,7 +87,9 @@ pub use annotations::{
 };
 pub use call::{extract_calls, CallId, ExtractError, MethodCall};
 pub use checker::{build_call_order, check, check_ok, check_suite, SpecChecker, SuitePart};
-pub use history::{all_histories, for_each_history, CallOrder, HistoryPolicy};
+pub use history::{
+    all_histories, for_each_history, for_each_justifying_history, CallOrder, HistoryPolicy,
+};
 pub use spec::{AdmissibilityRule, CallEval, MethodSpec, Spec};
 
 pub use cdsspec_c11::SpecVal;

@@ -1,12 +1,15 @@
 //! Semantic tests of the checker internals (`extract_calls`,
-//! `build_call_order`) against real traces produced by the model checker,
-//! via a probe plugin.
+//! `build_call_order`, history caps) against real traces produced by the
+//! model checker, via a probe plugin.
 
 use cdsspec_core as spec;
 use cdsspec_mc as mc;
 use mc::MemOrd::*;
 use mc::{Atomic, Config};
-use spec::{build_call_order, extract_calls};
+use spec::{
+    build_call_order, extract_calls, for_each_history, for_each_justifying_history, HistoryPolicy,
+    Spec,
+};
 use std::sync::{Arc, Mutex};
 
 /// One execution's probe record: (call name, value) list + `r` edge list.
@@ -203,5 +206,87 @@ fn retry_loops_order_by_final_attempt() {
             edges.contains(&(0, 1)) || edges.contains(&(1, 0)),
             "contending RMW calls must always be ordered: {names:?} {edges:?}"
         );
+    }
+}
+
+/// Three unsynchronized `put`s joined before a `get`: the `get`'s r-prefix
+/// is the three pairwise-concurrent puts, so it has 3! = 6 justifying
+/// subhistories and the execution 6 full histories.
+fn wide_prefix() {
+    let p = Probe::new();
+    let handles: Vec<_> = (1..=3)
+        .map(|v| {
+            let p = p.clone();
+            mc::thread::spawn(move || p.put(v))
+        })
+        .collect();
+    handles.into_iter().for_each(|h| h.join());
+    let _ = p.get();
+}
+
+/// A register spec whose `get` is never justified.
+fn unjustifiable(policy: HistoryPolicy) -> Spec<()> {
+    Spec::new("register", || ())
+        .method("put", |m| m)
+        .method("get", |m| m.justify_post(|_, _| false))
+        .with_policy(policy)
+}
+
+fn first_bug(policy: HistoryPolicy) -> String {
+    let stats = spec::check(Config::default(), unjustifiable(policy), wide_prefix);
+    assert!(stats.buggy(), "an unjustifiable get must be reported");
+    stats.bugs[0].bug.to_string()
+}
+
+/// A justification search cut short by the cap says so; only a complete
+/// search reports that no subhistory permits the return value.
+#[test]
+fn capped_justification_is_not_a_failed_justification() {
+    let capped = first_bug(HistoryPolicy::Exhaustive { cap: 3 });
+    assert!(
+        capped.contains("but the search was capped at 3 subhistories (prefix of 3 call(s))"),
+        "{capped}"
+    );
+    assert!(!capped.contains("no justifying subhistory"), "{capped}");
+
+    let complete = first_bug(HistoryPolicy::default());
+    assert!(
+        complete.contains("but no justifying subhistory permits it (prefix of 3 call(s))"),
+        "{complete}"
+    );
+}
+
+/// On the same wide order, a capped enumeration produces exactly `cap`
+/// full histories and `cap` justifying subhistories.
+#[test]
+fn capped_enumeration_produces_exactly_cap_histories() {
+    let counts = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&counts);
+    let plugin = mc::FnPlugin::new("probe", move |trace| {
+        let calls = extract_calls(trace).expect("well-formed annotations");
+        let order = build_call_order(trace, &calls);
+        let get = calls.iter().position(|c| c.name == "get").expect("one get");
+        let count = |policy| {
+            (
+                for_each_history(&order, policy, |_| true),
+                for_each_justifying_history(&order, get, policy, |h| {
+                    assert_eq!(h.last(), Some(&get), "get is placed last");
+                    true
+                }),
+            )
+        };
+        sink.lock().unwrap().push((
+            count(HistoryPolicy::default()),
+            count(HistoryPolicy::Exhaustive { cap: 3 }),
+        ));
+        Vec::new()
+    });
+    let stats = mc::explore_with_plugins(Config::default(), vec![Box::new(plugin)], wide_prefix);
+    assert!(!stats.buggy());
+    let counts = counts.lock().unwrap();
+    assert!(!counts.is_empty());
+    for &(full, capped) in counts.iter() {
+        assert_eq!(full, (6, 6));
+        assert_eq!(capped, (3, 3));
     }
 }
