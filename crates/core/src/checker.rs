@@ -17,8 +17,10 @@
 //!    `r`-prefix) whose sequential execution satisfies them, with the
 //!    `CONCURRENT` set available (Definitions 3, 4).
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
+use cdsspec_c11::relations::{class_key, rf_signature};
 use cdsspec_c11::Trace;
 use cdsspec_mc::{Bug, Plugin};
 
@@ -28,10 +30,19 @@ use crate::spec::{CallEval, MethodSpec, Spec};
 
 /// The plugin. Cheap to construct per exploration; the spec itself is
 /// shared via `Arc`.
+///
+/// A clean verdict is a property of the execution's rf class, so the
+/// checker remembers the classes it has proven clean and skips executions
+/// of them (see `ARCHITECTURE.md`, "Verdict reuse"). Buggy, capped and
+/// sampled verdicts are recomputed every time.
 pub struct SpecChecker<S> {
     spec: Arc<Spec<S>>,
     /// Enumeration buffers, reused across executions.
     walker: Walker,
+    /// Classes this instance has proven clean.
+    clean: CleanClasses,
+    /// Most full histories any object of the last execution had.
+    peak_histories: usize,
 }
 
 impl<S> SpecChecker<S> {
@@ -40,6 +51,8 @@ impl<S> SpecChecker<S> {
         SpecChecker {
             spec,
             walker: Walker::default(),
+            clean: CleanClasses::default(),
+            peak_histories: 0,
         }
     }
 
@@ -62,6 +75,63 @@ impl<S> SpecChecker<S> {
         S: Send + 'static,
     {
         Arc::new(move || SpecChecker::plugins(Arc::clone(&spec)))
+    }
+}
+
+/// The rf classes proven clean, in two tiers. A signature seen for the
+/// first time only enters `index`: most classes of a weakly ordered test
+/// occur once, and building and storing their keys would cost more than
+/// it saves. From the second sighting on, the exact [`class_key`] decides.
+#[derive(Default)]
+struct CleanClasses {
+    /// rf signature → 1 + `slab` offset of the newest clean key with that
+    /// signature, or 0 while none is stored.
+    index: HashMap<u64, usize>,
+    /// Clean keys as `[older entry, len, key words…]`, chained per
+    /// signature (`older entry` uses the same 1-based encoding).
+    slab: Vec<u64>,
+    /// The key of the execution being checked.
+    key: Vec<u64>,
+}
+
+/// What [`CleanClasses::lookup`] knows about an execution's class.
+enum Sighting {
+    /// First execution with this signature; no key was built.
+    First,
+    /// The class is proven clean.
+    Clean,
+    /// Not proven clean; `key` holds the execution's key and `head` is
+    /// the signature's chain head for [`CleanClasses::insert`].
+    Unproven { head: usize },
+}
+
+impl CleanClasses {
+    fn lookup(&mut self, sig: u64, trace: &Trace) -> Sighting {
+        let head = match self.index.entry(sig) {
+            Entry::Vacant(slot) => {
+                slot.insert(0);
+                return Sighting::First;
+            }
+            Entry::Occupied(slot) => *slot.get(),
+        };
+        class_key(trace, &mut self.key);
+        let mut at = head;
+        while at != 0 {
+            let entry = at - 1;
+            let len = self.slab[entry + 1] as usize;
+            if self.slab[entry + 2..entry + 2 + len] == self.key[..] {
+                return Sighting::Clean;
+            }
+            at = self.slab[entry] as usize;
+        }
+        Sighting::Unproven { head }
+    }
+
+    /// Record `key` (from the last [`CleanClasses::lookup`]) as clean.
+    fn insert(&mut self, sig: u64, head: usize) {
+        self.index.insert(sig, self.slab.len() + 1);
+        self.slab.extend([head as u64, self.key.len() as u64]);
+        self.slab.extend_from_slice(&self.key);
     }
 }
 
@@ -119,6 +189,7 @@ impl<S: Send + 'static> SpecChecker<S> {
             message,
         };
 
+        self.peak_histories = 0;
         let all_calls = match extract_calls(trace) {
             Ok(c) => c,
             Err(e) => return vec![plugin_bug(format!("annotation error: {e}"))],
@@ -217,7 +288,7 @@ impl<S: Send + 'static> SpecChecker<S> {
             })
             .collect();
 
-        self.walker.histories(&order, spec.policy, |h| {
+        let histories = self.walker.histories(&order, spec.policy, |h| {
             if let Err(msg) = run_history(spec, h, &mut steps) {
                 bugs.push(plugin_bug(format!(
                     "{msg}\n  history: {}",
@@ -230,6 +301,7 @@ impl<S: Send + 'static> SpecChecker<S> {
         if !bugs.is_empty() {
             return bugs;
         }
+        self.peak_histories = self.peak_histories.max(histories);
 
         // 5. Justification (Definitions 3/4): for each call with justifying
         // conditions, some topological sort of its r-prefix must satisfy
@@ -248,7 +320,12 @@ impl<S: Send + 'static> SpecChecker<S> {
                     HistoryPolicy::Exhaustive { cap } if searched >= cap => {
                         format!("the search was capped at {cap} subhistories")
                     }
-                    _ => "no justifying subhistory permits it".to_owned(),
+                    HistoryPolicy::Exhaustive { .. } => {
+                        "no justifying subhistory permits it".to_owned()
+                    }
+                    HistoryPolicy::Sample { .. } => {
+                        format!("none of the {searched} sampled subhistories permits it")
+                    }
                 };
                 bugs.push(plugin_bug(format!(
                     "justification failed: `{}#{}` returned {:?} but {why} \
@@ -333,7 +410,23 @@ impl<S: Send + 'static> Plugin for SpecChecker<S> {
     }
 
     fn check(&mut self, trace: &Trace) -> Vec<Bug> {
-        self.check_inner(trace)
+        let sig = rf_signature(trace);
+        let head = match self.clean.lookup(sig, trace) {
+            Sighting::First => return self.check_inner(trace),
+            Sighting::Clean => return Vec::new(),
+            Sighting::Unproven { head } => head,
+        };
+        let bugs = self.check_inner(trace);
+        // Every justifying scope is a downset of r, so it has at most as
+        // many sorts as r itself: below the cap, no search was capped.
+        let uncapped = match self.spec.policy {
+            HistoryPolicy::Exhaustive { cap } => self.peak_histories < cap,
+            HistoryPolicy::Sample { .. } => false,
+        };
+        if bugs.is_empty() && uncapped {
+            self.clean.insert(sig, head);
+        }
+        bugs
     }
 }
 

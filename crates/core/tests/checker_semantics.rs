@@ -256,6 +256,18 @@ fn capped_justification_is_not_a_failed_justification() {
     );
 }
 
+/// A sampled justification search reports how many subhistories it drew,
+/// not that none exists.
+#[test]
+fn sampled_justification_names_its_sample() {
+    let sampled = first_bug(HistoryPolicy::Sample { count: 2, seed: 7 });
+    assert!(
+        sampled.contains("but none of the 2 sampled subhistories permits it (prefix of 3 call(s))"),
+        "{sampled}"
+    );
+    assert!(!sampled.contains("no justifying subhistory"), "{sampled}");
+}
+
 /// On the same wide order, a capped enumeration produces exactly `cap`
 /// full histories and `cap` justifying subhistories.
 #[test]
