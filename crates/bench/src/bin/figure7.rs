@@ -231,12 +231,18 @@ fn main() {
         "\nThroughput: {total_exec} executions at {rate} exec/s, {pruned} rf-pruned \
          branches, {classes} rf classes, peak frontier depth {depth}."
     );
+    // Named from the execution counts (deterministic), not the timings.
+    let dominant = state
+        .done
+        .iter()
+        .max_by_key(|r| r.executions)
+        .map_or("-", |r| r.name.as_str());
     println!(
         "\nAll benchmarks clean: {}. Shape claim preserved: every benchmark finishes \
          at unit-test scale (the paper's slowest row took 13.71 s; ours stays within \
          the same order). Which benchmark dominates differs — the paper's RW lock vs \
-         our Chase-Lev corner-case suite — because the enumeration strategies weigh \
-         spin loops and rf choices differently (DESIGN.md §2.2).",
+         our {dominant}, the row with the most executions — because the enumeration \
+         strategies weigh spin loops and rf choices differently (DESIGN.md §2.2).",
         total_ok
     );
 }

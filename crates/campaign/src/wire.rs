@@ -6,8 +6,9 @@
 //! always serializes to the same bytes, which is what lets the cache
 //! byte-identity guarantee and the journal CRCs work.
 
-use crate::hash::{fnv1a64, Fnv1a};
+use crate::hash::Fnv1a;
 use crate::json::Json;
+use cdsspec_mc::explore::TREE_VERSION;
 use cdsspec_mc::{Bug, BugCategory, Config, FoundBug, ShardSpec, Stats, StopReason};
 use cdsspec_structures::registry::Benchmark;
 use std::time::Duration;
@@ -306,11 +307,15 @@ pub fn config_from_json(v: &Json) -> Result<Config, String> {
     Ok(config)
 }
 
-/// Content hash of a config's semantic subset — one of the three parts of
-/// a cache key. Two configs with the same hash explore the same
-/// executions and report the same counters (at any worker count).
+/// Content hash of a config's semantic subset and of the explorer's
+/// [`TREE_VERSION`] — one of the three parts of a cache key. Two configs
+/// with the same hash explore the same executions and report the same
+/// counters (at any worker count).
 pub fn config_hash(config: &Config) -> u64 {
-    fnv1a64(config_to_json(config).encode().as_bytes())
+    Fnv1a::new()
+        .update(config_to_json(config).encode().as_bytes())
+        .update_u64(TREE_VERSION)
+        .finish()
 }
 
 /// Content hash of a benchmark's specification surface: its name, spec
@@ -335,6 +340,7 @@ pub fn spec_hash(bench: &Benchmark) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::fnv1a64;
 
     fn sample_stats() -> Stats {
         let mut stats = Stats {
@@ -450,6 +456,16 @@ mod tests {
         let mut unpruned = config.clone();
         unpruned.rf_prune = false;
         assert_ne!(config_hash(&unpruned), config_hash(&config));
+    }
+
+    /// Keys derived before the tree version was folded in (the bare hash
+    /// of the config encoding) no longer match: cache entries and journals
+    /// of the older exploration tree miss or are rejected.
+    #[test]
+    fn config_hash_covers_the_tree_version() {
+        let config = Config::default();
+        let unversioned = fnv1a64(config_to_json(&config).encode().as_bytes());
+        assert_ne!(config_hash(&config), unversioned);
     }
 
     /// Encodings from builds that predate rf-equivalence pruning decode

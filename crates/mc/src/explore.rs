@@ -52,6 +52,15 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Version of the exploration tree: which schedules, rf choices and
+/// therefore execution counters a fixed [`Config`] produces. Bump it
+/// whenever a change alters which schedules a fixed `Config` visits (the
+/// dependence relation, pruning rules, scheduling order). Result caches
+/// and campaign journals key on it, so results of an older tree stop
+/// matching; `--checkpoint` frontiers cut under an older tree must not be
+/// resumed.
+pub const TREE_VERSION: u64 = 1;
+
 /// Maximum distinct bug records retained (duplicates across executions are
 /// folded; exploration statistics still count every occurrence).
 pub(crate) const MAX_BUG_RECORDS: usize = 24;

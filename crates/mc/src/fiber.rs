@@ -859,18 +859,22 @@ fn install_ctx(tid: Option<Tid>, shared: &Arc<Shared>) {
 extern "C" fn fiber_entry(arg: usize) -> ! {
     // The switch that started this fiber left its transfer window open.
     end_transfer();
-    let job = unsafe { Box::from_raw(arg as *mut Job) };
-    let shared = Arc::clone(&job.shared);
-    // run_job installs the context itself and catches every unwind
-    // (normal return, DieMarker abort, real panic) before this frame.
-    worker::run_job(*job);
-    // Past this point the job's exit is fully accounted (`job_exited`
-    // ran); a rescue landing in the remaining window would double-count
-    // it. Shut the gate for the rest of this fiber's life — the guard is
-    // deliberately leaked; the terminal switch discards this fiber's
-    // gate state anyway.
-    std::mem::forget(engine_section());
+    // `exit_current` never returns, so nothing in this frame is ever
+    // dropped: everything the root owns lives in this block and is gone
+    // before the terminal switch (the job box and a `Shared` count would
+    // otherwise leak once per fiber).
     let next = {
+        let job = unsafe { Box::from_raw(arg as *mut Job) };
+        let shared = Arc::clone(&job.shared);
+        // run_job installs the context itself and catches every unwind
+        // (normal return, DieMarker abort, real panic) before this frame.
+        worker::run_job(*job);
+        // Past this point the job's exit is fully accounted (`job_exited`
+        // ran); a rescue landing in the remaining window would double-count
+        // it. Shut the gate for the rest of this fiber's life — the guard is
+        // deliberately leaked; the terminal switch discards this fiber's
+        // gate state anyway.
+        std::mem::forget(engine_section());
         let st = shared.inner.lock();
         crate::runtime::fiber_next(&st)
     };

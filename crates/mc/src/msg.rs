@@ -108,52 +108,36 @@ impl Op {
         matches!(self, Op::Store { .. } | Op::Rmw { .. })
     }
 
-    /// Is the op `seq_cst`?
+    /// Is the op `seq_cst`? A CAS counts when either of its orderings is:
+    /// a failing CAS reads with its failure ordering, so a `SeqCst`
+    /// failure ordering makes that read an SC read that joins *S*.
     pub fn is_sc(&self) -> bool {
-        matches!(
-            self,
-            Op::Load {
-                ord: MemOrd::SeqCst,
-                ..
-            } | Op::Store {
-                ord: MemOrd::SeqCst,
-                ..
-            } | Op::Rmw {
-                ord: MemOrd::SeqCst,
-                ..
-            } | Op::Fence {
-                ord: MemOrd::SeqCst
+        match self {
+            Op::Load { ord, .. } | Op::Store { ord, .. } | Op::Fence { ord } => ord.is_seq_cst(),
+            Op::Rmw { ord, kind, .. } => {
+                ord.is_seq_cst()
+                    || matches!(kind, RmwKind::Cas { fail_ord, .. } if fail_ord.is_seq_cst())
             }
-        )
+            Op::Join { .. } | Op::Spin | Op::Yield => false,
+        }
     }
 
-    /// Conservative dependence relation used by the sleep-set reduction.
+    /// Dependence relation used by the sleep-set reduction.
     ///
     /// Two pending ops are *independent* when executing them in either
     /// order yields the same reads-from candidate sets and memory-model
-    /// state for every continuation. We approximate:
+    /// state for every continuation:
     ///
     /// * same-location atomic ops are dependent unless both are plain loads;
     /// * any two `seq_cst` operations are dependent (the SC order *S* is
-    ///   observable, e.g. IRIW);
-    /// * SC fences are dependent with every atomic op (they publish and
-    ///   snapshot global floors);
-    /// * everything else (different locations, joins, spins) is independent.
+    ///   observable, e.g. IRIW). This is the only rule that reaches an SC
+    ///   fence: it reads only state that SC writes and SC fences write;
+    /// * everything else (different locations, non-SC fences, joins,
+    ///   spins) is independent.
+    ///
+    /// ARCHITECTURE.md ("Exploration identity") gives the soundness
+    /// argument against `MemState`.
     pub fn dependent(&self, other: &Op) -> bool {
-        // SC fences are global.
-        let sc_fence = |o: &Op| {
-            matches!(
-                o,
-                Op::Fence {
-                    ord: MemOrd::SeqCst
-                }
-            )
-        };
-        if sc_fence(self) || sc_fence(other) {
-            return self.loc().is_some()
-                || other.loc().is_some()
-                || (sc_fence(self) && sc_fence(other));
-        }
         if self.is_sc() && other.is_sc() {
             return true;
         }
@@ -263,15 +247,45 @@ mod tests {
         assert!(store(0, SeqCst).dependent(&load(1, SeqCst)));
     }
 
+    fn cas(loc: u32, ord: MemOrd, fail_ord: MemOrd) -> Op {
+        Op::Rmw {
+            loc: LocId(loc),
+            ord,
+            kind: RmwKind::Cas {
+                expected: 0,
+                new: 1,
+                fail_ord,
+                weak: false,
+            },
+        }
+    }
+
     #[test]
-    fn sc_fence_is_globally_dependent() {
+    fn sc_fence_depends_only_on_sc_ops() {
         let f = Op::Fence { ord: SeqCst };
-        assert!(f.dependent(&load(0, Relaxed)));
         assert!(f.dependent(&f));
-        // but acq/rel fences are thread-local in effect
-        let rf = Op::Fence { ord: Release };
-        assert!(!rf.dependent(&load(0, Relaxed)));
-        assert!(!rf.dependent(&rf));
+        assert!(f.dependent(&load(0, SeqCst)));
+        assert!(f.dependent(&store(0, SeqCst)));
+        assert!(f.dependent(&cas(0, SeqCst, Relaxed)));
+        // A CAS whose failure ordering alone is SC reads as an SC read.
+        assert!(f.dependent(&cas(0, AcqRel, SeqCst)));
+        assert!(cas(0, Relaxed, SeqCst).dependent(&f));
+        for ord in [Relaxed, Acquire] {
+            assert!(!f.dependent(&load(0, ord)));
+        }
+        for ord in [Relaxed, Release] {
+            assert!(!f.dependent(&store(0, ord)));
+        }
+        assert!(!f.dependent(&cas(0, AcqRel, Acquire)));
+        assert!(!f.dependent(&Op::Fence { ord: AcqRel }));
+        // Acquire/release fences are thread-local in effect.
+        for ord in [Acquire, Release, AcqRel] {
+            let g = Op::Fence { ord };
+            assert!(!g.dependent(&g));
+            assert!(!g.dependent(&load(0, SeqCst)));
+            assert!(!g.dependent(&store(0, Relaxed)));
+            assert!(!g.dependent(&cas(0, SeqCst, SeqCst)));
+        }
     }
 
     #[test]

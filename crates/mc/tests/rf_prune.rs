@@ -206,13 +206,16 @@ fn pruned_counter_partitions_across_checkpoint() {
 // ---------------------------------------------------------------------
 
 /// A step of a random program (mirrors the generator the axiom proptests
-/// use, compact enough to duplicate here).
+/// use, compact enough to duplicate here). A `Cas` carries its failure
+/// ordering, drawn independently of the success ordering; a `Fence` takes
+/// the step's ordering.
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Load(usize),
     Store(usize, i64),
     FetchAdd(usize, i64),
-    Cas(usize, i64, i64),
+    Cas(usize, i64, i64, MemOrd),
+    Fence,
 }
 
 type Program = Vec<Vec<(Step, MemOrd)>>;
@@ -227,23 +230,45 @@ fn ord_strategy() -> impl Strategy<Value = MemOrd> {
     ]
 }
 
-fn step_strategy(locs: usize) -> impl Strategy<Value = Step> {
+/// Failure orderings C11 allows: no release component.
+fn fail_ord_strategy() -> impl Strategy<Value = MemOrd> {
+    prop_oneof![Just(Relaxed), Just(Acquire), Just(SeqCst)]
+}
+
+fn access_strategy(locs: usize) -> impl Strategy<Value = Step> {
     prop_oneof![
         (0..locs).prop_map(Step::Load),
         (0..locs, 1..4i64).prop_map(|(l, v)| Step::Store(l, v)),
         (0..locs, 1..3i64).prop_map(|(l, v)| Step::FetchAdd(l, v)),
-        (0..locs, 0..4i64, 1..4i64).prop_map(|(l, e, n)| Step::Cas(l, e, n)),
+        (0..locs, 0..4i64, 1..4i64, fail_ord_strategy())
+            .prop_map(|(l, e, n, f)| Step::Cas(l, e, n, f)),
     ]
 }
 
-fn program_strategy(threads: usize, steps: usize, locs: usize) -> impl Strategy<Value = Program> {
+/// One step in three is a fence, most of them `seq_cst` (see
+/// [`legal_ord`]).
+fn step_strategy(locs: usize) -> impl Strategy<Value = Step> {
+    prop_oneof![
+        access_strategy(locs),
+        access_strategy(locs),
+        Just(Step::Fence),
+    ]
+}
+
+fn program_strategy(
+    threads: usize,
+    steps: std::ops::RangeInclusive<usize>,
+    locs: usize,
+) -> impl Strategy<Value = Program> {
     prop::collection::vec(
-        prop::collection::vec((step_strategy(locs), ord_strategy()), 1..=steps),
+        prop::collection::vec((step_strategy(locs), ord_strategy()), steps),
         2..=threads,
     )
 }
 
-/// Sanitize orderings to what C11 allows per operation kind.
+/// Sanitize orderings to what C11 allows per operation kind. A relaxed
+/// fence is a no-op, so it becomes the fence the generator most wants
+/// to cover.
 fn legal_ord(step: Step, ord: MemOrd) -> MemOrd {
     match step {
         Step::Load(_) => match ord {
@@ -254,6 +279,7 @@ fn legal_ord(step: Step, ord: MemOrd) -> MemOrd {
             Acquire | AcqRel => Release,
             o => o,
         },
+        Step::Fence if ord == Relaxed => SeqCst,
         _ => ord,
     }
 }
@@ -266,13 +292,13 @@ fn interp(steps: &[(Step, MemOrd)], cells: &[Atomic<i64>]) -> Vec<i64> {
             Step::Load(l) => reads.push(cells[l].load(ord)),
             Step::Store(l, v) => cells[l].store(v, ord),
             Step::FetchAdd(l, v) => reads.push(cells[l].fetch_add(v, ord)),
-            Step::Cas(l, e, n) => {
-                let fail = ord.weaken_load().unwrap_or(Relaxed);
+            Step::Cas(l, e, n, fail) => {
                 reads.push(match cells[l].compare_exchange(e, n, ord, fail) {
                     Ok(old) => old,
                     Err(seen) => seen,
                 });
             }
+            Step::Fence => mc::fence(ord),
         }
     }
     reads
@@ -280,14 +306,13 @@ fn interp(steps: &[(Step, MemOrd)], cells: &[Atomic<i64>]) -> Vec<i64> {
 
 /// Explore `prog` and collect the set of per-thread read-value vectors
 /// over all feasible executions, plus the stats.
-fn run_prog(prog: &Program, locs: usize, rf_prune: bool) -> (BTreeSet<Vec<i64>>, mc::Stats) {
+fn run_prog(prog: &Program, locs: usize, config: Config) -> (BTreeSet<Vec<i64>>, mc::Stats) {
     let prog = Arc::new(prog.clone());
     let outcomes: Arc<Mutex<BTreeSet<Vec<i64>>>> = Arc::new(Mutex::new(BTreeSet::new()));
     let oc = Arc::clone(&outcomes);
     let config = Config {
         max_executions: 300_000,
-        rf_prune,
-        ..Config::validating()
+        ..config
     };
     let stats = mc::explore(config, move || {
         let cells: Vec<Atomic<i64>> = (0..locs).map(|_| Atomic::new(0)).collect();
@@ -317,15 +342,69 @@ fn run_prog(prog: &Program, locs: usize, rf_prune: bool) -> (BTreeSet<Vec<i64>>,
     (set, stats)
 }
 
+/// The default reduced exploration and the unreduced tree (no sleep
+/// sets, no rf pruning) of `prog` must find the same rf classes and bugs.
+fn sleep_sets_preserve_classes(prog: &Program) {
+    let base = Config {
+        stop_on_first_bug: false,
+        ..Config::default()
+    };
+    let (_, reduced) = run_prog(prog, 2, base.clone());
+    let (_, full) = run_prog(
+        prog,
+        2,
+        Config {
+            sleep_sets: false,
+            rf_prune: false,
+            ..base
+        },
+    );
+    assert!(
+        !reduced.truncated() && !full.truncated(),
+        "{} / {}",
+        reduced.summary(),
+        full.summary()
+    );
+    assert_eq!(
+        &reduced.rf_classes,
+        &full.rf_classes,
+        "sleep sets lost rf classes\n reduced: {}\n full: {}",
+        reduced.summary(),
+        full.summary()
+    );
+    assert_eq!(bug_set(&reduced), bug_set(&full), "bug sets diverged");
+}
+
+/// A CAS whose failure ordering alone is `seq_cst` reads as an SC read
+/// when it fails: it must stay dependent on the other SC ops, or the
+/// sleep sets lose one of this program's nine rf classes.
+#[test]
+fn sc_failure_cas_keeps_every_rf_class() {
+    use Step::*;
+    let prog: Program = vec![
+        vec![
+            (Cas(0, 0, 1, SeqCst), Release),
+            (FetchAdd(0, 1), AcqRel),
+            (Cas(1, 1, 2, SeqCst), Relaxed),
+        ],
+        vec![(Cas(0, 0, 1, SeqCst), Release), (Load(1), SeqCst)],
+    ];
+    sleep_sets_preserve_classes(&prog);
+}
+
+/// Debug builds keep the proptest budget small; release builds sample
+/// more programs from the same generators.
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 256 };
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
     /// On random programs, pruning preserves the observable outcome set,
     /// the rf-class set, and bug-freeness, while never exploring more.
     #[test]
-    fn pruning_preserves_outcomes_on_random_programs(prog in program_strategy(3, 3, 2)) {
-        let (with, s1) = run_prog(&prog, 2, true);
-        let (without, s2) = run_prog(&prog, 2, false);
+    fn pruning_preserves_outcomes_on_random_programs(prog in program_strategy(3, 1..=3, 2)) {
+        let (with, s1) = run_prog(&prog, 2, Config::validating());
+        let (without, s2) = run_prog(&prog, 2, Config { rf_prune: false, ..Config::validating() });
         prop_assert!(!s1.truncated() && !s2.truncated(), "{} / {}", s1.summary(), s2.summary());
         prop_assert_eq!(
             &with, &without,
@@ -340,5 +419,13 @@ proptest! {
         // adversarial micro-programs the pruned tree can be a few leaves
         // larger. The fixed read-heavy differentials above pin the
         // strict reduction where the rules are designed to bite.
+    }
+
+    /// Sleep sets (with rf pruning) find exactly the rf classes of the
+    /// unreduced tree on fence- and CAS-heavy random programs: the
+    /// dependence relation misses no `seq_cst` interaction.
+    #[test]
+    fn sleep_sets_preserve_rf_classes_on_random_programs(prog in program_strategy(3, 2..=3, 2)) {
+        sleep_sets_preserve_classes(&prog);
     }
 }
