@@ -198,6 +198,11 @@ pub fn exec_per_sec(executions: u64, elapsed_ns: u128) -> f64 {
     }
 }
 
+/// Format name and version of [`Figure7Checkpoint::to_text`].
+const FIGURE7_FORMAT: &str = "figure7-checkpoint v2";
+/// Format name and version of [`Figure8Checkpoint::to_text`].
+const FIGURE8_FORMAT: &str = "figure8-checkpoint v2";
+
 /// Figure 7 checkpoint: completed rows plus the interrupted benchmark's
 /// mid-tree exploration checkpoint.
 #[derive(Clone, Debug, Default)]
@@ -213,7 +218,8 @@ impl Figure7Checkpoint {
     /// Serialize. Benchmark names must not contain `|` or newlines (the
     /// registry's never do).
     pub fn to_text(&self) -> String {
-        let mut out = String::from("figure7-checkpoint v1\n");
+        let mut out = mc::report::tree_header(FIGURE7_FORMAT);
+        out.push('\n');
         for r in &self.done {
             out.push_str(&format!(
                 "row {}|{}|{}|{}|{}|{}|{}|{}|{}\n",
@@ -239,9 +245,7 @@ impl Figure7Checkpoint {
     /// Parse a [`Figure7Checkpoint::to_text`] serialization.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
-        if lines.next() != Some("figure7-checkpoint v1") {
-            return Err("not a figure7 checkpoint (bad header)".into());
-        }
+        mc::report::check_tree_header(FIGURE7_FORMAT, lines.next())?;
         let mut out = Figure7Checkpoint::default();
         let mut closed = false;
         while let Some(line) = lines.next() {
@@ -250,14 +254,10 @@ impl Figure7Checkpoint {
                 break;
             } else if let Some(rest) = line.strip_prefix("row ") {
                 let f: Vec<&str> = rest.split('|').collect();
-                // 6 fields = pre-peak-depth checkpoints, 7 = pre-rf-prune
-                // (both still accepted, missing counters read back as 0);
-                // 9 = current format.
-                if f.len() != 6 && f.len() != 7 && f.len() != 9 {
+                if f.len() != 9 {
                     return Err(format!("bad row line: {line}"));
                 }
                 let num = |s: &str| s.parse::<u64>().map_err(|e| format!("bad row field: {e}"));
-                let opt = |s: Option<&&str>| s.map_or(Ok(0), |d| num(d));
                 out.done.push(SavedRow7 {
                     name: f[0].to_string(),
                     executions: num(f[1])?,
@@ -265,9 +265,9 @@ impl Figure7Checkpoint {
                     elapsed_ns: f[3].parse().map_err(|e| format!("bad row field: {e}"))?,
                     stop: f[4].to_string(),
                     buggy: f[5] == "1",
-                    peak_depth: opt(f.get(6))?,
-                    executions_pruned: opt(f.get(7))?,
-                    rf_classes: opt(f.get(8))?,
+                    peak_depth: num(f[6])?,
+                    executions_pruned: num(f[7])?,
+                    rf_classes: num(f[8])?,
                 });
             } else if let Some(name) = line.strip_prefix("current ") {
                 // The embedded exploration checkpoint runs to its own
@@ -334,7 +334,8 @@ pub struct Figure8Checkpoint {
 impl Figure8Checkpoint {
     /// Serialize (same `|`-separated convention as Figure 7).
     pub fn to_text(&self) -> String {
-        let mut out = String::from("figure8-checkpoint v1\n");
+        let mut out = mc::report::tree_header(FIGURE8_FORMAT);
+        out.push('\n');
         for r in &self.done {
             out.push_str(&format!(
                 "row {}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}\n",
@@ -358,9 +359,7 @@ impl Figure8Checkpoint {
     /// Parse a [`Figure8Checkpoint::to_text`] serialization.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
-        if lines.next() != Some("figure8-checkpoint v1") {
-            return Err("not a figure8 checkpoint (bad header)".into());
-        }
+        mc::report::check_tree_header(FIGURE8_FORMAT, lines.next())?;
         let mut out = Figure8Checkpoint::default();
         let mut closed = false;
         for line in lines {
@@ -372,24 +371,15 @@ impl Figure8Checkpoint {
                 .strip_prefix("row ")
                 .ok_or_else(|| format!("bad line: {line}"))?;
             let f: Vec<&str> = rest.split('|').collect();
-            // 6 fields = pre-throughput checkpoints, 9 = pre-rf-prune
-            // (both still accepted, the extra counters read back as 0);
-            // 11 = current format.
-            if f.len() != 6 && f.len() != 9 && f.len() != 11 {
+            if f.len() != 11 {
                 return Err(format!("bad row line: {line}"));
             }
-            let num = |s: &str| {
-                s.parse::<usize>()
-                    .map_err(|e| format!("bad row field: {e}"))
-            };
-            fn opt<T>(s: Option<&&str>) -> Result<T, String>
+            fn num<T>(s: &str) -> Result<T, String>
             where
-                T: std::str::FromStr + Default,
+                T: std::str::FromStr,
                 T::Err: std::fmt::Display,
             {
-                s.map_or(Ok(T::default()), |v| {
-                    v.parse().map_err(|e| format!("bad row field: {e}"))
-                })
+                s.parse().map_err(|e| format!("bad row field: {e}"))
             }
             out.done.push(SavedRow8 {
                 name: f[0].to_string(),
@@ -398,11 +388,11 @@ impl Figure8Checkpoint {
                 admissibility: num(f[3])?,
                 assertion: num(f[4])?,
                 errored: num(f[5])?,
-                executions: opt(f.get(6))?,
-                elapsed_ns: opt(f.get(7))?,
-                peak_depth: opt(f.get(8))?,
-                executions_pruned: opt(f.get(9))?,
-                rf_classes: opt(f.get(10))?,
+                executions: num(f[6])?,
+                elapsed_ns: num(f[7])?,
+                peak_depth: num(f[8])?,
+                executions_pruned: num(f[9])?,
+                rf_classes: num(f[10])?,
             });
         }
         if !closed {
@@ -757,8 +747,37 @@ mod tests {
         };
         assert_eq!(Figure8Checkpoint::from_text(&ck.to_text()).unwrap(), ck);
         assert!(Figure8Checkpoint::from_text("garbage").is_err());
-        assert!(Figure8Checkpoint::from_text("figure8-checkpoint v1\nrow x|1\nend").is_err());
-        assert!(Figure8Checkpoint::from_text("figure8-checkpoint v1\n").is_err());
+        let header = mc::report::tree_header(FIGURE8_FORMAT);
+        assert!(Figure8Checkpoint::from_text(&format!("{header}\nrow x|1\nend")).is_err());
+        assert!(Figure8Checkpoint::from_text(&format!("{header}\n")).is_err());
+    }
+
+    /// Checkpoints cut from another exploration tree, or written before
+    /// checkpoints named their tree, are refused with both versions named.
+    #[test]
+    fn figure_checkpoints_name_their_tree() {
+        let (this, other) = (mc::explore::TREE_VERSION, mc::explore::TREE_VERSION + 1);
+        let moved = |format: &str, body: &str| format!("{format} tree {other}\n{body}end\n");
+        let errors = [
+            Figure7Checkpoint::from_text(&moved(FIGURE7_FORMAT, "")).unwrap_err(),
+            Figure8Checkpoint::from_text(&moved(FIGURE8_FORMAT, "")).unwrap_err(),
+            // The exploration checkpoint a figure 7 file embeds, too.
+            Figure7Checkpoint::from_text(&format!(
+                "{}\ncurrent RCU\n{}end\n",
+                mc::report::tree_header(FIGURE7_FORMAT),
+                moved("cdsspec-checkpoint v3", "")
+            ))
+            .unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                err.contains(&format!("tree version {other}"))
+                    && err.contains(&format!("tree version {this}")),
+                "{err}"
+            );
+        }
+        assert!(Figure7Checkpoint::from_text("figure7-checkpoint v1\nend\n").is_err());
+        assert!(Figure8Checkpoint::from_text("figure8-checkpoint v1\nend\n").is_err());
     }
 
     #[test]
@@ -835,7 +854,8 @@ mod tests {
         // Corrupted fixture: a checkpoint truncated mid-write (no `end`
         // terminator), as a crash before the atomic-write fix could leave.
         let corrupt = dir.join("corrupt.txt");
-        std::fs::write(&corrupt, "figure7-checkpoint v1\nrow SPSC Queue|42|30").unwrap();
+        let header = mc::report::tree_header(FIGURE7_FORMAT);
+        std::fs::write(&corrupt, format!("{header}\nrow SPSC Queue|42|30")).unwrap();
         let err = load_checkpoint(&corrupt, Figure7Checkpoint::from_text).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }), "{err:?}");
         let msg = err.to_string();
@@ -846,42 +866,29 @@ mod tests {
         let wrong = dir.join("wrong.txt");
         std::fs::write(&wrong, "figure9-checkpoint v9\nend\n").unwrap();
         let err = load_checkpoint(&wrong, Figure7Checkpoint::from_text).unwrap_err();
-        assert!(err.to_string().contains("bad header"), "{err}");
+        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err:?}");
+        assert!(err.to_string().contains("header"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Rows of the older, shorter formats are refused.
     #[test]
-    fn legacy_six_field_rows_still_parse() {
-        // Pre-throughput checkpoints lack the appended fields; they must
-        // load with zero defaults, not fail.
-        let f7 = "figure7-checkpoint v1\nrow SPSC Queue|42|30|1000000|exhausted|0\nend\n";
-        let ck7 = Figure7Checkpoint::from_text(f7).unwrap();
-        assert_eq!(ck7.done[0].executions, 42);
-        assert_eq!(ck7.done[0].peak_depth, 0);
-        assert_eq!(ck7.done[0].executions_pruned, 0);
-        assert_eq!(ck7.done[0].rf_classes, 0);
-        let f8 = "figure8-checkpoint v1\nrow Ticket Lock|2|0|0|2|0\nend\n";
-        let ck8 = Figure8Checkpoint::from_text(f8).unwrap();
-        assert_eq!(ck8.done[0].assertion, 2);
-        assert_eq!(ck8.done[0].executions, 0);
-        assert_eq!(ck8.done[0].peak_depth, 0);
-        assert_eq!(ck8.done[0].executions_pruned, 0);
-    }
-
-    #[test]
-    fn pre_rf_prune_rows_still_parse() {
-        // The immediately preceding formats (7-field figure7 rows,
-        // 9-field figure8 rows) also load, with the rf counters zero.
-        let f7 = "figure7-checkpoint v1\nrow SPSC Queue|42|30|1000000|exhausted|0|7\nend\n";
-        let ck7 = Figure7Checkpoint::from_text(f7).unwrap();
-        assert_eq!(ck7.done[0].peak_depth, 7);
-        assert_eq!(ck7.done[0].executions_pruned, 0);
-        assert_eq!(ck7.done[0].rf_classes, 0);
-        let f8 = "figure8-checkpoint v1\nrow Ticket Lock|2|0|0|2|0|61000|2500000|11\nend\n";
-        let ck8 = Figure8Checkpoint::from_text(f8).unwrap();
-        assert_eq!(ck8.done[0].executions, 61_000);
-        assert_eq!(ck8.done[0].peak_depth, 11);
-        assert_eq!(ck8.done[0].executions_pruned, 0);
-        assert_eq!(ck8.done[0].rf_classes, 0);
+    fn short_rows_are_refused() {
+        let f7 = mc::report::tree_header(FIGURE7_FORMAT);
+        for row in [
+            "SPSC Queue|42|30|1000000|exhausted|0",
+            "SPSC Queue|42|30|1000000|exhausted|0|7",
+        ] {
+            let text = format!("{f7}\nrow {row}\nend\n");
+            assert!(Figure7Checkpoint::from_text(&text).is_err(), "{row}");
+        }
+        let f8 = mc::report::tree_header(FIGURE8_FORMAT);
+        for row in [
+            "Ticket Lock|2|0|0|2|0",
+            "Ticket Lock|2|0|0|2|0|61000|2500000|11",
+        ] {
+            let text = format!("{f8}\nrow {row}\nend\n");
+            assert!(Figure8Checkpoint::from_text(&text).is_err(), "{row}");
+        }
     }
 }

@@ -830,14 +830,8 @@ const NO_RF: u64 = 0x5eed_0000_0000_0001;
 /// This finalize is a single allocation-free O(n) fold over state the
 /// trace maintained at commit time (`SigState`: spawn-path thread names,
 /// per-event canonical ids, per-location minima) — the canonicalization
-/// itself costs nothing extra at the leaf. The trace memoises the result,
-/// so every later call on the same trace is a load.
+/// itself costs nothing extra at the leaf.
 pub fn rf_signature(trace: &Trace) -> u64 {
-    *trace.sig_memo.get_or_init(|| fold_signature(trace))
-}
-
-/// The fold behind [`rf_signature`].
-fn fold_signature(trace: &Trace) -> u64 {
     let nthreads = trace.num_threads as usize;
     let st = &trace.sig;
     let canon = |t: usize| st.canon.get(t).copied().unwrap_or(0);
@@ -903,88 +897,6 @@ fn fold_signature(trace: &Trace) -> u64 {
     sig = sig.wrapping_add(h);
 
     fnv(sig, trace.num_threads as u64)
-}
-
-/// Largest event operand (location, child or join target) and largest
-/// `rf` thread + 1 that fit inline in a [`class_key`] event word.
-const KEY_OPERAND_MAX: u32 = (1 << 15) - 1;
-const KEY_RF_TID_MAX: u64 = (1 << 8) - 1;
-/// Event-word flag: the operand, the `rf` thread + 1 and the event's own
-/// `seq` follow in three spill words (inline fields zero).
-const KEY_SPILL: u64 = 1 << 8;
-
-/// Write the exact class key of a completed trace into `out` (cleared
-/// first): an allocation-free encoding, once `out` has grown, of its
-/// per-thread operation sequences (values excluded), reads-from
-/// assignment, modification orders and SC order.
-///
-/// Unlike [`rf_signature`] the key is not a hash and not canonicalized:
-/// events are named by (tid, per-thread seq) and locations by index, and
-/// the words decode uniquely, so equal keys mean equal classes — and
-/// therefore equal signatures. Executions of one class whose scheduler
-/// allocated thread or location ids differently get different keys,
-/// which costs a cache user a miss, never a wrong answer.
-///
-/// Layout: `num_threads`; per thread, its event count and one word per
-/// event — bits 0–3 the [`EventTag`], 4–6 the ordering (`0` = none),
-/// 7 "RMW wrote", 8 the spill flag, 9–23 the operand, 24–31 the `rf`
-/// source's tid + 1 (`0` = no rf) and 32–63 its seq, with large ids or an
-/// event whose seq is not its program-order position spilled; then the
-/// number of non-empty mo chains, each as `loc | len << 32` followed by
-/// its writes as `tid | seq << 32`; then `S`'s length and its events.
-pub fn class_key(trace: &Trace, out: &mut Vec<u64>) {
-    let name = |id: EventId| u64::from(trace.tid(id).0) | u64::from(trace.seq(id)) << 32;
-    out.clear();
-    out.push(u64::from(trace.num_threads));
-    for t in 0..trace.num_threads {
-        let events = trace.events_of_thread(Tid(t));
-        out.push(events.len() as u64);
-        for (pos, &id) in events.iter().enumerate() {
-            let (operand, ord, wrote, rf) = match trace.kind(id) {
-                EventKind::AtomicLoad { loc, ord, rf, .. } => (loc.0, Some(ord), false, rf),
-                EventKind::AtomicStore { loc, ord, .. } => (loc.0, Some(ord), false, None),
-                EventKind::Rmw {
-                    loc,
-                    ord,
-                    rf,
-                    written,
-                    ..
-                } => (loc.0, Some(ord), written.is_some(), rf),
-                EventKind::Fence { ord } => (0, Some(ord), false, None),
-                EventKind::ThreadCreate { child: t } | EventKind::ThreadJoin { target: t } => {
-                    (t.0, None, false, None)
-                }
-                EventKind::ThreadFinish => (0, None, false, None),
-                EventKind::DataWrite { loc } | EventKind::DataRead { loc } => {
-                    (loc.0, None, false, None)
-                }
-            };
-            let rf_tid = rf.map_or(0, |w| u64::from(trace.tid(w).0) + 1);
-            let rf_seq = rf.map_or(0, |w| u64::from(trace.seq(w)));
-            let mut word = trace.tag(id) as u64
-                | ord.map_or(0, |o| o as u64 + 1) << 4
-                | u64::from(wrote) << 7
-                | rf_seq << 32;
-            let seq = trace.seq(id);
-            if operand <= KEY_OPERAND_MAX && rf_tid <= KEY_RF_TID_MAX && seq as usize == pos + 1 {
-                out.push(word | u64::from(operand) << 9 | rf_tid << 24);
-            } else {
-                word |= KEY_SPILL;
-                out.extend([word, u64::from(operand), rf_tid, u64::from(seq)]);
-            }
-        }
-    }
-    let chains = out.len();
-    out.push(0);
-    for (li, chain) in trace.mo.iter().enumerate() {
-        if !chain.is_empty() {
-            out[chains] += 1;
-            out.push(li as u64 | (chain.len() as u64) << 32);
-            out.extend(chain.iter().map(|&w| name(w)));
-        }
-    }
-    out.push(trace.sc_order.len() as u64);
-    out.extend(trace.sc_order.iter().map(|&s| name(s)));
 }
 
 /// The original post-hoc derivations, kept compiled in as the

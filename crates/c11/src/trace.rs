@@ -53,8 +53,6 @@
 //! query these indexes (plus the O(1) clock test [`Trace::happens_before`])
 //! in O(answer).
 
-use std::sync::OnceLock;
-
 use crate::clock::VecClock;
 use crate::event::{EventId, EventKind, EventTag, Tid};
 use crate::loc::{DataId, LocId};
@@ -334,12 +332,6 @@ pub struct Trace {
     readers: Vec<Vec<EventId>>,
     /// Incremental rf-signature state.
     pub(crate) sig: SigState,
-    /// The finished [`crate::relations::rf_signature`], memoised by its
-    /// first call so the explorer's class count and the CDSSpec checker
-    /// share one fold. [`Trace::push`] and [`Trace::clear`] reset it; the
-    /// public `mo`/`sc_order`/`num_threads` fields must not change after
-    /// that first call.
-    pub(crate) sig_memo: OnceLock<u64>,
 
     // ---- sb∪sw delta recording (validation support) ------------------
     /// Record synchronizes-with edges at commit time. Off by default: the
@@ -380,7 +372,6 @@ impl Default for Trace {
             thread_events: Vec::new(),
             readers: Vec::new(),
             sig: SigState::default(),
-            sig_memo: OnceLock::new(),
             record_sw: false,
             sw_edges: Vec::new(),
             rel_fences: Vec::new(),
@@ -431,7 +422,6 @@ impl Trace {
             v.clear();
         }
         self.sig.reset();
-        self.sig_memo.take();
         self.sw_edges.clear();
         for v in &mut self.rel_fences {
             v.clear();
@@ -473,7 +463,6 @@ impl Trace {
     pub fn push(&mut self, tid: Tid, seq: u32, kind: EventKind, clock: VecClock) -> EventId {
         let id = EventId(self.len() as u32);
         self.ensure_thread(tid);
-        self.sig_memo.take();
 
         if let EventKind::ThreadCreate { child } = kind {
             self.ensure_thread(child);

@@ -41,6 +41,7 @@ use crate::json::Json;
 use crate::proto::{FromWorker, ToWorker};
 use crate::wire::spec_hash;
 use crate::worker::{execute_run, WorkerOpts, IDLE};
+use cdsspec_mc::explore::TREE_VERSION;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -202,16 +203,18 @@ impl FrameSplitter {
 }
 
 /// FNV fold over every registered benchmark's name and spec hash, in
-/// registry order. Two binaries with the same registry hash agree on
-/// what every `(bench, shard)` task *means*; the attach handshake
-/// rejects anything else, because a worker with a drifted spec would
+/// registry order, and over the explorer's [`TREE_VERSION`]. Two
+/// binaries with the same registry hash agree on what every
+/// `(bench, shard)` task *means*: the same spec, and the same choice
+/// tree for its shard scripts to address. The attach handshake rejects
+/// anything else, because a worker with a drifted spec or tree would
 /// poison the shared result cache with wrong-but-plausible rows.
 pub fn registry_hash() -> u64 {
     let mut h = Fnv1a::new();
     for bench in cdsspec_structures::registry::benchmarks() {
         h.update_str(bench.name).update_u64(spec_hash(&bench));
     }
-    h.finish()
+    h.update_u64(TREE_VERSION).finish()
 }
 
 /// Campaign parameters a remote client ships to the daemon — the
@@ -1001,5 +1004,16 @@ mod tests {
     fn registry_hash_is_stable_within_a_build() {
         assert_eq!(registry_hash(), registry_hash());
         assert_ne!(registry_hash(), 0);
+    }
+
+    #[test]
+    fn registry_hash_covers_the_tree_version() {
+        let mut unversioned = Fnv1a::new();
+        for bench in cdsspec_structures::registry::benchmarks() {
+            unversioned
+                .update_str(bench.name)
+                .update_u64(spec_hash(&bench));
+        }
+        assert_ne!(registry_hash(), unversioned.finish());
     }
 }

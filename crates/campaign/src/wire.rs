@@ -154,20 +154,17 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
         sleep_pruned: num("sleep_pruned")?,
         sampled: num("sampled")?,
         peak_depth: num("peak_depth")?,
+        executions_pruned: num("executions_pruned")?,
         ..Stats::default()
     };
-    // Absent in pre-rf-prune journals: read back as zero/empty rather
-    // than failing, so old journal tails still decode.
-    stats.executions_pruned = v
-        .get("executions_pruned")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if let Some(classes) = v.get("rf_classes").and_then(Json::as_arr) {
-        for c in classes {
-            stats
-                .rf_classes
-                .insert(c.as_u64().ok_or("non-integer rf class")?);
-        }
+    for c in v
+        .get("rf_classes")
+        .and_then(Json::as_arr)
+        .ok_or("stats missing rf_classes")?
+    {
+        stats
+            .rf_classes
+            .insert(c.as_u64().ok_or("non-integer rf class")?);
     }
     let ns = v
         .get("elapsed_ns")
@@ -287,23 +284,16 @@ pub fn config_from_json(v: &Json) -> Result<Config, String> {
     config.deadline_samples = num("deadline_samples")? as u64;
     config.sample_seed = num("sample_seed")? as u64;
     config.max_threads = num("max_threads")? as u32;
-    config.sleep_sets = v
-        .get("sleep_sets")
-        .and_then(Json::as_bool)
-        .ok_or("config missing sleep_sets")?;
-    config.stop_on_first_bug = v
-        .get("stop_on_first_bug")
-        .and_then(Json::as_bool)
-        .ok_or("config missing stop_on_first_bug")?;
-    config.validate_axioms = v
-        .get("validate_axioms")
-        .and_then(Json::as_bool)
-        .ok_or("config missing validate_axioms")?;
-    // Pre-rf-prune encodings lack the key; they were produced by builds
-    // where pruning did not exist, i.e. it was off.
-    config.rf_prune = v.get("rf_prune").and_then(Json::as_bool).unwrap_or(false);
-    // Pre-auditor encodings lack the key; the auditor defaults on.
-    config.debug_audit = v.get("debug_audit").and_then(Json::as_bool).unwrap_or(true);
+    let flag = |key: &str| {
+        v.get(key)
+            .and_then(Json::as_bool)
+            .ok_or(format!("config missing {key}"))
+    };
+    config.sleep_sets = flag("sleep_sets")?;
+    config.stop_on_first_bug = flag("stop_on_first_bug")?;
+    config.validate_axioms = flag("validate_axioms")?;
+    config.rf_prune = flag("rf_prune")?;
+    config.debug_audit = flag("debug_audit")?;
     Ok(config)
 }
 
@@ -468,25 +458,27 @@ mod tests {
         assert_ne!(config_hash(&config), unversioned);
     }
 
-    /// Encodings from builds that predate rf-equivalence pruning decode
-    /// with the counters zero/empty and the knob off (that is what those
-    /// builds computed).
+    /// Every field is required: an encoding missing one is an error, not
+    /// a default.
     #[test]
-    fn pre_rf_prune_encodings_still_decode() {
-        let mut stats_json = stats_to_json(&sample_stats());
-        let mut config_json = config_to_json(&Config::default());
-        for json in [&mut stats_json, &mut config_json] {
-            if let Json::Obj(pairs) = json {
-                pairs.retain(|(k, _)| {
-                    k != "executions_pruned" && k != "rf_classes" && k != "rf_prune"
-                });
+    fn missing_fields_are_errors() {
+        let without = |json: Json, field: &str| match json {
+            Json::Obj(mut pairs) => {
+                pairs.retain(|(k, _)| k != field);
+                Json::Obj(pairs)
             }
+            other => other,
+        };
+        for field in ["executions_pruned", "rf_classes"] {
+            let json = without(stats_to_json(&sample_stats()), field);
+            let err = stats_from_json(&json).unwrap_err();
+            assert!(err.contains(field), "{err}");
         }
-        let stats = stats_from_json(&stats_json).expect("legacy stats decode");
-        assert_eq!(stats.executions_pruned, 0);
-        assert!(stats.rf_classes.is_empty());
-        let config = config_from_json(&config_json).expect("legacy config decode");
-        assert!(!config.rf_prune);
+        for field in ["rf_prune", "debug_audit"] {
+            let json = without(config_to_json(&Config::default()), field);
+            let err = config_from_json(&json).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

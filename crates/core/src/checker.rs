@@ -17,10 +17,8 @@
 //!    `r`-prefix) whose sequential execution satisfies them, with the
 //!    `CONCURRENT` set available (Definitions 3, 4).
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
-use cdsspec_c11::relations::{class_key, rf_signature};
 use cdsspec_c11::Trace;
 use cdsspec_mc::{Bug, Plugin};
 
@@ -30,19 +28,10 @@ use crate::spec::{CallEval, MethodSpec, Spec};
 
 /// The plugin. Cheap to construct per exploration; the spec itself is
 /// shared via `Arc`.
-///
-/// A clean verdict is a property of the execution's rf class, so the
-/// checker remembers the classes it has proven clean and skips executions
-/// of them (see `ARCHITECTURE.md`, "Verdict reuse"). Buggy, capped and
-/// sampled verdicts are recomputed every time.
 pub struct SpecChecker<S> {
     spec: Arc<Spec<S>>,
     /// Enumeration buffers, reused across executions.
     walker: Walker,
-    /// Classes this instance has proven clean.
-    clean: CleanClasses,
-    /// Most full histories any object of the last execution had.
-    peak_histories: usize,
 }
 
 impl<S> SpecChecker<S> {
@@ -51,8 +40,6 @@ impl<S> SpecChecker<S> {
         SpecChecker {
             spec,
             walker: Walker::default(),
-            clean: CleanClasses::default(),
-            peak_histories: 0,
         }
     }
 
@@ -78,60 +65,11 @@ impl<S> SpecChecker<S> {
     }
 }
 
-/// The rf classes proven clean, in two tiers. A signature seen for the
-/// first time only enters `index`: most classes of a weakly ordered test
-/// occur once, and building and storing their keys would cost more than
-/// it saves. From the second sighting on, the exact [`class_key`] decides.
-#[derive(Default)]
-struct CleanClasses {
-    /// rf signature → 1 + `slab` offset of the newest clean key with that
-    /// signature, or 0 while none is stored.
-    index: HashMap<u64, usize>,
-    /// Clean keys as `[older entry, len, key words…]`, chained per
-    /// signature (`older entry` uses the same 1-based encoding).
-    slab: Vec<u64>,
-    /// The key of the execution being checked.
-    key: Vec<u64>,
-}
-
-/// What [`CleanClasses::lookup`] knows about an execution's class.
-enum Sighting {
-    /// First execution with this signature; no key was built.
-    First,
-    /// The class is proven clean.
-    Clean,
-    /// Not proven clean; `key` holds the execution's key and `head` is
-    /// the signature's chain head for [`CleanClasses::insert`].
-    Unproven { head: usize },
-}
-
-impl CleanClasses {
-    fn lookup(&mut self, sig: u64, trace: &Trace) -> Sighting {
-        let head = match self.index.entry(sig) {
-            Entry::Vacant(slot) => {
-                slot.insert(0);
-                return Sighting::First;
-            }
-            Entry::Occupied(slot) => *slot.get(),
-        };
-        class_key(trace, &mut self.key);
-        let mut at = head;
-        while at != 0 {
-            let entry = at - 1;
-            let len = self.slab[entry + 1] as usize;
-            if self.slab[entry + 2..entry + 2 + len] == self.key[..] {
-                return Sighting::Clean;
-            }
-            at = self.slab[entry] as usize;
-        }
-        Sighting::Unproven { head }
-    }
-
-    /// Record `key` (from the last [`CleanClasses::lookup`]) as clean.
-    fn insert(&mut self, sig: u64, head: usize) {
-        self.index.insert(sig, self.slab.len() + 1);
-        self.slab.extend([head as u64, self.key.len() as u64]);
-        self.slab.extend_from_slice(&self.key);
+/// A bug this plugin reports.
+fn plugin_bug(message: String) -> Bug {
+    Bug::Plugin {
+        plugin: "cdsspec",
+        message,
     }
 }
 
@@ -180,50 +118,9 @@ pub fn build_call_order(trace: &Trace, calls: &[MethodCall]) -> CallOrder {
 }
 
 impl<S: Send + 'static> SpecChecker<S> {
-    /// Check one execution: extract calls, then check each data-structure
-    /// instance independently against its own sequential state
-    /// (specification composition, paper §3.2 / Theorem 1).
-    fn check_inner(&mut self, trace: &Trace) -> Vec<Bug> {
-        let plugin_bug = |message: String| Bug::Plugin {
-            plugin: "cdsspec",
-            message,
-        };
-
-        self.peak_histories = 0;
-        let all_calls = match extract_calls(trace) {
-            Ok(c) => c,
-            Err(e) => return vec![plugin_bug(format!("annotation error: {e}"))],
-        };
-        if all_calls.is_empty() {
-            return Vec::new();
-        }
-        let mut objs: Vec<u64> = all_calls.iter().map(|c| c.obj).collect();
-        objs.sort_unstable();
-        objs.dedup();
-        // Single-object executions (the overwhelmingly common case) skip
-        // the per-object projection clone entirely.
-        if objs.len() == 1 {
-            return self.check_object(trace, &all_calls);
-        }
-        let mut bugs = Vec::new();
-        for obj in objs {
-            let calls: Vec<MethodCall> =
-                all_calls.iter().filter(|c| c.obj == obj).cloned().collect();
-            bugs.extend(self.check_object(trace, &calls));
-            if !bugs.is_empty() {
-                break; // one witness per execution
-            }
-        }
-        bugs
-    }
-
     /// Check the projection of the execution onto one object.
     fn check_object(&mut self, trace: &Trace, calls: &[MethodCall]) -> Vec<Bug> {
         let spec = &*self.spec;
-        let plugin_bug = |message: String| Bug::Plugin {
-            plugin: "cdsspec",
-            message,
-        };
         for c in calls {
             if spec.lookup(c.name).is_none() {
                 return vec![plugin_bug(format!(
@@ -288,7 +185,7 @@ impl<S: Send + 'static> SpecChecker<S> {
             })
             .collect();
 
-        let histories = self.walker.histories(&order, spec.policy, |h| {
+        self.walker.histories(&order, spec.policy, |h| {
             if let Err(msg) = run_history(spec, h, &mut steps) {
                 bugs.push(plugin_bug(format!(
                     "{msg}\n  history: {}",
@@ -301,7 +198,6 @@ impl<S: Send + 'static> SpecChecker<S> {
         if !bugs.is_empty() {
             return bugs;
         }
-        self.peak_histories = self.peak_histories.max(histories);
 
         // 5. Justification (Definitions 3/4): for each call with justifying
         // conditions, some topological sort of its r-prefix must satisfy
@@ -409,22 +305,33 @@ impl<S: Send + 'static> Plugin for SpecChecker<S> {
         "cdsspec"
     }
 
+    /// Check one execution: extract calls, then check each data-structure
+    /// instance independently against its own sequential state
+    /// (specification composition, paper §3.2 / Theorem 1).
     fn check(&mut self, trace: &Trace) -> Vec<Bug> {
-        let sig = rf_signature(trace);
-        let head = match self.clean.lookup(sig, trace) {
-            Sighting::First => return self.check_inner(trace),
-            Sighting::Clean => return Vec::new(),
-            Sighting::Unproven { head } => head,
+        let all_calls = match extract_calls(trace) {
+            Ok(c) => c,
+            Err(e) => return vec![plugin_bug(format!("annotation error: {e}"))],
         };
-        let bugs = self.check_inner(trace);
-        // Every justifying scope is a downset of r, so it has at most as
-        // many sorts as r itself: below the cap, no search was capped.
-        let uncapped = match self.spec.policy {
-            HistoryPolicy::Exhaustive { cap } => self.peak_histories < cap,
-            HistoryPolicy::Sample { .. } => false,
-        };
-        if bugs.is_empty() && uncapped {
-            self.clean.insert(sig, head);
+        if all_calls.is_empty() {
+            return Vec::new();
+        }
+        let mut objs: Vec<u64> = all_calls.iter().map(|c| c.obj).collect();
+        objs.sort_unstable();
+        objs.dedup();
+        // Single-object executions (the overwhelmingly common case) skip
+        // the per-object projection clone entirely.
+        if objs.len() == 1 {
+            return self.check_object(trace, &all_calls);
+        }
+        let mut bugs = Vec::new();
+        for obj in objs {
+            let calls: Vec<MethodCall> =
+                all_calls.iter().filter(|c| c.obj == obj).cloned().collect();
+            bugs.extend(self.check_object(trace, &calls));
+            if !bugs.is_empty() {
+                break; // one witness per execution
+            }
         }
         bugs
     }

@@ -30,10 +30,9 @@
 //! Host selection lives in one place, [`host_choice`], shared by
 //! [`enabled_here`] and `runtime::run_once` so the two sites cannot
 //! drift: fibers where the target supports them and
-//! `Config::fiber_hosting` asks for them; the inline-main fast path where
-//! fibers are unavailable but the explorer is still free; the OS-thread
-//! pool otherwise (notably for *nested* explorations, where the caller is
-//! itself a modeled thread). A configured hang watchdog no longer forces
+//! `Config::fiber_hosting` asks for them; the OS-thread pool otherwise
+//! (notably for *nested* explorations, where the caller is itself a
+//! modeled thread). A configured hang watchdog no longer forces
 //! the pool on Linux: stall detection runs on a dedicated monitor thread
 //! (`mod watchdog`) and a wedged fiber is preempted by a directed signal
 //! (`mod signals`), so `Config::default` — watchdog on — gets the fiber
@@ -142,8 +141,6 @@ pub(crate) const PREEMPT_SUPPORTED: bool = cfg!(all(target_arch = "x86_64", targ
 pub(crate) enum HostChoice {
     /// Every modeled thread on userspace fibers of the explorer thread.
     Fiber,
-    /// Main modeled thread inline on the explorer, children on the pool.
-    Inline,
     /// Every modeled thread on the OS-thread pool.
     Pool,
 }
@@ -158,11 +155,6 @@ pub(crate) fn host_choice(config: &Config) -> HostChoice {
     }
     if SUPPORTED && config.fiber_hosting && (config.hang_timeout.is_none() || PREEMPT_SUPPORTED) {
         return HostChoice::Fiber;
-    }
-    if config.hang_timeout.is_none() {
-        // No watchdog to poll: the explorer can at least host the main
-        // modeled thread inline.
-        return HostChoice::Inline;
     }
     HostChoice::Pool
 }
@@ -1504,7 +1496,7 @@ mod host_choice_tests {
         assert!(!enabled_here(&c));
         assert_eq!(host_choice(&c), HostChoice::Pool);
         c.hang_timeout = None;
-        assert_eq!(host_choice(&c), HostChoice::Inline);
+        assert_eq!(host_choice(&c), HostChoice::Pool);
     }
 
     #[test]

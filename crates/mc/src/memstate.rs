@@ -61,6 +61,9 @@ pub struct ThreadState {
 struct DataState {
     value: Val,
     last_write: Option<(Tid, u32)>,
+    /// Each thread's latest read since `last_write`, oldest first. A
+    /// writer that knows a thread's latest read knows its earlier ones, so
+    /// the earlier ones can never be the only race.
     reads_since_write: Vec<(Tid, u32)>,
 }
 
@@ -687,8 +690,12 @@ impl MemState {
         }
         self.push_event(tid, EventKind::DataRead { loc });
         let seq = self.threads[tid.idx()].seq;
-        self.data[loc.idx()].reads_since_write.push((tid, seq));
-        (self.data[loc.idx()].value, bug)
+        let d = &mut self.data[loc.idx()];
+        if let Some(at) = d.reads_since_write.iter().position(|&(rt, _)| rt == tid) {
+            d.reads_since_write.remove(at);
+        }
+        d.reads_since_write.push((tid, seq));
+        (d.value, bug)
     }
 
     /// Allocate a fresh object identity (deterministic: allocation order
@@ -956,6 +963,32 @@ mod tests {
         // T0 reads concurrently with T1's write → race.
         let (_, bug) = m.apply_data_read(t(0), d);
         assert!(matches!(bug, Some(Bug::DataRace { .. })));
+    }
+
+    /// The read set keeps one read per thread, and a write still races
+    /// with the thread whose read came last.
+    #[test]
+    fn data_read_set_is_bounded() {
+        let mut m = MemState::new();
+        let d = m.alloc_data();
+        let (t1, t2, t3) = (
+            m.spawn_thread(t(0)),
+            m.spawn_thread(t(0)),
+            m.spawn_thread(t(0)),
+        );
+        for _ in 0..1_000 {
+            m.apply_data_read(t1, d);
+            m.apply_data_read(t2, d);
+        }
+        assert_eq!(m.data[d.idx()].reads_since_write.len(), 2);
+        for tid in [t1, t2, t1] {
+            m.apply_data_read(tid, d);
+        }
+        let bug = m.apply_data_write(t3, d, 1);
+        assert!(
+            matches!(bug, Some(Bug::DataRace { first, second, .. }) if first == t1 && second == t3),
+            "{bug:?}"
+        );
     }
 
     /// Join transfers the target's final clock.

@@ -1,6 +1,7 @@
 //! Exploration outcomes: bug kinds, found-bug records, aggregate stats,
 //! stop reasons, and serializable checkpoints for resumable campaigns.
 
+use crate::explore::TREE_VERSION;
 use cdsspec_c11::{DataId, LocId, Tid};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -549,20 +550,11 @@ impl Checkpoint {
         Checkpoint::default()
     }
 
-    /// Serialize to a line-oriented text format (see [`Checkpoint::from_text`]).
-    ///
-    /// Single-shard, floor-0 checkpoints (everything PR 1 could produce)
-    /// keep the `v1` format byte-for-byte; a multi-shard frontier — the
-    /// fingerprint of an interrupted *parallel* run — upgrades to `v2`,
-    /// which adds one `shard <floor> <script>` line per frontier shard.
+    /// Serialize to a line-oriented text format (see [`Checkpoint::from_text`]),
+    /// with one `shard <floor> <script>` line per frontier shard.
     pub fn to_text(&self) -> String {
-        let shards = self.stats.frontier_shards();
-        let v2 = shards.len() > 1 || shards.iter().any(|s| s.floor != 0);
-        let mut out = if v2 {
-            String::from("cdsspec-checkpoint v2\n")
-        } else {
-            String::from("cdsspec-checkpoint v1\n")
-        };
+        let mut out = tree_header(CHECKPOINT_FORMAT);
+        out.push('\n');
         let render = |script: &[usize]| {
             if script.is_empty() {
                 "-".to_string()
@@ -575,10 +567,8 @@ impl Checkpoint {
             }
         };
         out.push_str(&format!("script {}\n", render(&self.script)));
-        if v2 {
-            for s in &shards {
-                out.push_str(&format!("shard {} {}\n", s.floor, render(&s.script)));
-            }
+        for s in &self.stats.frontier_shards() {
+            out.push_str(&format!("shard {} {}\n", s.floor, render(&s.script)));
         }
         out.push_str(&format!(
             "counts {} {} {} {} {}\n",
@@ -592,8 +582,7 @@ impl Checkpoint {
         if self.stats.peak_depth != 0 {
             out.push_str(&format!("peak_depth {}\n", self.stats.peak_depth));
         }
-        // Optional lines (omitted when trivial) keep old checkpoints and
-        // old parsers compatible with the `counts` line unchanged.
+        // Lines for counters that are zero or empty are omitted.
         if self.stats.executions_pruned != 0 {
             out.push_str(&format!(
                 "executions_pruned {}\n",
@@ -625,13 +614,11 @@ impl Checkpoint {
 
     /// Parse the format produced by [`Checkpoint::to_text`]. Bugs come
     /// back as [`Bug::Restored`] (category + message only). Returns a
-    /// human-readable error for malformed input.
+    /// human-readable error for malformed input, or for a checkpoint cut
+    /// from another exploration tree.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
-        let header = lines.next().ok_or("empty checkpoint")?;
-        if header != "cdsspec-checkpoint v1" && header != "cdsspec-checkpoint v2" {
-            return Err(format!("unrecognized checkpoint header: {header:?}"));
-        }
+        check_tree_header(CHECKPOINT_FORMAT, lines.next())?;
         let parse_script = |s: &str| -> Result<Vec<usize>, String> {
             if s == "-" {
                 return Ok(Vec::new());
@@ -737,13 +724,39 @@ impl Checkpoint {
             return Err("truncated checkpoint (missing end line)".into());
         }
         // A checkpointed run by definition has unexplored work, so the
-        // frontier is the script itself. v1 checkpoints (no `shard`
-        // lines) describe the single floor-0 shard rooted at that script.
+        // frontier is the script itself. Without `shard` lines it is the
+        // single floor-0 shard rooted at that script.
         ck.stats.frontier = Some(ck.script.clone());
         if ck.stats.shard_frontiers.is_empty() {
             ck.stats.shard_frontiers = vec![ShardSpec::from_script(ck.script.clone())];
         }
         Ok(ck)
+    }
+}
+
+/// Format name and version of [`Checkpoint::to_text`].
+const CHECKPOINT_FORMAT: &str = "cdsspec-checkpoint v3";
+
+/// The header line of a resume file in `format`, stamped with the
+/// [`TREE_VERSION`] it was cut from: a choice script, and the counters
+/// gathered along it, mean something only on the tree that made them.
+pub fn tree_header(format: &str) -> String {
+    format!("{format} tree {TREE_VERSION}")
+}
+
+/// Check that `line` is this build's [`tree_header`] for `format`.
+pub fn check_tree_header(format: &str, line: Option<&str>) -> Result<(), String> {
+    let line = line.unwrap_or_default();
+    match line
+        .strip_prefix(format)
+        .and_then(|v| v.strip_prefix(" tree "))
+    {
+        Some(v) if v == TREE_VERSION.to_string() => Ok(()),
+        Some(v) => Err(format!(
+            "{format} file from exploration tree version {v}, but this build \
+             explores tree version {TREE_VERSION}"
+        )),
+        None => Err(format!("not a {format} file (header {line:?})")),
     }
 }
 
@@ -980,8 +993,30 @@ mod tests {
     fn checkpoint_rejects_garbage() {
         assert!(Checkpoint::from_text("").is_err());
         assert!(Checkpoint::from_text("not a checkpoint\nend\n").is_err());
-        assert!(Checkpoint::from_text("cdsspec-checkpoint v1\nscript 0,1\n").is_err());
-        assert!(Checkpoint::from_text("cdsspec-checkpoint v1\nstop nonsense\nend\n").is_err());
+        let header = tree_header(CHECKPOINT_FORMAT);
+        assert!(Checkpoint::from_text(&format!("{header}\nscript 0,1\n")).is_err());
+        assert!(Checkpoint::from_text(&format!("{header}\nstop nonsense\nend\n")).is_err());
+    }
+
+    /// A choice script is meaningless on another tree: a checkpoint cut
+    /// from one, or from a build that predates tree stamps, is refused.
+    #[test]
+    fn checkpoint_from_another_tree_is_rejected() {
+        let text = Checkpoint::root().to_text();
+        let other = TREE_VERSION + 1;
+        let moved = text.replacen(
+            &format!("tree {TREE_VERSION}\n"),
+            &format!("tree {other}\n"),
+            1,
+        );
+        let err = Checkpoint::from_text(&moved).unwrap_err();
+        assert!(
+            err.contains(&format!("tree version {other}"))
+                && err.contains(&format!("tree version {TREE_VERSION}")),
+            "{err}"
+        );
+        let unstamped = "cdsspec-checkpoint v1\nscript -\nstop deadline\nend\n";
+        assert!(Checkpoint::from_text(unstamped).is_err());
     }
 
     #[test]
@@ -992,22 +1027,7 @@ mod tests {
     }
 
     #[test]
-    fn single_floor0_shard_stays_v1() {
-        // PR 1 consumers parse v1 only; anything they could have written
-        // must keep serializing exactly as before.
-        let mut stats = Stats {
-            executions: 3,
-            frontier: Some(vec![1, 0]),
-            ..Stats::default()
-        };
-        stats.set_frontier_shards(vec![ShardSpec::from_script(vec![1, 0])]);
-        let text = stats.checkpoint().unwrap().to_text();
-        assert!(text.starts_with("cdsspec-checkpoint v1\n"), "{text}");
-        assert!(!text.contains("\nshard "), "{text}");
-    }
-
-    #[test]
-    fn multi_shard_checkpoint_round_trips_as_v2() {
+    fn multi_shard_checkpoint_round_trips() {
         let mut stats = Stats {
             executions: 9,
             stop: StopReason::Deadline,
@@ -1029,23 +1049,20 @@ mod tests {
         ];
         stats.set_frontier_shards(shards.clone());
         let ck = stats.checkpoint().expect("has frontier");
-        let text = ck.to_text();
-        assert!(text.starts_with("cdsspec-checkpoint v2\n"), "{text}");
-        let back = Checkpoint::from_text(&text).expect("parses");
+        let back = Checkpoint::from_text(&ck.to_text()).expect("parses");
         assert_eq!(back.stats.shard_frontiers, shards);
         assert_eq!(back.script, vec![0, 1, 3]);
         assert_eq!(back.stats.frontier, Some(vec![0, 1, 3]));
     }
 
     #[test]
-    fn raised_floor_forces_v2() {
+    fn raised_floor_round_trips() {
         let mut stats = Stats::default();
         stats.set_frontier_shards(vec![ShardSpec {
             floor: 1,
             script: vec![0, 2],
         }]);
         let text = stats.checkpoint().unwrap().to_text();
-        assert!(text.starts_with("cdsspec-checkpoint v2\n"), "{text}");
         let back = Checkpoint::from_text(&text).unwrap();
         assert_eq!(back.stats.shard_frontiers[0].floor, 1);
     }

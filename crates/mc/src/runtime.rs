@@ -1076,11 +1076,8 @@ pub(crate) fn run_once(
     // *every* modeled thread of the execution on this (explorer) thread
     // with userspace stack switches — zero kernel handshakes per token
     // transfer — and, with a hang_timeout, arm the monitor-thread
-    // watchdog for signal-directed rescue. Where fibers are unavailable,
-    // running just the main modeled thread inline still saves two futex
-    // round-trips per execution, but only when the explorer has no
-    // watchdog polling to do; the OS-thread pool covers the rest
-    // (notably nested explorations).
+    // watchdog for signal-directed rescue. The OS-thread pool, the
+    // reference host, covers the rest (notably nested explorations).
     match crate::fiber::host_choice(config) {
         crate::fiber::HostChoice::Fiber => {
             crate::fiber::run_execution(
@@ -1089,9 +1086,6 @@ pub(crate) fn run_once(
                 config.hang_timeout,
                 config.fiber_stack,
             );
-        }
-        crate::fiber::HostChoice::Inline => {
-            crate::worker::run_main_inline(&shared, Box::new(move || t2()));
         }
         crate::fiber::HostChoice::Pool => {
             let dispatched = pool.lock().dispatch(Job {

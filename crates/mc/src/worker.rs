@@ -190,9 +190,9 @@ where
 /// [`DieMarker`], and `mc_assert!` failures are caught and reported through
 /// the bug machinery), so the default panic hook's stderr output — possibly
 /// with full backtraces — would dominate exploration time. Silence panics
-/// on pool threads and inside any modeled-thread context (the explorer
-/// runs the main modeled thread inline, see [`run_main_inline`]);
-/// everything else keeps the default hook.
+/// on pool threads and inside any modeled-thread context (fibers host
+/// modeled threads on the explorer thread); everything else keeps the
+/// default hook.
 fn install_quiet_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -225,32 +225,9 @@ fn spawn_worker(index: usize, free_tx: Sender<usize>) -> WorkerHandle {
     WorkerHandle { job_tx }
 }
 
-/// Run the *main* modeled thread of an execution on the calling (explorer)
-/// thread instead of dispatching it to the pool.
-///
-/// On a mostly-idle explorer this removes two futex round-trips per
-/// execution — the wake of the pool worker that would host `main`, and the
-/// `done` signal parking/unparking the explorer — which is a measurable
-/// share of short executions on a single-core host. The explorer simply
-/// becomes one more participant in the token-passing handshake: it blocks
-/// in `visible_op` like any worker while other threads are scheduled.
-///
-/// Only sound when the caller has nothing else to do during the execution;
-/// `run_once` falls back to pool dispatch when a hang watchdog must keep
-/// polling. The modeled-thread context is installed around the closure, so
-/// the quiet panic hook covers the routine [`DieMarker`] unwinds here too.
-pub(crate) fn run_main_inline(shared: &Arc<Shared>, closure: Box<dyn FnOnce() + Send + 'static>) {
-    run_job(Job {
-        tid: Tid::MAIN,
-        shared: Arc::clone(shared),
-        closure,
-    });
-}
-
 /// Host one modeled thread to completion: install its context, run the
 /// closure, catch any unwind, and report the exit to the runtime. The
-/// body of every pool worker, of [`run_main_inline`], and of every fiber
-/// root (`crate::fiber`).
+/// body of every pool worker and of every fiber root (`crate::fiber`).
 pub(crate) fn run_job(job: Job) {
     let Job {
         tid,

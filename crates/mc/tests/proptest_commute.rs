@@ -5,7 +5,7 @@
 //! After a random prefix, applying `a; b` and `b; a` must give the same
 //! reads-from candidates for `a` and for `b`, the same candidate window
 //! for every later (thread, location, ordering) read, and the same
-//! [`relations::class_key`]. Events are compared by schedule-independent
+//! [`relations::rf_signature`]. Events are compared by schedule-independent
 //! names (thread, per-thread seq), since the two orders allocate event ids
 //! differently. See ARCHITECTURE.md, "Exploration identity".
 
@@ -142,12 +142,13 @@ fn apply(m: &mut MemState, act: &Act) -> Vec<(Option<Name>, bool)> {
 }
 
 /// What a continuation can observe after `prefix` and the two ops: the
-/// candidates `a` and `b` saw, every later read window, and the class key.
+/// candidates `a` and `b` saw, every later read window, and the rf
+/// signature.
 #[derive(Debug, PartialEq)]
 struct Observed {
     cands: [Vec<(Option<Name>, bool)>; 2],
     windows: Vec<Vec<Option<Name>>>,
-    key: Vec<u64>,
+    signature: u64,
 }
 
 fn observe(prefix: &[Act], a: &Act, b: &Act, a_first: bool) -> Observed {
@@ -170,12 +171,10 @@ fn observe(prefix: &[Act], a: &Act, b: &Act, a_first: bool) -> Observed {
             }
         }
     }
-    let mut key = Vec::new();
-    relations::class_key(&m.trace, &mut key);
     Observed {
         cands,
         windows,
-        key,
+        signature: relations::rf_signature(&m.trace),
     }
 }
 
@@ -183,7 +182,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
 
     /// Independent ops of different threads commute: same candidates,
-    /// same later read windows, same class key.
+    /// same later read windows, same rf signature.
     #[test]
     fn independent_ops_commute(
         prefix in prop::collection::vec(act_strategy(), 0..12),

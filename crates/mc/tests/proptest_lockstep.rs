@@ -7,10 +7,8 @@
 //! reference implementations; these tests pin the two to each other on
 //! every feasible execution of random weakly-ordered programs:
 //!
-//! 1. `relations::rf_signature` (O(n) fold over the incremental state,
-//!    memoised on the trace by the explorer's class count before any
-//!    plugin runs) must equal `relations::posthoc::rf_signature` (full
-//!    re-walk);
+//! 1. `relations::rf_signature` (O(n) fold over the incremental state)
+//!    must equal `relations::posthoc::rf_signature` (full re-walk);
 //! 2. the fast auditor `relations::audit` (trusts clocks and indexes)
 //!    must report nothing the full oracle `relations::validate` does not
 //!    — and vice versa for the checks both perform;
@@ -23,13 +21,11 @@
 //! and shard-peeled replays are exactly where stale incremental state
 //! would hide.
 //!
-//! A second group pins `relations::class_key` to the class it encodes:
-//! on explored and on hand-built traces (thread, location and seq values
-//! past the inline fields included), two keys are equal exactly when the
-//! per-thread operations, rf, mo and S are, and equal keys have equal
-//! signatures.
+//! A second group pins the two signatures to each other on hand-built
+//! traces, whose thread, location and seq values reach past anything an
+//! explored trace does.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cdsspec_c11::relations;
 use cdsspec_c11::{DataId, EventId, EventKind, LocId, Tid, Trace, VecClock};
@@ -269,152 +265,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Exact class keys
+// Hand-built traces
 // ---------------------------------------------------------------------
 
-/// An event named by (thread, per-thread seq).
-type Name = (u32, u32);
-
-/// Everything a class key must pin, spelled out: each thread's events
-/// with values and mo positions blanked, their rf source named, and
-/// their seq; the non-empty mo chains; S.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Class {
-    threads: Vec<Vec<(EventKind, Option<Name>, u32)>>,
-    mo: Vec<(usize, Vec<Name>)>,
-    sc: Vec<Name>,
-}
-
-/// `kind` with its values, mo index and rf source blanked; the rf source
-/// is returned apart.
-fn stripped(kind: EventKind) -> (EventKind, Option<EventId>) {
-    match kind {
-        EventKind::AtomicLoad { loc, ord, rf, .. } => (
-            EventKind::AtomicLoad {
-                loc,
-                ord,
-                rf: None,
-                val: 0,
-            },
-            rf,
-        ),
-        EventKind::AtomicStore { loc, ord, .. } => (
-            EventKind::AtomicStore {
-                loc,
-                ord,
-                val: 0,
-                mo_index: 0,
-            },
-            None,
-        ),
-        EventKind::Rmw {
-            loc,
-            ord,
-            rf,
-            written,
-            ..
-        } => (
-            EventKind::Rmw {
-                loc,
-                ord,
-                rf: None,
-                read_val: 0,
-                written: written.map(|_| 0),
-                mo_index: 0,
-            },
-            rf,
-        ),
-        other => (other, None),
-    }
-}
-
-fn class_of(trace: &Trace) -> Class {
-    let name = |id: EventId| (trace.tid(id).0, trace.seq(id));
-    let threads = (0..trace.num_threads)
-        .map(|t| {
-            trace
-                .events_of_thread(Tid(t))
-                .iter()
-                .map(|&id| {
-                    let (kind, rf) = stripped(trace.kind(id));
-                    (kind, rf.map(name), trace.seq(id))
-                })
-                .collect()
-        })
-        .collect();
-    let mo = trace
-        .mo
-        .iter()
-        .enumerate()
-        .filter(|(_, chain)| !chain.is_empty())
-        .map(|(li, chain)| (li, chain.iter().map(|&w| name(w)).collect()))
-        .collect();
-    let sc = trace.sc_order.iter().map(|&e| name(e)).collect();
-    Class { threads, mo, sc }
-}
-
-/// One trace's key, spelled-out class and signature.
-type Keyed = (Vec<u64>, Class, u64);
-
-fn keyed(trace: &Trace) -> Keyed {
-    let mut key = Vec::new();
-    relations::class_key(trace, &mut key);
-    (key, class_of(trace), relations::rf_signature(trace))
-}
-
-/// Keys are equal exactly when classes are, and equal keys have equal
-/// signatures.
-fn assert_exact(a: &Keyed, b: &Keyed) {
-    assert_eq!(
-        a.0 == b.0,
-        a.1 == b.1,
-        "key equality must match class equality:\n  {:?}\n  {:?}",
-        a.1,
-        b.1
-    );
-    if a.0 == b.0 {
-        assert_eq!(a.2, b.2, "equal keys, different signatures");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Every pair of feasible executions of a random program.
-    #[test]
-    fn class_keys_are_exact_on_explored_traces(prog in program_strategy(3, 3, 2)) {
-        let seen: Arc<Mutex<Vec<Keyed>>> = Arc::default();
-        let sink = Arc::clone(&seen);
-        let plugin = mc::FnPlugin::new("class-key", move |trace| {
-            let mut seen = sink.lock().unwrap();
-            let entry = keyed(trace);
-            if !seen.contains(&entry) {
-                seen.push(entry);
-            }
-            Vec::new()
-        });
-        let config = Config {
-            max_executions: 300_000,
-            stop_on_first_bug: false,
-            ..Config::default()
-        };
-        let stats = mc::explore_with_plugins(
-            config,
-            vec![Box::new(plugin)],
-            modeled_closure(Arc::new(prog), 2),
-        );
-        prop_assert!(stats.feasible > 0);
-        let seen = seen.lock().unwrap();
-        for (i, a) in seen.iter().enumerate() {
-            for b in &seen[i + 1..] {
-                assert_exact(a, b);
-            }
-        }
-    }
-}
-
-/// Thread ids and operands straddling the inline key fields: an rf
-/// source's tid + 1 spills past 255, an operand past 32,767.
+/// Thread ids and operands far past what explored traces reach.
 const TIDS: [u32; 4] = [0, 254, 255, 300];
 const OPERANDS: [u32; 5] = [0, 1, 32_767, 32_768, 98_304];
 const ORDS: [MemOrd; 5] = [Relaxed, Acquire, Release, AcqRel, SeqCst];
@@ -492,36 +346,16 @@ fn hand_built(events: &[RawEvent]) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// A hand-built trace against itself rebuilt and against a copy with
-    /// one field of one event changed.
     #[test]
-    fn class_keys_are_exact_on_hand_built_traces(
-        events in prop::collection::vec(raw_event(), 1..12),
-        at in 0..64usize,
-        field in 0..6usize,
-        value in 0..64usize,
-    ) {
-        let a = hand_built(&events);
-        prop_assert_eq!(relations::rf_signature(&a), relations::posthoc::rf_signature(&a));
-        assert_exact(&keyed(&a), &keyed(&hand_built(&events)));
-
-        let mut changed = events.clone();
-        let e = &mut changed[at % events.len()];
-        match field {
-            0 => e.0 = value % TIDS.len(),
-            1 => e.1 = value % 8,
-            2 => e.2 = value % OPERANDS.len(),
-            3 => e.3 = value % ORDS.len(),
-            4 => e.4 = value,
-            _ => e.5 = !e.5,
-        }
-        assert_exact(&keyed(&a), &keyed(&hand_built(&changed)));
+    fn signatures_agree_on_hand_built_traces(events in prop::collection::vec(raw_event(), 1..12)) {
+        let t = hand_built(&events);
+        prop_assert_eq!(relations::rf_signature(&t), relations::posthoc::rf_signature(&t));
     }
 }
 
-/// The memo is dropped by every commit and by `clear`.
+/// The signature follows every commit and `clear`.
 #[test]
-fn memoised_signature_follows_the_trace() {
+fn signature_follows_the_trace() {
     let events = [(0, 1, 1, 4, 0, false), (1, 0, 1, 0, 0, false)];
     let mut t = hand_built(&events[..1]);
     let first = relations::rf_signature(&t);
