@@ -1,9 +1,9 @@
 //! Criterion microbenches for the allocation hot paths: clock
 //! snapshot-and-join, clock dominance, rf-candidate enumeration, and
 //! event append. These are the operations the copy-on-write clock
-//! representation and the reusable candidate buffers target; the
-//! `hotpath` binary measures the same operations with allocation
-//! counting and records them to `BENCH_hotpath.json`.
+//! representation and the reusable candidate buffers target. Allocations
+//! per execution of whole explorations are gated by the workspace test
+//! `tests/alloc_budget.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -142,7 +142,7 @@ fn main() {
     let mut total_ok = true;
     for bench in benchmarks() {
         if let Some(saved) = state.done.iter().find(|r| r.name == bench.name) {
-            total_ok &= !saved.buggy;
+            total_ok &= saved.clean();
             print_row(saved, true, args.stable);
             continue;
         }
@@ -205,7 +205,7 @@ fn main() {
             executions_pruned: stats.executions_pruned,
             rf_classes: stats.rf_classes.len() as u64,
         };
-        total_ok &= !row.buggy;
+        total_ok &= row.clean();
         print_row(&row, false, args.stable);
         state.done.push(row);
     }

@@ -187,6 +187,13 @@ impl SavedRow7 {
     pub fn exec_per_sec(&self) -> f64 {
         exec_per_sec(self.executions, self.elapsed_ns)
     }
+
+    /// Whether the row was checked in full and found nothing: no bug,
+    /// and the exploration ran out of executions to try rather than
+    /// stopping on the execution cap or an engine error.
+    pub fn clean(&self) -> bool {
+        !self.buggy && self.stop == "exhausted"
+    }
 }
 
 /// `executions / elapsed` in Hz, `0.0` on a zero denominator.
@@ -513,134 +520,6 @@ pub fn store_checkpoint(path: &Path, text: &str) -> Result<(), CheckpointError> 
     result.map_err(io_err)
 }
 
-// ---------------------------------------------------------------------
-// Machine-readable performance rows (`BENCH_hotpath.json`).
-// ---------------------------------------------------------------------
-
-/// Schema tag written into every hotpath benchmark file.
-pub const BENCH_SCHEMA: &str = "cdsspec-bench-hotpath-v1";
-
-/// One machine-readable performance measurement — a row of
-/// `BENCH_hotpath.json`, written by the `hotpath` binary so successive
-/// PRs can regress against a recorded trajectory.
-///
-/// The same schema covers end-to-end probes (`probe` =
-/// `"figure7:<benchmark>"`, where `executions`/`feasible`/`peak_depth`
-/// come from [`mc::Stats`]) and microbenches (`probe` = `"micro:<op>"`,
-/// where `executions` counts iterations and the exploration-only fields
-/// are zero).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRow {
-    /// Probe name: `figure7:<benchmark>` or `micro:<op>`.
-    pub probe: String,
-    /// Build variant the row was measured on (`"seed"` or `"optimized"`).
-    pub variant: String,
-    /// Explorer worker count (1 for microbenches).
-    pub workers: usize,
-    /// Executions explored (microbenches: iterations run).
-    pub executions: u64,
-    /// Feasible executions (microbenches: 0).
-    pub feasible: u64,
-    /// Wall-clock of the probe, in nanoseconds.
-    pub elapsed_ns: u128,
-    /// Executions (iterations) per second.
-    pub exec_per_sec: f64,
-    /// Peak frontier depth (microbenches: 0).
-    pub peak_depth: u64,
-    /// Heap allocations performed during the probe (counting allocator).
-    pub allocations: u64,
-    /// Allocations per execution (iteration).
-    pub allocs_per_exec: f64,
-}
-
-impl BenchRow {
-    /// Render as a single JSON object line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"probe\":{},\"variant\":{},\"workers\":{},\"executions\":{},\
-             \"feasible\":{},\"elapsed_ns\":{},\"exec_per_sec\":{:.1},\
-             \"peak_depth\":{},\"allocations\":{},\"allocs_per_exec\":{:.2}}}",
-            json_string(&self.probe),
-            json_string(&self.variant),
-            self.workers,
-            self.executions,
-            self.feasible,
-            self.elapsed_ns,
-            self.exec_per_sec,
-            self.peak_depth,
-            self.allocations,
-            self.allocs_per_exec,
-        )
-    }
-
-    /// Parse a line written by [`BenchRow::to_json_line`]. Returns `None`
-    /// for lines that are not row objects (or miss a required field).
-    /// This is a scanner for the fixed schema above, not a general JSON
-    /// parser — exactly what merging a baseline file needs.
-    pub fn from_json_line(line: &str) -> Option<BenchRow> {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            return None;
-        }
-        Some(BenchRow {
-            probe: json_field(line, "probe")?.trim_matches('"').to_string(),
-            variant: json_field(line, "variant")?.trim_matches('"').to_string(),
-            workers: json_field(line, "workers")?.parse().ok()?,
-            executions: json_field(line, "executions")?.parse().ok()?,
-            feasible: json_field(line, "feasible")?.parse().ok()?,
-            elapsed_ns: json_field(line, "elapsed_ns")?.parse().ok()?,
-            exec_per_sec: json_field(line, "exec_per_sec")?.parse().ok()?,
-            peak_depth: json_field(line, "peak_depth")?.parse().ok()?,
-            allocations: json_field(line, "allocations")?.parse().ok()?,
-            allocs_per_exec: json_field(line, "allocs_per_exec")?.parse().ok()?,
-        })
-    }
-}
-
-/// Escape a string for embedding in JSON. Probe and variant names are
-/// ASCII identifiers-with-spaces; only quotes and backslashes need care.
-fn json_string(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-/// Extract the raw value of `"key":` from a single-line JSON object.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.find('"')? + 2
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
-}
-
-/// Render the full `BENCH_hotpath.json` document: a schema tag plus one
-/// row object per line (line-oriented on purpose, so a baseline file's
-/// rows can be carried over by line filtering — see
-/// [`extract_bench_rows`]).
-pub fn render_bench_json(rows: &[BenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("\"schema\": \"{BENCH_SCHEMA}\",\n"));
-    out.push_str("\"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&r.to_json_line());
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Recover every [`BenchRow`] from a rendered `BENCH_hotpath.json`.
-pub fn extract_bench_rows(text: &str) -> Vec<BenchRow> {
-    text.lines().filter_map(BenchRow::from_json_line).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,6 +608,25 @@ mod tests {
     }
 
     #[test]
+    fn only_an_exhausted_bug_free_row_is_clean() {
+        let row = |stop: &str, buggy: bool| SavedRow7 {
+            name: "SPSC Queue".into(),
+            executions: 42,
+            feasible: 30,
+            elapsed_ns: 1_000_000,
+            stop: stop.into(),
+            buggy,
+            peak_depth: 7,
+            executions_pruned: 12,
+            rf_classes: 9,
+        };
+        assert!(row("exhausted", false).clean());
+        assert!(!row("first-bug", true).clean());
+        assert!(!row("execution-cap", false).clean());
+        assert!(!row("errored", false).clean());
+    }
+
+    #[test]
     fn figure8_checkpoint_round_trips() {
         let ck = Figure8Checkpoint {
             done: vec![SavedRow8 {
@@ -778,43 +676,6 @@ mod tests {
         }
         assert!(Figure7Checkpoint::from_text("figure7-checkpoint v1\nend\n").is_err());
         assert!(Figure8Checkpoint::from_text("figure8-checkpoint v1\nend\n").is_err());
-    }
-
-    #[test]
-    fn bench_rows_round_trip_through_json() {
-        let rows = vec![
-            BenchRow {
-                probe: "figure7:MPMC Queue".into(),
-                variant: "seed".into(),
-                workers: 1,
-                executions: 10_992,
-                feasible: 4_540,
-                elapsed_ns: 900_000_000,
-                exec_per_sec: 12_213.3,
-                peak_depth: 23,
-                allocations: 4_000_000,
-                allocs_per_exec: 363.93,
-            },
-            BenchRow {
-                probe: "micro:clock_join".into(),
-                variant: "optimized".into(),
-                workers: 1,
-                executions: 100_000,
-                feasible: 0,
-                elapsed_ns: 5_000_000,
-                exec_per_sec: 20_000_000.0,
-                peak_depth: 0,
-                allocations: 12,
-                allocs_per_exec: 0.0,
-            },
-        ];
-        let doc = render_bench_json(&rows);
-        assert!(doc.contains(BENCH_SCHEMA));
-        let back = extract_bench_rows(&doc);
-        assert_eq!(back, rows);
-        // Non-row lines (schema header, brackets) parse to nothing.
-        assert!(BenchRow::from_json_line("\"rows\": [").is_none());
-        assert!(BenchRow::from_json_line("{\"probe\":\"x\"}").is_none());
     }
 
     #[test]

@@ -294,9 +294,9 @@ pub fn run_daemon(opts: DaemonOpts) -> Result<i32, String> {
 }
 
 /// Serve on an already-bound listener (no banner). Lets a host that
-/// needs the picked port *before* the accept loop starts — the
-/// `campaign_probe` bench binary hosts a loopback daemon thread this
-/// way — bind `127.0.0.1:0` itself and read `local_addr` directly.
+/// needs the picked port *before* the accept loop starts — such as a
+/// benchmark hosting a loopback daemon on a thread — bind `127.0.0.1:0`
+/// itself and read `local_addr` directly.
 pub fn run_daemon_on(listener: TcpListener, opts: DaemonOpts) -> Result<i32, String> {
     let addr = listener
         .local_addr()
@@ -474,8 +474,10 @@ fn serve_campaign(mut stream: TcpStream, state: &DaemonState, req: CampaignReque
             reason: format!("campaign failed: {e}"),
         },
     };
-    let _ = write_frame(&mut stream, &reply.encode());
+    // Count the campaign before replying: a client that reads the reply
+    // and then asks for `--status` must see it served.
     let served = state.stats.campaigns.fetch_add(1, Ordering::Relaxed) + 1;
+    let _ = write_frame(&mut stream, &reply.encode());
     if state.opts.max_campaigns.is_some_and(|max| served >= max) {
         // Unblock the accept loop so the daemon can notice the stop
         // flag and exit cleanly.

@@ -112,6 +112,17 @@ fn worker_pids(parent: u32) -> Vec<u32> {
     pids
 }
 
+// Linux signal numbers.
+const SIGKILL: i32 = 9;
+const SIGSTOP: i32 = 19;
+
+// Minimal FFI shim: the test only needs kill(2) and libc isn't a
+// workspace dependency.
+extern "C" {
+    #[link_name = "kill"]
+    fn libc_kill(pid: i32, sig: i32) -> i32;
+}
+
 #[test]
 fn chaos_kills_do_not_change_a_single_output_byte() {
     let base = campaign(&["--bench", FAST, "--stable", "--in-process", "--split", "20"]);
@@ -168,23 +179,23 @@ fn kill_dash_nine_mid_campaign_is_invisible_in_the_report() {
         .expect("spawn campaign");
     let campaign_pid = child.id();
 
-    // Wait for worker subprocesses to appear, give them a moment to get
-    // into the shard, then SIGKILL every one of them.
+    // Freeze each worker subprocess as it appears, so none can finish
+    // its shard before the kill however fast the build is; once both
+    // are frozen, SIGKILL them.
     let deadline = Instant::now() + Duration::from_secs(20);
-    let victims = loop {
-        let pids = worker_pids(campaign_pid);
-        if !pids.is_empty() {
-            break pids;
+    let mut victims = Vec::new();
+    while victims.len() < 2 {
+        for pid in worker_pids(campaign_pid) {
+            if !victims.contains(&pid) {
+                unsafe { libc_kill(pid as i32, SIGSTOP) };
+                victims.push(pid);
+            }
         }
-        assert!(Instant::now() < deadline, "no worker subprocess appeared");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    std::thread::sleep(Duration::from_millis(250));
-    for pid in &victims {
-        let _ = Command::new("sh")
-            .arg("-c")
-            .arg(format!("kill -9 {pid}"))
-            .status();
+        assert!(Instant::now() < deadline, "workers did not appear");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for &pid in &victims {
+        unsafe { libc_kill(pid as i32, SIGKILL) };
     }
 
     let out = child.wait_with_output().expect("campaign finishes");

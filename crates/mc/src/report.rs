@@ -66,8 +66,7 @@ pub enum Bug {
         /// progress stopped. Under fiber hosting this is exactly the
         /// wedged fiber; under the OS-thread pool it is the runtime's
         /// best estimate (several threads may hold running tokens).
-        /// `None` only for hangs reported before any thread ran.
-        tid: Option<Tid>,
+        tid: Tid,
         /// Short tag of the last visible operation committed before the
         /// stall (`event-id:kind@thread`), when any event was committed.
         last_op: Option<String>,
@@ -148,16 +147,12 @@ impl std::fmt::Display for Bug {
             } => {
                 write!(
                     f,
-                    "internal hang: no scheduling progress for {stalled_ms} ms"
+                    "internal hang: no scheduling progress for {stalled_ms} ms ({tid} wedged"
                 )?;
-                if let Some(tid) = tid {
-                    write!(f, " ({tid} wedged")?;
-                    if let Some(op) = last_op {
-                        write!(f, " after {op}")?;
-                    }
-                    write!(f, ")")?;
+                if let Some(op) = last_op {
+                    write!(f, " after {op}")?;
                 }
-                Ok(())
+                write!(f, ")")
             }
             Bug::StackOverflow { tid } => {
                 write!(f, "stack overflow: {tid} overran its fiber stack")
@@ -806,22 +801,13 @@ mod tests {
         assert_eq!(spec.category(), BugCategory::Assertion);
         let hang = Bug::InternalHang {
             stalled_ms: 250,
-            tid: Some(Tid(2)),
+            tid: Tid(2),
             last_op: Some("e7:Store@T2".into()),
         };
         assert_eq!(hang.category(), BugCategory::BuiltIn);
         assert_eq!(
             hang.to_string(),
             "internal hang: no scheduling progress for 250 ms (T2 wedged after e7:Store@T2)"
-        );
-        let bare = Bug::InternalHang {
-            stalled_ms: 250,
-            tid: None,
-            last_op: None,
-        };
-        assert_eq!(
-            bare.to_string(),
-            "internal hang: no scheduling progress for 250 ms"
         );
         let overflow = Bug::StackOverflow { tid: Tid(1) };
         assert_eq!(overflow.category(), BugCategory::BuiltIn);

@@ -289,7 +289,7 @@ impl ExecState {
     fn hang_bug(&self, limit: Duration, wedged: Tid) -> Bug {
         Bug::InternalHang {
             stalled_ms: limit.as_millis() as u64,
-            tid: Some(wedged),
+            tid: wedged,
             last_op: last_op_tag(&self.mem.trace),
         }
     }
