@@ -89,34 +89,45 @@ pub enum SpecVal {
 
 impl SpecVal {
     /// Interpret as `i64`, panicking on `Unit` (spec-writer error).
+    #[inline]
     pub fn as_i64(self) -> i64 {
         match self {
             SpecVal::I64(v) => v,
             SpecVal::U64(v) => v as i64,
             SpecVal::Bool(b) => b as i64,
-            SpecVal::Unit => panic!("SpecVal::Unit interpreted as integer"),
+            SpecVal::Unit => unit_as("integer"),
         }
     }
 
     /// Interpret as `u64`.
+    #[inline]
     pub fn as_u64(self) -> u64 {
         match self {
             SpecVal::I64(v) => v as u64,
             SpecVal::U64(v) => v,
             SpecVal::Bool(b) => b as u64,
-            SpecVal::Unit => panic!("SpecVal::Unit interpreted as integer"),
+            SpecVal::Unit => unit_as("integer"),
         }
     }
 
     /// Interpret as `bool` (nonzero integers are `true`).
+    #[inline]
     pub fn as_bool(self) -> bool {
         match self {
             SpecVal::Bool(b) => b,
             SpecVal::I64(v) => v != 0,
             SpecVal::U64(v) => v != 0,
-            SpecVal::Unit => panic!("SpecVal::Unit interpreted as bool"),
+            SpecVal::Unit => unit_as("bool"),
         }
     }
+}
+
+/// The panic of a `SpecVal::as_*` on `Unit`, kept out of line so that the
+/// conversions inline into spec closures in other crates.
+#[cold]
+#[inline(never)]
+fn unit_as(what: &str) -> ! {
+    panic!("SpecVal::Unit interpreted as {what}")
 }
 
 impl From<i64> for SpecVal {

@@ -45,6 +45,7 @@ pub struct MethodCall {
 
 impl MethodCall {
     /// `i`-th argument (panics on out-of-range: a spec-writer error).
+    #[inline]
     pub fn arg(&self, i: usize) -> SpecVal {
         self.args[i]
     }

@@ -23,8 +23,11 @@ use cdsspec_c11::Trace;
 use cdsspec_mc::{Bug, Plugin};
 
 use crate::call::{extract_calls, MethodCall};
-use crate::history::{CallOrder, HistoryPolicy, Walker};
+use crate::history::{CallOrder, HistoryPolicy, Replay, Walker};
 use crate::spec::{CallEval, MethodSpec, Spec};
+
+#[cfg(test)]
+mod differential;
 
 /// The plugin. Cheap to construct per exploration; the spec itself is
 /// shared via `Arc`.
@@ -120,21 +123,25 @@ pub fn build_call_order(trace: &Trace, calls: &[MethodCall]) -> CallOrder {
 impl<S: Send + 'static> SpecChecker<S> {
     /// Check the projection of the execution onto one object.
     fn check_object(&mut self, trace: &Trace, calls: &[MethodCall]) -> Vec<Bug> {
-        let spec = &*self.spec;
         for c in calls {
-            if spec.lookup(c.name).is_none() {
+            if self.spec.lookup(c.name).is_none() {
                 return vec![plugin_bug(format!(
                     "no specification for method `{}`",
                     c.name
                 ))];
             }
         }
-
         let order = build_call_order(trace, calls);
+        self.check_order(calls, &order).0
+    }
+
+    /// Steps 3–5 over `calls` (each with a method spec) ordered by
+    /// `order`: the bugs, and how many full histories were replayed.
+    fn check_order(&mut self, calls: &[MethodCall], order: &CallOrder) -> (Vec<Bug>, usize) {
+        let spec = &*self.spec;
         if order.cyclic() {
-            return vec![plugin_bug(
-                "cyclic ordering relation r — check the ordering-point annotations".into(),
-            )];
+            let bug = "cyclic ordering relation r — check the ordering-point annotations";
+            return (vec![plugin_bug(bug.into())], 0);
         }
 
         // 3. Admissibility (Definition 1). An inadmissible execution is
@@ -151,18 +158,17 @@ impl<S: Send + 'static> SpecChecker<S> {
                             && calls[b].name == rule.m2
                             && (rule.guard)(&calls[a], &calls[b])
                         {
-                            return vec![plugin_bug(format!(
+                            let bug = plugin_bug(format!(
                                 "admissibility: `{}#{}` and `{}#{}` must be ordered by r \
                                  but are concurrent",
                                 calls[a].name, calls[a].id.0, calls[b].name, calls[b].id.0
-                            ))];
+                            ));
+                            return (vec![bug], 0);
                         }
                     }
                 }
             }
         }
-
-        let mut bugs = Vec::new();
 
         // 4. Sequential histories (Definitions 2/5/6). Each call's method
         // spec and `CallEval` are built once and reused across every
@@ -185,33 +191,32 @@ impl<S: Send + 'static> SpecChecker<S> {
             })
             .collect();
 
-        self.walker.histories(&order, spec.policy, |h| {
-            if let Err(msg) = run_history(spec, h, &mut steps) {
-                bugs.push(plugin_bug(format!(
-                    "{msg}\n  history: {}",
-                    render_history(calls, h)
-                )));
-                return false; // one witness per execution is enough
-            }
-            true
-        });
-        if !bugs.is_empty() {
-            return bugs;
+        let mut all = CheckAll {
+            seq: Sequential::new(spec, &mut steps),
+            calls,
+            failure: None,
+        };
+        let histories = self.walker.histories(order, spec.policy, &mut all);
+        if let Some(msg) = all.failure {
+            // One witness per execution is enough.
+            return (vec![plugin_bug(msg)], histories);
         }
 
         // 5. Justification (Definitions 3/4): for each call with justifying
         // conditions, some topological sort of its r-prefix must satisfy
         // them.
+        let mut bugs = Vec::new();
         for (i, call) in calls.iter().enumerate() {
             if !steps[i].0.has_justification() {
                 continue;
             }
-            let mut justified = false;
-            let searched = self.walker.justifying(&order, i, spec.policy, |h| {
-                justified = justifies(spec, h, &mut steps);
-                !justified
-            });
-            if !justified {
+            let mut search = Justify {
+                seq: Sequential::new(spec, &mut steps),
+                m: i,
+                justified: false,
+            };
+            let searched = self.walker.justifying(order, i, spec.policy, &mut search);
+            if !search.justified {
                 let why = match spec.policy {
                     HistoryPolicy::Exhaustive { cap } if searched >= cap => {
                         format!("the search was capped at {cap} subhistories")
@@ -234,70 +239,134 @@ impl<S: Send + 'static> SpecChecker<S> {
             }
         }
 
-        bugs
+        (bugs, histories)
     }
 }
 
-/// Replay one full sequential history; `Err` = condition violated.
-/// Each call's evaluation context is re-armed (`s_ret` reset) before
-/// its pre/effect/post run.
-fn run_history<S>(spec: &Spec<S>, h: &[usize], steps: &mut [Step<S>]) -> Result<(), String> {
-    let mut state = (spec.init)();
-    for &idx in h {
-        let (meth, eval) = &mut steps[idx];
+/// The equivalent sequential data structure along a walk: the state
+/// after the current prefix, and each call's spec and context.
+struct Sequential<'w, 'a, S> {
+    spec: &'a Spec<S>,
+    steps: &'w mut [Step<'a, S>],
+    state: S,
+}
+
+impl<'w, 'a, S> Sequential<'w, 'a, S> {
+    fn new(spec: &'a Spec<S>, steps: &'w mut [Step<'a, S>]) -> Self {
+        Sequential {
+            spec,
+            steps,
+            state: (spec.init)(),
+        }
+    }
+
+    /// Rebuild the state after `prefix`: `init` plus its side effects,
+    /// unchecked. Sound because conditions and side effects are
+    /// deterministic in `(state, CallEval)` (see [`crate::spec`]).
+    fn reset(&mut self, prefix: &[usize]) {
+        self.state = (self.spec.init)();
+        for &v in prefix {
+            let (meth, eval) = &mut self.steps[v];
+            eval.s_ret = cdsspec_c11::SpecVal::Unit;
+            if let Some(se) = &meth.side_effect {
+                se(&mut self.state, eval);
+            }
+        }
+    }
+}
+
+/// Step 4 on the walker: each call's pre/postcondition, checked once per
+/// edge. Each call's context is re-armed (`s_ret` reset) before its
+/// pre/effect/post run.
+struct CheckAll<'w, 'a, S> {
+    seq: Sequential<'w, 'a, S>,
+    calls: &'w [MethodCall],
+    /// The first violated condition, then its witness history.
+    failure: Option<String>,
+}
+
+impl<S> Replay for CheckAll<'_, '_, S> {
+    fn reset(&mut self, prefix: &[usize]) {
+        self.seq.reset(prefix);
+    }
+
+    fn step(&mut self, v: usize) -> bool {
+        let (meth, eval) = &mut self.seq.steps[v];
+        let state = &mut self.seq.state;
         eval.s_ret = cdsspec_c11::SpecVal::Unit;
         if let Some(pre) = &meth.pre {
-            if !pre(&state, eval) {
+            if !pre(state, eval) {
                 let call = &eval.call;
-                return Err(format!(
+                self.failure = Some(format!(
                     "precondition of `{}#{}` failed",
                     call.name, call.id.0
                 ));
+                return false;
             }
         }
         if let Some(se) = &meth.side_effect {
-            se(&mut state, eval);
+            se(state, eval);
         }
         if let Some(post) = &meth.post {
-            if !post(&state, eval) {
+            if !post(state, eval) {
                 let call = &eval.call;
-                return Err(format!(
+                self.failure = Some(format!(
                     "postcondition of `{}#{}` failed (C_RET={:?}, S_RET={:?})",
                     call.name, call.id.0, call.ret, eval.s_ret
                 ));
+                return false;
             }
         }
+        true
     }
-    Ok(())
+
+    fn leaf(&mut self, h: &[usize]) -> bool {
+        let Some(msg) = &mut self.failure else {
+            return true;
+        };
+        msg.push_str("\n  history: ");
+        msg.push_str(&render_history(self.calls, h));
+        false
+    }
 }
 
-/// Replay one justifying subhistory; `true` when the justifying
-/// conditions of the last call hold.
-fn justifies<S>(spec: &Spec<S>, h: &[usize], steps: &mut [Step<S>]) -> bool {
-    let mut state = (spec.init)();
-    let last = h.len() - 1;
-    for (pos, &idx) in h.iter().enumerate() {
-        let (meth, eval) = &mut steps[idx];
+/// Step 5 on the walker: a search for a justifying subhistory of `m`,
+/// which every sort places last. Only `m`'s justifying conditions are
+/// checked; the other calls apply their side effects.
+struct Justify<'w, 'a, S> {
+    seq: Sequential<'w, 'a, S>,
+    m: usize,
+    /// Did the last sort justify `m`?
+    justified: bool,
+}
+
+impl<S> Replay for Justify<'_, '_, S> {
+    fn reset(&mut self, prefix: &[usize]) {
+        self.seq.reset(prefix);
+    }
+
+    fn step(&mut self, v: usize) -> bool {
+        let (meth, eval) = &mut self.seq.steps[v];
+        let state = &mut self.seq.state;
         eval.s_ret = cdsspec_c11::SpecVal::Unit;
-        if pos == last {
-            if let Some(jpre) = &meth.justify_pre {
-                if !jpre(&state, eval) {
-                    return false;
-                }
+        if v == self.m {
+            self.justified = meth.justify_pre.as_ref().is_none_or(|p| p(state, eval));
+            if !self.justified {
+                return true;
             }
         }
         if let Some(se) = &meth.side_effect {
-            se(&mut state, eval);
+            se(state, eval);
         }
-        if pos == last {
-            if let Some(jpost) = &meth.justify_post {
-                if !jpost(&state, eval) {
-                    return false;
-                }
-            }
+        if v == self.m {
+            self.justified = meth.justify_post.as_ref().is_none_or(|p| p(state, eval));
         }
+        true
     }
-    true
+
+    fn leaf(&mut self, _: &[usize]) -> bool {
+        !self.justified
+    }
 }
 
 impl<S: Send + 'static> Plugin for SpecChecker<S> {

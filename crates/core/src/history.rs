@@ -7,6 +7,12 @@
 //! factorial, a cap plus random sampling is available — mirroring the
 //! CDSSpec checker's "user-customized number of sequential histories"
 //! option (paper §5.2).
+//!
+//! One depth-first `Walker` serves every enumeration. It keeps the ready
+//! set as one bitmask, updated from the placed call's successor row, and
+//! carries a `Replay` along its edges: the checker evaluates each
+//! call's conditions once per edge of the walk rather than once per
+//! complete history.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,7 +158,7 @@ pub fn for_each_history<F: FnMut(&[usize]) -> bool>(
     policy: HistoryPolicy,
     f: F,
 ) -> usize {
-    Walker::default().histories(order, policy, f)
+    Walker::default().histories(order, policy, &mut Leaves(f))
 }
 
 /// Enumerate the justifying subhistories of call `m` (Definition 3) under
@@ -168,145 +174,302 @@ pub fn for_each_justifying_history<F: FnMut(&[usize]) -> bool>(
     policy: HistoryPolicy,
     f: F,
 ) -> usize {
-    Walker::default().justifying(order, m, policy, f)
+    Walker::default().justifying(order, m, policy, &mut Leaves(f))
 }
 
-/// The topological-sort enumerator, with buffers that a caller
-/// enumerating once per execution can keep, so that it allocates only
-/// while they grow.
+/// What a [`Walker`] carries along its edges: for the checker, the
+/// sequential replay, so the state after a prefix of calls is computed
+/// once for every sort that shares the prefix.
+///
+/// A walk starts with the replay at the empty prefix. [`Replay::step`]
+/// appends one call; before the walk moves on from a shorter prefix it
+/// calls [`Replay::reset`] with that prefix.
+pub(crate) trait Replay {
+    /// Return to the state after `prefix`. Every call in it already
+    /// passed its checks on the way down, so they need not run again.
+    fn reset(&mut self, prefix: &[usize]);
+    /// Append call `v`. `false` fails the node: the walk completes the
+    /// sort with the lowest ready call at every depth (the first sort
+    /// through the node), counts it, hands it to [`Replay::leaf`] and
+    /// stops.
+    fn step(&mut self, v: usize) -> bool;
+    /// A complete sort; `false` stops the walk.
+    fn leaf(&mut self, h: &[usize]) -> bool;
+}
+
+/// A plain enumeration: no state, every sort goes to the closure.
+struct Leaves<F>(F);
+
+impl<F: FnMut(&[usize]) -> bool> Replay for Leaves<F> {
+    fn reset(&mut self, _: &[usize]) {}
+
+    fn step(&mut self, _: usize) -> bool {
+        true
+    }
+
+    fn leaf(&mut self, h: &[usize]) -> bool {
+        (self.0)(h)
+    }
+}
+
+/// The set bits of `words`, ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(k, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                k * WORD + b
+            })
+        })
+    })
+}
+
+/// The topological-sort enumerator: one depth-first walk over the sorts
+/// of a predecessor-closed scope of calls, trying ready calls in
+/// ascending index order at every depth. Its buffers are kept by a
+/// caller that enumerates once per execution, so it allocates only while
+/// they grow.
 #[derive(Default)]
 pub(crate) struct Walker {
-    /// Calls placed so far, plus every call outside the scope being
-    /// sorted; call `v` is ready iff `pred[v] & !placed == 0`.
-    placed: Vec<u64>,
-    /// `placed` before the first call of a sort (where a sample restarts).
-    start: Vec<u64>,
+    /// Mask words per row.
+    words: usize,
+    /// Successor rows, `n × words`: bit `u` of row `v` is set iff `u` is
+    /// in scope and `v` is an immediate predecessor of `u` (`v → u` with
+    /// no call ordered between them). The transpose of the predecessor
+    /// rows, less the edges that closure added.
+    succ: Vec<u64>,
+    /// Unplaced immediate predecessors of each call in scope.
+    pending: Vec<u32>,
+    /// The unplaced calls in scope.
+    unplaced: Vec<u64>,
+    /// The unplaced calls in scope with no unplaced predecessor.
+    ready: Vec<u64>,
     /// The sort built so far.
     prefix: Vec<usize>,
 }
 
 impl Walker {
-    /// [`for_each_history`] on these buffers.
-    pub(crate) fn histories<F: FnMut(&[usize]) -> bool>(
+    /// [`for_each_history`] on these buffers, carrying `r`.
+    pub(crate) fn histories<R: Replay>(
         &mut self,
         order: &CallOrder,
         policy: HistoryPolicy,
-        f: F,
+        r: &mut R,
     ) -> usize {
-        self.placed.clear();
-        self.placed.resize(order.words, 0);
-        if let (Some(last), tail @ 1..) = (self.placed.last_mut(), order.n % WORD) {
-            *last = !0 << tail;
-        }
-        self.sortings(order, policy, f)
+        self.sortings(order, 0..order.n, policy, r)
     }
 
     /// [`for_each_justifying_history`] on these buffers: the scope is
     /// `m`'s predecessor row plus `m`.
-    pub(crate) fn justifying<F: FnMut(&[usize]) -> bool>(
+    pub(crate) fn justifying<R: Replay>(
         &mut self,
         order: &CallOrder,
         m: usize,
         policy: HistoryPolicy,
-        f: F,
+        r: &mut R,
     ) -> usize {
-        self.placed.clear();
-        self.placed.extend(order.row(m).iter().map(|w| !w));
-        self.placed[m / WORD] &= !(1 << (m % WORD));
-        self.sortings(order, policy, f)
+        self.sortings(order, bits(order.row(m)).chain([m]), policy, r)
     }
 
-    /// Enumerate the sorts of the calls `placed` leaves out, a set closed
-    /// under predecessors.
-    fn sortings<F: FnMut(&[usize]) -> bool>(
+    /// Set the buffers up for the sorts of `scope`.
+    fn start(&mut self, order: &CallOrder, scope: impl Iterator<Item = usize>) {
+        let w = order.words;
+        self.words = w;
+        self.succ.clear();
+        self.succ.resize(order.n * w, 0);
+        self.pending.clear();
+        self.pending.resize(order.n, 0);
+        self.ready.clear();
+        self.ready.resize(w, 0);
+        self.unplaced.clear();
+        self.unplaced.resize(w, 0);
+        let mut len = 0;
+        for u in scope {
+            len += 1;
+            self.unplaced[u / WORD] |= 1 << (u % WORD);
+            // Only the immediate predecessors count: the rest precede
+            // one of them, so they are placed first anyway.
+            let row = order.row(u);
+            for (k, &word) in row.iter().enumerate() {
+                let covered = bits(row).fold(0, |c, x| c | order.row(x)[k]);
+                for b in bits(&[word & !covered]) {
+                    self.succ[(k * WORD + b) * w + u / WORD] |= 1 << (u % WORD);
+                    self.pending[u] += 1;
+                }
+            }
+            if self.pending[u] == 0 {
+                self.ready[u / WORD] |= 1 << (u % WORD);
+            }
+        }
+        self.prefix.clear();
+        self.prefix.resize(len, 0);
+    }
+
+    /// Walk the sorts of `scope`, a set closed under predecessors.
+    fn sortings<R: Replay>(
         &mut self,
         order: &CallOrder,
+        scope: impl Iterator<Item = usize>,
         policy: HistoryPolicy,
-        mut f: F,
+        r: &mut R,
     ) -> usize {
         if order.cyclic() {
             return 0;
         }
-        let len = self.placed.iter().map(|w| w.count_zeros() as usize).sum();
-        self.prefix.clear();
-        self.prefix.resize(len, 0);
+        self.start(order, scope);
         match policy {
             HistoryPolicy::Exhaustive { cap } => {
                 let mut count = 0usize;
-                self.exhaustive(order, 0, cap, &mut count, &mut f);
+                self.exhaustive(0, cap, &mut count, r);
                 count
             }
             HistoryPolicy::Sample { count, seed } => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                self.start.clone_from(&self.placed);
-                let mut produced = 0usize;
-                for _ in 0..count {
-                    self.placed.copy_from_slice(&self.start);
-                    self.random(order, &mut rng);
-                    produced += 1;
-                    if !f(&self.prefix) {
-                        break;
+                for drawn in 0..count {
+                    if drawn > 0 {
+                        r.reset(&[]);
+                    }
+                    let passed = self.random(&mut rng, r);
+                    if !r.leaf(&self.prefix) || !passed {
+                        return drawn + 1;
+                    }
+                    for d in (0..self.prefix.len()).rev() {
+                        self.unplace(self.prefix[d]);
                     }
                 }
-                produced
+                count
             }
         }
     }
 
-    fn ready(&self, order: &CallOrder, v: usize) -> bool {
-        let row = order.row(v);
-        row.iter().zip(&self.placed).all(|(&p, &d)| p & !d == 0)
+    /// Place `v`: it leaves the ready set, and so may the successors it
+    /// was the last unplaced predecessor of enter it.
+    fn place(&mut self, v: usize) {
+        let w = self.words;
+        self.unplaced[v / WORD] &= !(1 << (v % WORD));
+        self.ready[v / WORD] &= !(1 << (v % WORD));
+        for (k, &s) in self.succ[v * w..(v + 1) * w].iter().enumerate() {
+            let mut s = s;
+            while s != 0 {
+                let b = s.trailing_zeros() as usize;
+                s &= s - 1;
+                let u = k * WORD + b;
+                self.pending[u] -= 1;
+                if self.pending[u] == 0 {
+                    self.ready[k] |= 1 << b;
+                }
+            }
+        }
+    }
+
+    /// Undo [`Walker::place`]`(v)`, the last call placed: every successor
+    /// of `v` is unplaced and waits for `v` again.
+    fn unplace(&mut self, v: usize) {
+        let w = self.words;
+        for (k, &s) in self.succ[v * w..(v + 1) * w].iter().enumerate() {
+            self.ready[k] &= !s;
+            let mut s = s;
+            while s != 0 {
+                self.pending[k * WORD + s.trailing_zeros() as usize] += 1;
+                s &= s - 1;
+            }
+        }
+        self.unplaced[v / WORD] |= 1 << (v % WORD);
+        self.ready[v / WORD] |= 1 << (v % WORD);
     }
 
     /// Depth-first over every sort extending `prefix[..depth]`, trying
-    /// ready calls in ascending index order at every depth. `false` once
-    /// `f` or the cap stopped the enumeration.
-    fn exhaustive<F: FnMut(&[usize]) -> bool>(
+    /// ready calls in ascending index order and stepping `r` once per
+    /// edge. `false` once `r` or the cap stopped the walk.
+    fn exhaustive<R: Replay>(
         &mut self,
-        order: &CallOrder,
         depth: usize,
         cap: usize,
         count: &mut usize,
-        f: &mut F,
+        r: &mut R,
     ) -> bool {
-        if depth == self.prefix.len() {
+        let len = self.prefix.len();
+        if depth == len {
             *count += 1;
-            return f(&self.prefix) && *count < cap;
+            return r.leaf(&self.prefix) && *count < cap;
         }
-        for k in 0..self.placed.len() {
-            // Placing and unplacing below restores `placed[k]` before the
+        let mut fresh = true;
+        for k in 0..self.words {
+            // Placing and unplacing below restores `ready[k]` before the
             // next candidate, so this snapshot stays exact.
-            let mut free = !self.placed[k];
+            let mut free = self.ready[k];
             while free != 0 {
-                let bit = free & free.wrapping_neg();
-                free ^= bit;
-                let v = k * WORD + bit.trailing_zeros() as usize;
-                if !self.ready(order, v) {
-                    continue;
+                let v = k * WORD + free.trailing_zeros() as usize;
+                free &= free - 1;
+                if !fresh {
+                    r.reset(&self.prefix[..depth]);
                 }
-                self.placed[k] |= bit;
+                fresh = false;
                 self.prefix[depth] = v;
-                let go = self.exhaustive(order, depth + 1, cap, count, f);
-                self.placed[k] ^= bit;
-                if !go {
+                if !r.step(v) {
+                    self.fail(depth, count, r);
                     return false;
+                }
+                if depth + 2 == len {
+                    // One call left, ready once `v` is placed: a leaf,
+                    // and no need to place `v`.
+                    let u = bits(&self.unplaced)
+                        .find(|&u| u != v)
+                        .expect("two calls are left");
+                    self.prefix[depth + 1] = u;
+                    if !r.step(u) {
+                        self.fail(depth + 1, count, r);
+                        return false;
+                    }
+                    *count += 1;
+                    if !(r.leaf(&self.prefix) && *count < cap) {
+                        return false;
+                    }
+                } else {
+                    self.place(v);
+                    let go = self.exhaustive(depth + 1, cap, count, r);
+                    self.unplace(v);
+                    if !go {
+                        return false;
+                    }
                 }
             }
         }
         true
     }
 
-    /// Fill `prefix` with one random sort: at every step, a uniform draw
-    /// picks the k-th ready call in ascending index order.
-    fn random(&mut self, order: &CallOrder, rng: &mut StdRng) {
-        for depth in 0..self.prefix.len() {
-            let ready: Vec<usize> = (0..order.n)
-                .filter(|&v| self.placed[v / WORD] >> (v % WORD) & 1 == 0 && self.ready(order, v))
-                .collect();
-            let v = ready[rng.gen_range(0..ready.len())];
-            self.placed[v / WORD] |= 1 << (v % WORD);
-            self.prefix[depth] = v;
+    /// `prefix[depth]` failed its step: complete the sort with the lowest
+    /// ready call at every depth, count it, and hand it to `r`.
+    fn fail<R: Replay>(&mut self, depth: usize, count: &mut usize, r: &mut R) {
+        self.place(self.prefix[depth]);
+        for d in depth + 1..self.prefix.len() {
+            let v = bits(&self.ready)
+                .next()
+                .expect("an acyclic scope always has a ready call");
+            self.prefix[d] = v;
+            self.place(v);
         }
+        *count += 1;
+        r.leaf(&self.prefix);
+    }
+
+    /// Fill `prefix` with one random sort: at every depth, a uniform draw
+    /// picks the k-th ready call in ascending index order. Steps `r` along
+    /// it until a step fails; `false` if one did.
+    fn random<R: Replay>(&mut self, rng: &mut StdRng, r: &mut R) -> bool {
+        let mut passed = true;
+        for depth in 0..self.prefix.len() {
+            let ready = self.ready.iter().map(|x| x.count_ones() as usize).sum();
+            let v = bits(&self.ready)
+                .nth(rng.gen_range(0..ready))
+                .expect("the draw is below the ready count");
+            self.prefix[depth] = v;
+            passed = passed && r.step(v);
+            self.place(v);
+        }
+        passed
     }
 }
 

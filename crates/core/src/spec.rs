@@ -20,6 +20,14 @@
 //! Ordering-point annotations (`@OPDefine` etc.) are *dynamic* and live in
 //! [`crate::annotations`]; data-structure methods call them at the same
 //! program points the C annotations occupy.
+//!
+//! Conditions and side effects must be deterministic functions of the
+//! state and the [`CallEval`] they are given. The checker walks the
+//! histories depth first and checks each call once per edge of the walk;
+//! `S` need not be `Clone`, so to try the next call after a prefix it
+//! rebuilds the prefix's state from `init` by applying the prefix's side
+//! effects again, without re-checking the conditions that passed on the
+//! way down.
 
 use cdsspec_c11::SpecVal;
 
@@ -43,16 +51,19 @@ pub struct CallEval {
 
 impl CallEval {
     /// `i`-th argument of the concrete call.
+    #[inline]
     pub fn arg(&self, i: usize) -> SpecVal {
         self.call.arg(i)
     }
 
     /// The concrete return value (`C_RET`).
+    #[inline]
     pub fn ret(&self) -> SpecVal {
         self.call.ret
     }
 
     /// Set `S_RET` (from a side effect).
+    #[inline]
     pub fn set_s_ret(&mut self, v: impl Into<SpecVal>) {
         self.s_ret = v.into();
     }
@@ -211,8 +222,15 @@ impl<S> Spec<S> {
         self
     }
 
-    /// Override the history-enumeration policy.
+    /// Override the history-enumeration policy. Panics on a policy that
+    /// checks no history (`Sample { count: 0, .. }`) or caps the search
+    /// at none (`Exhaustive { cap: 0 }`).
     pub fn with_policy(mut self, policy: HistoryPolicy) -> Self {
+        let empty = match policy {
+            HistoryPolicy::Exhaustive { cap } => cap == 0,
+            HistoryPolicy::Sample { count, .. } => count == 0,
+        };
+        assert!(!empty, "history policy {policy:?} checks no history");
         self.policy = policy;
         self
     }

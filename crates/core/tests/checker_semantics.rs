@@ -302,3 +302,19 @@ fn capped_enumeration_produces_exactly_cap_histories() {
         assert_eq!(capped, (3, 3));
     }
 }
+
+/// A spec that samples no history would call every execution clean
+/// without replaying one; `Spec::with_policy` refuses it.
+#[test]
+#[should_panic(expected = "history policy Sample { count: 0, seed: 7 } checks no history")]
+fn zero_sample_policy_panics() {
+    let _ = unjustifiable(HistoryPolicy::Sample { count: 0, seed: 7 });
+}
+
+/// The walk counts a history before it tests the cap, so `cap: 0` would
+/// quietly act as cap 1; `Spec::with_policy` refuses it.
+#[test]
+#[should_panic(expected = "history policy Exhaustive { cap: 0 } checks no history")]
+fn zero_cap_policy_panics() {
+    let _ = unjustifiable(HistoryPolicy::Exhaustive { cap: 0 });
+}

@@ -450,24 +450,6 @@ impl Stack {
             }
         }
     }
-
-    /// Re-sanitize a pooled stack on checkout: re-assert the guard
-    /// protection (a wedged closure could have `mprotect`ed it away — and
-    /// `false` here means the mapping can no longer be trusted at all)
-    /// and re-arm the canary. `false` ⇒ discard the stack.
-    fn reverify(&mut self) -> bool {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        if let StackMem::Mapped { base, .. } = &self.mem {
-            let ok = unsafe {
-                sys::mprotect(*base as *mut core::ffi::c_void, GUARD_SIZE, sys::PROT_NONE) == 0
-            };
-            if !ok {
-                return false;
-            }
-        }
-        self.arm_canary();
-        true
-    }
 }
 
 thread_local! {
@@ -476,22 +458,26 @@ thread_local! {
     static STACK_POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Take a sanitized stack of exactly `size` usable bytes from the pool
-/// (re-arming its canary and re-verifying its guard), or map a fresh
-/// one. Other sizes stay pooled: an execution at a custom
-/// `Config::fiber_stack` must never inherit a smaller (or wastefully
-/// larger) stack mapped for an earlier config.
+/// Take a stack of exactly `size` usable bytes from the pool, with its
+/// canary re-armed, or map a fresh one. Other sizes stay pooled: an
+/// execution at a custom `Config::fiber_stack` must never inherit a
+/// smaller (or wastefully larger) stack mapped for an earlier config.
+///
+/// The guard set at map time is not re-`mprotect`ed here. Only a wedged
+/// closure could have changed it, and every rescue discards the whole
+/// pool at teardown ([`poison_pool`]), so a pooled stack only ever ran
+/// closures that finished.
 fn checkout_stack(size: usize) -> Stack {
     STACK_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        while let Some(at) = pool.iter().position(|s| s.size() == size) {
-            let mut s = pool.swap_remove(at);
-            if s.reverify() {
-                return s;
+        match pool.iter().position(|s| s.size() == size) {
+            Some(at) => {
+                let mut s = pool.swap_remove(at);
+                s.arm_canary();
+                s
             }
-            // Unverifiable guard: drop (unmaps) rather than reuse.
+            None => Stack::new(size),
         }
-        Stack::new(size)
     })
 }
 
@@ -1530,7 +1516,7 @@ mod guard_tests {
     #[test]
     fn checkout_rearms_pooled_canary() {
         // A contaminated stack returned to the pool must come back out
-        // sanitized (or not at all).
+        // with its canary re-armed.
         let mut s = Stack::new(DEFAULT_STACK_SIZE);
         unsafe { s.mem.lo_mut().add(8).write(0xCD) };
         assert!(!s.canary_ok());
@@ -1575,7 +1561,12 @@ mod guard_tests {
             assert_eq!(hi - lo, GUARD_SIZE);
             assert_eq!(hi, s.mem.lo() as usize, "guard sits just below the stack");
         }
-        assert!(s.reverify(), "reverify holds at custom sizes");
+        // SAFETY: the canary words lie inside the stack's own usable
+        // bytes, which start at `lo` and are far more than 8.
+        unsafe { s.mem.lo_mut().cast::<u64>().write_unaligned(0) };
+        assert!(!s.canary_ok());
+        s.arm_canary();
+        assert!(s.canary_ok(), "the canary re-arms at custom sizes");
     }
 
     #[test]

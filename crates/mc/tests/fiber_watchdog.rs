@@ -128,6 +128,44 @@ fn fiber_stack_overflow_reports_cleanly() {
     );
 }
 
+/// Stacks come back out of the thread-local pool without their guard
+/// being re-`mprotect`ed, so the guard set when the stack was mapped must
+/// still catch an overflow. One worker hosts every execution on this
+/// thread: the clean exploration leaves its stacks in the pool, and the
+/// overflowing one runs on them.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn pooled_stack_still_reports_overflow() {
+    let config = Config {
+        workers: 1,
+        ..watchdog_config(30_000)
+    };
+    let clean = mc::explore(config.clone(), || {
+        let a = Atomic::new(0i64);
+        let t = mc::thread::spawn(move || a.store(1, Relaxed));
+        a.store(2, Relaxed);
+        t.join();
+    });
+    assert!(!clean.buggy(), "{:?}", clean.bugs);
+    assert!(clean.executions > 1, "{}", clean.summary());
+
+    let overflow = mc::explore(config, || {
+        let a = Atomic::new(0i64);
+        let t = mc::thread::spawn(move || {
+            a.store(1, Relaxed);
+            std::hint::black_box(deep(u64::MAX));
+        });
+        t.join();
+    });
+    let rendered: Vec<String> = overflow.bugs.iter().map(|f| f.bug.to_string()).collect();
+    assert!(
+        rendered
+            .iter()
+            .any(|b| b.contains("stack overflow") && b.contains("overran its fiber stack")),
+        "{rendered:?}"
+    );
+}
+
 /// `Config::fiber_stack` really sizes the stacks: a recursion that fits
 /// comfortably inside the default 1 MiB overflows a 64 KiB stack, and the
 /// guard-page machinery converts it into the same deterministic
