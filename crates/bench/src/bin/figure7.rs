@@ -13,12 +13,11 @@
 //!     [--workers <n>] [--stable] [--no-rf-prune]
 //! ```
 //!
-//! With `--time-budget`, an expiring run writes a checkpoint (completed
-//! rows plus a mid-tree exploration checkpoint of the interrupted
-//! benchmark) and exits with status 3; `--resume` continues it. Resumed
+//! With `--time-budget`, an expiring run leaves a resume file (completed
+//! rows plus the statistics and frontier shards of the benchmark it cut
+//! mid-tree) and exits with status 3; `--resume` continues it. Resumed
 //! runs report exactly the execution/feasible counts of a
-//! straight-through run — including parallel runs, whose checkpoints
-//! carry one frontier shard per abandoned subtree.
+//! straight-through run, at any worker count on either side of the cut.
 //!
 //! `--workers <n>` sets the explorer thread count (default: available
 //! parallelism). All benchmarks here explore exhaustively, so the
@@ -32,12 +31,7 @@
 //! (see `ARCHITECTURE.md`, *Exploration identity and rf-equivalence
 //! pruning*).
 
-use std::process::exit;
-
-use cdsspec_bench::{
-    exec_per_sec, load_checkpoint, remaining, store_checkpoint, Figure7Checkpoint, HarnessArgs,
-    SavedRow7, EXIT_INTERRUPTED,
-};
+use cdsspec_bench::{die, exec_per_sec, remaining, HarnessArgs, ResumeFile, SavedRow7};
 use cdsspec_mc as mc;
 use cdsspec_structures::registry::benchmarks;
 
@@ -87,50 +81,14 @@ fn print_row(row: &SavedRow7, resumed: bool, stable: bool) {
     );
 }
 
-fn save_and_exit(args: &HarnessArgs, ckpt: &Figure7Checkpoint) -> ! {
-    let Some(path) = args.checkpoint_path() else {
-        eprintln!(
-            "\ntime budget exhausted and no --checkpoint/--resume path given; \
-             partial results are lost"
-        );
-        exit(EXIT_INTERRUPTED);
-    };
-    if let Err(e) = store_checkpoint(path, &ckpt.to_text()) {
-        eprintln!("\n{e}");
-        exit(1);
-    }
-    eprintln!(
-        "\ntime budget exhausted after {} completed row(s); checkpoint written to {}; \
-         rerun with --resume {2} to continue",
-        ckpt.done.len(),
-        path.display(),
-        path.display()
-    );
-    exit(EXIT_INTERRUPTED);
-}
-
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("figure7: {e}");
-            exit(2);
-        }
-    };
-    let mut state = Figure7Checkpoint::default();
-    // A missing resume file is a fresh start, not an error: the binary
-    // deletes its checkpoint on completion, so `until figure7 --resume
-    // ck; do :; done` works from the first invocation.
-    if let Some(path) = args.resume.as_ref().filter(|p| p.exists()) {
-        match load_checkpoint(path, Figure7Checkpoint::from_text) {
-            Ok(ck) => state = ck,
-            Err(e) => {
-                eprintln!("figure7: {e}");
-                exit(2);
-            }
-        }
-    }
+    let args =
+        HarnessArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| die("figure7", 2, e));
+    let (mut file, saved) =
+        ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap_or_else(|e| die("figure7", 2, e));
+    let (mut done, mut cut) = (saved.rows, saved.cut);
     let deadline = args.deadline();
+    let benches = benchmarks();
 
     println!("Figure 7 — benchmark results (ours vs. paper)\n");
     println!(
@@ -140,8 +98,8 @@ fn main() {
     println!("{}", "-".repeat(96));
 
     let mut total_ok = true;
-    for bench in benchmarks() {
-        if let Some(saved) = state.done.iter().find(|r| r.name == bench.name) {
+    for bench in &benches {
+        if let Some(saved) = done.iter().find(|r| r.name == bench.name) {
             total_ok &= saved.clean();
             print_row(saved, true, args.stable);
             continue;
@@ -149,7 +107,7 @@ fn main() {
 
         let budget = remaining(deadline);
         if budget.is_some_and(|b| b.is_zero()) {
-            save_and_exit(&args, &state);
+            file.interrupt(done.len(), benches.len());
         }
         let mut config = mc::Config {
             max_executions: 3_000_000,
@@ -158,25 +116,15 @@ fn main() {
             rf_prune: args.rf_prune,
             ..mc::Config::default()
         };
-        // Pick up mid-tree if a previous run was interrupted inside this
-        // benchmark's exploration. A parallel run leaves several frontier
-        // shards; resuming through `resume_shards` replays exactly the
-        // unexplored remainder, regardless of the worker count now.
-        let prior = match state.current.take() {
-            Some((name, ckpt)) if name == bench.name => {
-                let shards = ckpt.stats.frontier_shards();
-                if shards.len() > 1 || shards.iter().any(|s| s.floor != 0) {
-                    config.resume_shards = Some(shards);
-                } else {
-                    config.resume_script = Some(ckpt.script.clone());
-                }
-                Some(ckpt.stats)
-            }
-            other => {
-                state.current = other;
-                None
-            }
-        };
+        // Pick up mid-tree if a previous run was cut inside this
+        // benchmark: its frontier shards partition exactly the unexplored
+        // remainder, whatever the worker count was then or is now.
+        let prior = cut
+            .take_if(|(name, _)| name == bench.name)
+            .map(|(_, stats)| stats);
+        if let Some(prior) = &prior {
+            config.resume_shards = Some(prior.frontier_shards());
+        }
         let fresh = bench.check_default(config);
         let stats = match prior {
             Some(mut p) => {
@@ -187,11 +135,9 @@ fn main() {
         };
 
         if stats.stop == mc::StopReason::Deadline {
-            let ckpt = stats
-                .checkpoint()
-                .expect("a deadline stop leaves a frontier");
-            state.current = Some((bench.name.to_string(), ckpt));
-            save_and_exit(&args, &state);
+            file.append_cut(bench.name, &stats)
+                .unwrap_or_else(|e| die("figure7", 1, e));
+            file.interrupt(done.len(), benches.len());
         }
 
         let row = SavedRow7 {
@@ -205,23 +151,22 @@ fn main() {
             executions_pruned: stats.executions_pruned,
             rf_classes: stats.rf_classes.len() as u64,
         };
+        file.append_row(&row)
+            .unwrap_or_else(|e| die("figure7", 1, e));
         total_ok &= row.clean();
         print_row(&row, false, args.stable);
-        state.done.push(row);
+        done.push(row);
     }
+    file.finish();
 
-    // A completed run leaves no checkpoint behind.
-    if let Some(path) = args.checkpoint_path() {
-        let _ = std::fs::remove_file(path);
-    }
     // Throughput summary. Executions, pruned branches, rf classes and
     // peak depth are deterministic across worker counts; only the rate is
     // timing-dependent, so only the rate is masked under `--stable`.
-    let total_exec: u64 = state.done.iter().map(|r| r.executions).sum();
-    let total_ns: u128 = state.done.iter().map(|r| r.elapsed_ns).sum();
-    let depth = state.done.iter().map(|r| r.peak_depth).max().unwrap_or(0);
-    let pruned: u64 = state.done.iter().map(|r| r.executions_pruned).sum();
-    let classes: u64 = state.done.iter().map(|r| r.rf_classes).sum();
+    let total_exec: u64 = done.iter().map(|r| r.executions).sum();
+    let total_ns: u128 = done.iter().map(|r| r.elapsed_ns).sum();
+    let depth = done.iter().map(|r| r.peak_depth).max().unwrap_or(0);
+    let pruned: u64 = done.iter().map(|r| r.executions_pruned).sum();
+    let classes: u64 = done.iter().map(|r| r.rf_classes).sum();
     let rate = if args.stable {
         "-".to_string()
     } else {
@@ -232,8 +177,7 @@ fn main() {
          branches, {classes} rf classes, peak frontier depth {depth}."
     );
     // Named from the execution counts (deterministic), not the timings.
-    let dominant = state
-        .done
+    let dominant = done
         .iter()
         .max_by_key(|r| r.executions)
         .map_or("-", |r| r.name.as_str());

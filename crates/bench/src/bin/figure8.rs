@@ -16,18 +16,13 @@
 //! themselves dispatch across the same pool (see `cdsspec-inject`).
 //!
 //! With `--time-budget`, the campaign stops *between benchmarks* when
-//! the budget expires, writes the completed rows to a checkpoint, and
-//! exits with status 3; `--resume` skips the saved rows and finishes the
+//! the budget expires and exits with status 3, leaving the completed rows
+//! in its resume file; `--resume` skips the saved rows and finishes the
 //! rest. Rows are only ever reported from complete trial sets, so an
 //! interrupted-and-resumed campaign prints exactly the rows of a
 //! straight-through one.
 
-use std::process::exit;
-
-use cdsspec_bench::{
-    exec_per_sec, load_checkpoint, remaining, store_checkpoint, Figure8Checkpoint, HarnessArgs,
-    SavedRow8, EXIT_INTERRUPTED,
-};
+use cdsspec_bench::{die, exec_per_sec, remaining, HarnessArgs, ResumeFile, SavedRow8};
 use cdsspec_inject::inject_benchmark;
 use cdsspec_mc as mc;
 use cdsspec_structures::registry::benchmarks;
@@ -81,26 +76,11 @@ fn print_row(row: &SavedRow8, resumed: bool) {
 }
 
 fn main() {
-    let args = match HarnessArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("figure8: {e}");
-            exit(2);
-        }
-    };
-    let mut state = Figure8Checkpoint::default();
-    // A missing resume file is a fresh start, not an error: the binary
-    // deletes its checkpoint on completion, so `until figure8 --resume
-    // ck; do :; done` works from the first invocation.
-    if let Some(path) = args.resume.as_ref().filter(|p| p.exists()) {
-        match load_checkpoint(path, Figure8Checkpoint::from_text) {
-            Ok(ck) => state = ck,
-            Err(e) => {
-                eprintln!("figure8: {e}");
-                exit(2);
-            }
-        }
-    }
+    let args =
+        HarnessArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| die("figure8", 2, e));
+    let (mut file, saved) =
+        ResumeFile::open::<SavedRow8>(&args, "figure8").unwrap_or_else(|e| die("figure8", 2, e));
+    let mut done = saved.rows;
     let deadline = args.deadline();
     let config = mc::Config {
         max_executions: 300_000,
@@ -130,29 +110,11 @@ fn main() {
 
     let mut tot = (0usize, 0usize, 0usize, 0usize, 0usize);
     for bench in &benches {
-        let (row, resumed) = match state.done.iter().find(|r| r.name == bench.name) {
+        let (row, resumed) = match done.iter().find(|r| r.name == bench.name) {
             Some(saved) => (saved.clone(), true),
             None => {
                 if remaining(deadline).is_some_and(|b| b.is_zero()) {
-                    let Some(path) = args.checkpoint_path() else {
-                        eprintln!(
-                            "\ntime budget exhausted and no --checkpoint/--resume path \
-                             given; partial results are lost"
-                        );
-                        exit(EXIT_INTERRUPTED);
-                    };
-                    if let Err(e) = store_checkpoint(path, &state.to_text()) {
-                        eprintln!("\n{e}");
-                        exit(1);
-                    }
-                    eprintln!(
-                        "\ntime budget exhausted after {} of {} rows; checkpoint written \
-                         to {}; rerun with --resume {2} to continue",
-                        state.done.len(),
-                        benches.len(),
-                        path.display()
-                    );
-                    exit(EXIT_INTERRUPTED);
+                    file.interrupt(done.len(), benches.len());
                 }
                 let (row, trials) = inject_benchmark(bench, &config);
                 if args.verbose {
@@ -188,7 +150,9 @@ fn main() {
                     executions_pruned: trials.iter().map(|t| t.executions_pruned).sum(),
                     rf_classes: trials.iter().map(|t| t.rf_classes).sum(),
                 };
-                state.done.push(saved.clone());
+                file.append_row(&saved)
+                    .unwrap_or_else(|e| die("figure8", 1, e));
+                done.push(saved.clone());
                 (saved, false)
             }
         };
@@ -209,18 +173,16 @@ fn main() {
         "{:<20} {:>6} {:>9} {:>7} {:>10} {:>4} {:>6.0}%   | {:>6} {:>9} {:>7} {:>10} {:>6.0}%",
         "Total", tot.0, tot.1, tot.2, tot.3, tot.4, rate, 57, 15, 4, 34, 93.0
     );
-    if let Some(path) = args.checkpoint_path() {
-        let _ = std::fs::remove_file(path);
-    }
+    file.finish();
     // Throughput summary across every trial exploration. Executions,
     // pruned branches, rf classes and peak depth are deterministic per
     // trial; the rate is timing-dependent, so it is masked under
     // `--stable`.
-    let total_exec: u64 = state.done.iter().map(|r| r.executions).sum();
-    let total_ns: u128 = state.done.iter().map(|r| r.elapsed_ns).sum();
-    let depth = state.done.iter().map(|r| r.peak_depth).max().unwrap_or(0);
-    let pruned: u64 = state.done.iter().map(|r| r.executions_pruned).sum();
-    let classes: u64 = state.done.iter().map(|r| r.rf_classes).sum();
+    let total_exec: u64 = done.iter().map(|r| r.executions).sum();
+    let total_ns: u128 = done.iter().map(|r| r.elapsed_ns).sum();
+    let depth = done.iter().map(|r| r.peak_depth).max().unwrap_or(0);
+    let pruned: u64 = done.iter().map(|r| r.executions_pruned).sum();
+    let classes: u64 = done.iter().map(|r| r.rf_classes).sum();
     let rate = if args.stable {
         "-".to_string()
     } else {

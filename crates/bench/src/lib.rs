@@ -1,13 +1,13 @@
 //! Shared harness plumbing for the evaluation binaries in `src/bin`:
 //! CLI flags for wall-clock budgets and checkpoint/resume, plus the
-//! figure-specific checkpoint file formats.
+//! resume file of `figure7` and `figure8`.
 //!
 //! The long-running harnesses (`figure7`, `figure8`) accept
 //!
 //! * `--time-budget <secs>` — a wall-clock budget for the whole run;
-//! * `--checkpoint <path>` — where to write a checkpoint if the budget
-//!   expires (exit status [`EXIT_INTERRUPTED`]);
-//! * `--resume <path>` — pick up a previous run's checkpoint (also the
+//! * `--checkpoint <path>` — the resume file to keep; a run that the
+//!   budget stops exits with status [`EXIT_INTERRUPTED`];
+//! * `--resume <path>` — pick up a previous run's resume file (also the
 //!   default checkpoint destination, so repeated interruptions keep
 //!   updating one file);
 //! * `--workers <n>` — explorer threads per exploration (default:
@@ -20,20 +20,24 @@
 //!   prove pruning preserves the bug set (see `ARCHITECTURE.md`,
 //!   *Exploration identity and rf-equivalence pruning*).
 //!
-//! `figure7` checkpoints at *exploration* granularity — completed rows
-//! plus a mid-tree [`mc::Checkpoint`] for the interrupted benchmark — so
-//! an interrupted-and-resumed run reports exactly the counts of a
-//! straight-through one. `figure8` checkpoints at *benchmark*
-//! granularity: completed Figure 8 rows are saved verbatim and the
-//! interrupted benchmark's trials restart, which preserves the same
+//! The resume file is a campaign journal ([`ResumeFile`]). Each row is
+//! appended as it completes. `figure7` also saves the statistics and
+//! frontier shards of the benchmark a deadline cuts mid-tree, so an
+//! interrupted-and-resumed run reports exactly the counts of a
+//! straight-through one. `figure8` resumes at *benchmark* granularity:
+//! the interrupted benchmark's trials restart, which preserves the same
 //! guarantee (a row is only ever reported from a complete trial set).
 
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
+use std::process::exit;
 use std::time::{Duration, Instant};
 
+use cdsspec_campaign::json::Json;
+use cdsspec_campaign::{wire, Journal, ParseError};
 use cdsspec_mc as mc;
+use mc::explore::TREE_VERSION;
 
 /// Exit status when a run stops on its time budget with a checkpoint
 /// written: distinguishable from both success and failure so wrappers
@@ -205,101 +209,6 @@ pub fn exec_per_sec(executions: u64, elapsed_ns: u128) -> f64 {
     }
 }
 
-/// Format name and version of [`Figure7Checkpoint::to_text`].
-const FIGURE7_FORMAT: &str = "figure7-checkpoint v2";
-/// Format name and version of [`Figure8Checkpoint::to_text`].
-const FIGURE8_FORMAT: &str = "figure8-checkpoint v2";
-
-/// Figure 7 checkpoint: completed rows plus the interrupted benchmark's
-/// mid-tree exploration checkpoint.
-#[derive(Clone, Debug, Default)]
-pub struct Figure7Checkpoint {
-    /// Rows already computed.
-    pub done: Vec<SavedRow7>,
-    /// `(benchmark name, exploration checkpoint)` of the benchmark the
-    /// deadline interrupted, if it struck mid-benchmark.
-    pub current: Option<(String, mc::Checkpoint)>,
-}
-
-impl Figure7Checkpoint {
-    /// Serialize. Benchmark names must not contain `|` or newlines (the
-    /// registry's never do).
-    pub fn to_text(&self) -> String {
-        let mut out = mc::report::tree_header(FIGURE7_FORMAT);
-        out.push('\n');
-        for r in &self.done {
-            out.push_str(&format!(
-                "row {}|{}|{}|{}|{}|{}|{}|{}|{}\n",
-                r.name,
-                r.executions,
-                r.feasible,
-                r.elapsed_ns,
-                r.stop,
-                r.buggy as u8,
-                r.peak_depth,
-                r.executions_pruned,
-                r.rf_classes
-            ));
-        }
-        if let Some((name, ckpt)) = &self.current {
-            out.push_str(&format!("current {name}\n"));
-            out.push_str(&ckpt.to_text());
-        }
-        out.push_str("end\n");
-        out
-    }
-
-    /// Parse a [`Figure7Checkpoint::to_text`] serialization.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        mc::report::check_tree_header(FIGURE7_FORMAT, lines.next())?;
-        let mut out = Figure7Checkpoint::default();
-        let mut closed = false;
-        while let Some(line) = lines.next() {
-            if line == "end" {
-                closed = true;
-                break;
-            } else if let Some(rest) = line.strip_prefix("row ") {
-                let f: Vec<&str> = rest.split('|').collect();
-                if f.len() != 9 {
-                    return Err(format!("bad row line: {line}"));
-                }
-                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("bad row field: {e}"));
-                out.done.push(SavedRow7 {
-                    name: f[0].to_string(),
-                    executions: num(f[1])?,
-                    feasible: num(f[2])?,
-                    elapsed_ns: f[3].parse().map_err(|e| format!("bad row field: {e}"))?,
-                    stop: f[4].to_string(),
-                    buggy: f[5] == "1",
-                    peak_depth: num(f[6])?,
-                    executions_pruned: num(f[7])?,
-                    rf_classes: num(f[8])?,
-                });
-            } else if let Some(name) = line.strip_prefix("current ") {
-                // The embedded exploration checkpoint runs to its own
-                // `end` terminator.
-                let mut inner = String::new();
-                for l in lines.by_ref() {
-                    inner.push_str(l);
-                    inner.push('\n');
-                    if l == "end" {
-                        break;
-                    }
-                }
-                let ckpt = mc::Checkpoint::from_text(&inner)?;
-                out.current = Some((name.to_string(), ckpt));
-            } else {
-                return Err(format!("unrecognized checkpoint line: {line}"));
-            }
-        }
-        if !closed {
-            return Err("truncated figure7 checkpoint (missing end)".into());
-        }
-        Ok(out)
-    }
-}
-
 /// One completed Figure 8 row, preserved verbatim across interruptions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SavedRow8 {
@@ -331,193 +240,296 @@ pub struct SavedRow8 {
     pub rf_classes: u64,
 }
 
-/// Figure 8 checkpoint: benchmark-granularity — completed rows only.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Figure8Checkpoint {
-    /// Rows already computed.
-    pub done: Vec<SavedRow8>,
+/// A completed row as a `row` record of a resume file.
+pub trait SavedRow: Sized {
+    /// The benchmark the row reports.
+    fn name(&self) -> &str;
+    /// The row's fields.
+    fn to_json(&self) -> Vec<(&'static str, Json)>;
+    /// Decode the fields [`SavedRow::to_json`] wrote; every one is
+    /// required.
+    fn from_json(record: &Json) -> Result<Self, String>;
 }
 
-impl Figure8Checkpoint {
-    /// Serialize (same `|`-separated convention as Figure 7).
-    pub fn to_text(&self) -> String {
-        let mut out = mc::report::tree_header(FIGURE8_FORMAT);
-        out.push('\n');
-        for r in &self.done {
-            out.push_str(&format!(
-                "row {}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}\n",
-                r.name,
-                r.injections,
-                r.builtin,
-                r.admissibility,
-                r.assertion,
-                r.errored,
-                r.executions,
-                r.elapsed_ns,
-                r.peak_depth,
-                r.executions_pruned,
-                r.rf_classes
-            ));
-        }
-        out.push_str("end\n");
-        out
+/// Field `key` of a row record, read by `get`.
+fn field<T>(record: &Json, key: &str, get: impl Fn(&Json) -> Option<T>) -> Result<T, String> {
+    record
+        .get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("row record missing {key}"))
+}
+
+fn as_string(v: &Json) -> Option<String> {
+    v.as_str().map(str::to_string)
+}
+
+fn as_u128(v: &Json) -> Option<u128> {
+    v.as_num().and_then(|n| u128::try_from(n).ok())
+}
+
+impl SavedRow for SavedRow7 {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Parse a [`Figure8Checkpoint::to_text`] serialization.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        mc::report::check_tree_header(FIGURE8_FORMAT, lines.next())?;
-        let mut out = Figure8Checkpoint::default();
-        let mut closed = false;
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("name", Json::str(&self.name)),
+            ("executions", Json::num(self.executions)),
+            ("feasible", Json::num(self.feasible)),
+            ("elapsed_ns", Json::Num(self.elapsed_ns as i128)),
+            ("stop", Json::str(&self.stop)),
+            ("buggy", Json::Bool(self.buggy)),
+            ("peak_depth", Json::num(self.peak_depth)),
+            ("executions_pruned", Json::num(self.executions_pruned)),
+            ("rf_classes", Json::num(self.rf_classes)),
+        ]
+    }
+
+    fn from_json(r: &Json) -> Result<Self, String> {
+        Ok(SavedRow7 {
+            name: field(r, "name", as_string)?,
+            executions: field(r, "executions", Json::as_u64)?,
+            feasible: field(r, "feasible", Json::as_u64)?,
+            elapsed_ns: field(r, "elapsed_ns", as_u128)?,
+            stop: field(r, "stop", as_string)?,
+            buggy: field(r, "buggy", Json::as_bool)?,
+            peak_depth: field(r, "peak_depth", Json::as_u64)?,
+            executions_pruned: field(r, "executions_pruned", Json::as_u64)?,
+            rf_classes: field(r, "rf_classes", Json::as_u64)?,
+        })
+    }
+}
+
+impl SavedRow for SavedRow8 {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("name", Json::str(&self.name)),
+            ("injections", Json::num(self.injections as u64)),
+            ("builtin", Json::num(self.builtin as u64)),
+            ("admissibility", Json::num(self.admissibility as u64)),
+            ("assertion", Json::num(self.assertion as u64)),
+            ("errored", Json::num(self.errored as u64)),
+            ("executions", Json::num(self.executions)),
+            ("elapsed_ns", Json::Num(self.elapsed_ns as i128)),
+            ("peak_depth", Json::num(self.peak_depth)),
+            ("executions_pruned", Json::num(self.executions_pruned)),
+            ("rf_classes", Json::num(self.rf_classes)),
+        ]
+    }
+
+    fn from_json(r: &Json) -> Result<Self, String> {
+        Ok(SavedRow8 {
+            name: field(r, "name", as_string)?,
+            injections: field(r, "injections", Json::as_usize)?,
+            builtin: field(r, "builtin", Json::as_usize)?,
+            admissibility: field(r, "admissibility", Json::as_usize)?,
+            assertion: field(r, "assertion", Json::as_usize)?,
+            errored: field(r, "errored", Json::as_usize)?,
+            executions: field(r, "executions", Json::as_u64)?,
+            elapsed_ns: field(r, "elapsed_ns", as_u128)?,
+            peak_depth: field(r, "peak_depth", Json::as_u64)?,
+            executions_pruned: field(r, "executions_pruned", Json::as_u64)?,
+            rf_classes: field(r, "rf_classes", Json::as_u64)?,
+        })
+    }
+}
+
+fn row_record(row: &impl SavedRow) -> Json {
+    let mut pairs = vec![("rec", Json::str("row"))];
+    pairs.extend(row.to_json());
+    Json::obj(pairs)
+}
+
+fn cut_record(name: &str, stats: &mc::Stats) -> Json {
+    Json::obj(vec![
+        ("rec", Json::str("cut")),
+        ("name", Json::str(name)),
+        ("stats", wire::stats_to_json(stats)),
+    ])
+}
+
+/// What a resume file held when the run started.
+#[derive(Debug)]
+pub struct Resumed<R> {
+    /// Completed rows, in the order they completed.
+    pub rows: Vec<R>,
+    /// The benchmark a deadline cut mid-tree, with its statistics so far
+    /// (figure 7 only; their frontier shards are the unexplored rest).
+    pub cut: Option<(String, mc::Stats)>,
+}
+
+impl<R: SavedRow> Resumed<R> {
+    fn decode(records: &[Json]) -> Result<Self, String> {
+        let mut out = Resumed {
+            rows: Vec::new(),
+            cut: None,
+        };
+        for record in records {
+            match record.get("rec").and_then(Json::as_str) {
+                Some("row") => out.rows.push(R::from_json(record)?),
+                Some("cut") => {
+                    let name = field(record, "name", as_string)?;
+                    let stats = record.get("stats").ok_or("cut record missing stats")?;
+                    out.cut = Some((name, wire::stats_from_json(stats)?));
+                }
+                other => return Err(format!("unknown record kind {other:?}")),
             }
-            let rest = line
-                .strip_prefix("row ")
-                .ok_or_else(|| format!("bad line: {line}"))?;
-            let f: Vec<&str> = rest.split('|').collect();
-            if f.len() != 11 {
-                return Err(format!("bad row line: {line}"));
-            }
-            fn num<T>(s: &str) -> Result<T, String>
-            where
-                T: std::str::FromStr,
-                T::Err: std::fmt::Display,
-            {
-                s.parse().map_err(|e| format!("bad row field: {e}"))
-            }
-            out.done.push(SavedRow8 {
-                name: f[0].to_string(),
-                injections: num(f[1])?,
-                builtin: num(f[2])?,
-                admissibility: num(f[3])?,
-                assertion: num(f[4])?,
-                errored: num(f[5])?,
-                executions: num(f[6])?,
-                elapsed_ns: num(f[7])?,
-                peak_depth: num(f[8])?,
-                executions_pruned: num(f[9])?,
-                rf_classes: num(f[10])?,
-            });
         }
-        if !closed {
-            return Err("truncated figure8 checkpoint (missing end)".into());
+        // A cut whose benchmark completed later is spent.
+        if let Some((name, _)) = &out.cut {
+            if out.rows.iter().any(|r| r.name() == name) {
+                out.cut = None;
+            }
         }
         Ok(out)
     }
 }
 
-/// Why loading or storing a checkpoint file failed. Every variant's
-/// `Display` names the file and says what to do about it, so the harness
-/// binaries can print it verbatim and exit.
+/// The resume file of a `figure7` or `figure8` run: a campaign
+/// [`Journal`] whose first record names the figure, the exploration tree
+/// ([`TREE_VERSION`]) and `rf_prune`, followed by one `row` record per
+/// completed row and, for figure 7, a `cut` record for the benchmark a
+/// deadline interrupted mid-tree. Each record is fsync'd when appended,
+/// and a torn tail from a crash is cut away when the file is read.
 #[derive(Debug)]
-pub enum CheckpointError {
-    /// The file could not be read or written.
-    Io {
-        /// The checkpoint path.
-        path: PathBuf,
-        /// What the filesystem said.
-        error: std::io::Error,
-    },
-    /// The file was read but its contents did not parse — a truncated
-    /// write from a crashed run, manual editing, or a file that is not a
-    /// checkpoint at all.
-    Malformed {
-        /// The checkpoint path.
-        path: PathBuf,
-        /// The parser's diagnostic (includes version/header mismatches).
-        detail: String,
-    },
+pub struct ResumeFile {
+    journal: Option<Journal>,
 }
 
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io { path, error } => {
-                write!(f, "checkpoint {}: {error}", path.display())
+impl ResumeFile {
+    /// Read `--resume` (a missing file is a fresh start), then rewrite
+    /// the checkpoint path with what is still live and open it for
+    /// appending. That copies a `--resume` file into a different
+    /// `--checkpoint`, and drops spent cuts. Without either flag nothing
+    /// is written.
+    ///
+    /// A file written by the other figure, from another exploration tree
+    /// or under the other `rf_prune` setting is a
+    /// [`ParseError::WrongCampaign`] naming both values.
+    pub fn open<R: SavedRow>(
+        args: &HarnessArgs,
+        figure: &str,
+    ) -> Result<(ResumeFile, Resumed<R>), ParseError> {
+        let header = Json::obj(vec![
+            ("rec", Json::str(figure)),
+            ("tree", Json::num(TREE_VERSION)),
+            ("rf_prune", Json::Bool(args.rf_prune)),
+        ]);
+        let mut saved = Resumed {
+            rows: Vec::new(),
+            cut: None,
+        };
+        if let Some(path) = args.resume.as_deref().filter(|p| p.exists()) {
+            let (_, recovery) = Journal::open(path)?;
+            if let Some((first, records)) = recovery.records.split_first() {
+                check_header(path, first, &header)?;
+                saved = Resumed::decode(records).map_err(|detail| ParseError::Malformed {
+                    path: path.to_path_buf(),
+                    detail,
+                })?;
             }
-            CheckpointError::Malformed { path, detail } => write!(
-                f,
-                "checkpoint {} is not usable: {detail} — it may be a truncated or \
-                 corrupted write from an interrupted run; delete it to start fresh, \
-                 or point --resume at a valid checkpoint",
-                path.display()
+        }
+        let journal = match args.checkpoint_path() {
+            None => None,
+            Some(path) => {
+                let mut records = vec![header];
+                records.extend(saved.rows.iter().map(row_record));
+                records.extend(saved.cut.iter().map(|(n, s)| cut_record(n, s)));
+                Journal::compact(path, &records)?;
+                Some(Journal::open(path)?.0)
+            }
+        };
+        Ok((ResumeFile { journal }, saved))
+    }
+
+    fn append(&mut self, record: &Json) -> Result<(), ParseError> {
+        match &mut self.journal {
+            Some(journal) => journal.append(record),
+            None => Ok(()),
+        }
+    }
+
+    /// Record a completed row.
+    pub fn append_row(&mut self, row: &impl SavedRow) -> Result<(), ParseError> {
+        self.append(&row_record(row))
+    }
+
+    /// Record the statistics of benchmark `name`, which a deadline cut
+    /// mid-tree.
+    pub fn append_cut(&mut self, name: &str, stats: &mc::Stats) -> Result<(), ParseError> {
+        self.append(&cut_record(name, stats))
+    }
+
+    /// The time budget ran out after `done` of `total` rows: say where
+    /// the file is and exit with [`EXIT_INTERRUPTED`].
+    pub fn interrupt(&self, done: usize, total: usize) -> ! {
+        match &self.journal {
+            None => eprintln!(
+                "\ntime budget exhausted and no --checkpoint/--resume path given; \
+                 partial results are lost"
             ),
+            Some(journal) => eprintln!(
+                "\ntime budget exhausted after {done} of {total} rows; checkpoint written \
+                 to {0}; rerun with --resume {0} to continue",
+                journal.path().display()
+            ),
+        }
+        exit(EXIT_INTERRUPTED)
+    }
+
+    /// A completed run leaves no resume file behind.
+    pub fn finish(self) {
+        if let Some(journal) = self.journal {
+            let path = journal.path().to_path_buf();
+            drop(journal);
+            let _ = std::fs::remove_file(path);
         }
     }
 }
 
-impl std::error::Error for CheckpointError {}
-
-/// Load and parse a checkpoint file through `parse`.
-pub fn load_checkpoint<T>(
-    path: &Path,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Result<T, CheckpointError> {
-    let text = std::fs::read_to_string(path).map_err(|error| CheckpointError::Io {
-        path: path.to_path_buf(),
-        error,
-    })?;
-    parse(&text).map_err(|detail| CheckpointError::Malformed {
+/// Refuse a resume file whose header differs from this run's: rows and
+/// frontier shards mean something only for the figure, exploration tree
+/// and pruning setting that made them.
+fn check_header(path: &Path, found: &Json, expected: &Json) -> Result<(), ParseError> {
+    if found == expected {
+        return Ok(());
+    }
+    let show = |v: &Json, key| v.get(key).map_or("none".into(), Json::encode);
+    let detail = match ["rec", "tree", "rf_prune"]
+        .into_iter()
+        .find(|&k| found.get(k) != expected.get(k))
+    {
+        Some("tree") => format!(
+            "cut from exploration tree version {}, but this build explores tree version {}",
+            show(found, "tree"),
+            show(expected, "tree")
+        ),
+        Some("rf_prune") => format!(
+            "cut with rf_prune {}, but this run has rf_prune {}",
+            show(found, "rf_prune"),
+            show(expected, "rf_prune")
+        ),
+        _ => format!(
+            "header {}, but this run expects {}",
+            found.encode(),
+            expected.encode()
+        ),
+    };
+    Err(ParseError::WrongCampaign {
         path: path.to_path_buf(),
         detail,
     })
 }
 
-/// Write a checkpoint file (best effort is not enough here — an
-/// unwritable checkpoint is a hard error, the run's work would be lost).
-///
-/// The write is atomic-on-crash: the text goes to a temporary file in the
-/// same directory, is fsync'd, and is then `rename`d over the final path.
-/// A crash at any point leaves either the old checkpoint or the new one —
-/// never a half-written file — because POSIX `rename` within one
-/// filesystem replaces the destination atomically.
-pub fn store_checkpoint(path: &Path, text: &str) -> Result<(), CheckpointError> {
-    let io_err = |error: std::io::Error| CheckpointError::Io {
-        path: path.to_path_buf(),
-        error,
-    };
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| {
-            io_err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "checkpoint path has no file name",
-            ))
-        })?
-        .to_os_string();
-    // Unique per process so concurrent harnesses sharing a directory
-    // cannot clobber each other's in-flight temp file.
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(&file_name);
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    let result = (|| {
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            // Data must be durable *before* the rename publishes it:
-            // rename-then-crash must not expose an empty or partial file.
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Best-effort directory sync so the rename itself is durable; not
-        // all filesystems/platforms support opening a directory, and the
-        // crash-consistency of the *data* no longer depends on it.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result.map_err(io_err)
+/// Print `error` as `bin: error` and exit with `code`.
+pub fn die(bin: &str, code: i32, error: impl std::fmt::Display) -> ! {
+    eprintln!("{bin}: {error}");
+    exit(code)
 }
 
 #[cfg(test)]
@@ -575,39 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn figure7_checkpoint_round_trips() {
-        let mut inner = mc::Checkpoint::root();
-        inner.script = vec![0, 3, 1];
-        inner.stats.executions = 17;
-        inner.stats.stop = mc::StopReason::Deadline;
-        inner.stats.elapsed = Duration::from_millis(4321);
-        let ck = Figure7Checkpoint {
-            done: vec![SavedRow7 {
-                name: "SPSC Queue".into(),
-                executions: 42,
-                feasible: 30,
-                elapsed_ns: 1_000_000,
-                stop: "exhausted".into(),
-                buggy: false,
-                peak_depth: 7,
-                executions_pruned: 12,
-                rf_classes: 9,
-            }],
-            current: Some(("RCU".into(), inner)),
-        };
-        let back = Figure7Checkpoint::from_text(&ck.to_text()).unwrap();
-        assert_eq!(back.done, ck.done);
-        let (name, ckpt) = back.current.unwrap();
-        assert_eq!(name, "RCU");
-        assert_eq!(ckpt.script, vec![0, 3, 1]);
-        assert_eq!(ckpt.stats.executions, 17);
-        // The interrupted benchmark's *active* exploration time rides
-        // along: figure7 resumes accumulate onto it, so the summary's
-        // exec/s never includes the suspension gap between runs.
-        assert_eq!(ckpt.stats.elapsed, Duration::from_millis(4321));
-    }
-
-    #[test]
     fn only_an_exhausted_bug_free_row_is_clean() {
         let row = |stop: &str, buggy: bool| SavedRow7 {
             name: "SPSC Queue".into(),
@@ -626,130 +605,82 @@ mod tests {
         assert!(!row("errored", false).clean());
     }
 
+    fn row7() -> SavedRow7 {
+        SavedRow7 {
+            name: "RCU".into(),
+            executions: 42,
+            feasible: 30,
+            elapsed_ns: u128::from(u64::MAX) + 1,
+            stop: "exhausted".into(),
+            buggy: false,
+            peak_depth: 7,
+            executions_pruned: 12,
+            rf_classes: 9,
+        }
+    }
+
+    /// Rows come back field for field, and a record missing any field is
+    /// refused rather than defaulted.
     #[test]
-    fn figure8_checkpoint_round_trips() {
-        let ck = Figure8Checkpoint {
-            done: vec![SavedRow8 {
-                name: "Ticket Lock".into(),
-                injections: 2,
-                builtin: 0,
-                admissibility: 0,
-                assertion: 2,
-                errored: 0,
-                executions: 61_000,
-                elapsed_ns: 2_500_000,
-                peak_depth: 11,
-                executions_pruned: 300,
-                rf_classes: 41,
-            }],
+    fn rows_round_trip_through_records() {
+        let r7 = row7();
+        assert_eq!(SavedRow7::from_json(&row_record(&r7)), Ok(r7.clone()));
+        let r8 = SavedRow8 {
+            name: "Ticket Lock".into(),
+            injections: 2,
+            builtin: 0,
+            admissibility: 0,
+            assertion: 2,
+            errored: 0,
+            executions: 61_000,
+            elapsed_ns: 2_500_000,
+            peak_depth: 11,
+            executions_pruned: 300,
+            rf_classes: 41,
         };
-        assert_eq!(Figure8Checkpoint::from_text(&ck.to_text()).unwrap(), ck);
-        assert!(Figure8Checkpoint::from_text("garbage").is_err());
-        let header = mc::report::tree_header(FIGURE8_FORMAT);
-        assert!(Figure8Checkpoint::from_text(&format!("{header}\nrow x|1\nend")).is_err());
-        assert!(Figure8Checkpoint::from_text(&format!("{header}\n")).is_err());
-    }
-
-    /// Checkpoints cut from another exploration tree, or written before
-    /// checkpoints named their tree, are refused with both versions named.
-    #[test]
-    fn figure_checkpoints_name_their_tree() {
-        let (this, other) = (mc::explore::TREE_VERSION, mc::explore::TREE_VERSION + 1);
-        let moved = |format: &str, body: &str| format!("{format} tree {other}\n{body}end\n");
-        let errors = [
-            Figure7Checkpoint::from_text(&moved(FIGURE7_FORMAT, "")).unwrap_err(),
-            Figure8Checkpoint::from_text(&moved(FIGURE8_FORMAT, "")).unwrap_err(),
-            // The exploration checkpoint a figure 7 file embeds, too.
-            Figure7Checkpoint::from_text(&format!(
-                "{}\ncurrent RCU\n{}end\n",
-                mc::report::tree_header(FIGURE7_FORMAT),
-                moved("cdsspec-checkpoint v3", "")
-            ))
-            .unwrap_err(),
-        ];
-        for err in errors {
-            assert!(
-                err.contains(&format!("tree version {other}"))
-                    && err.contains(&format!("tree version {this}")),
-                "{err}"
-            );
+        assert_eq!(SavedRow8::from_json(&row_record(&r8)), Ok(r8));
+        for (key, _) in r7.to_json() {
+            let Json::Obj(mut pairs) = row_record(&r7) else {
+                unreachable!()
+            };
+            pairs.retain(|(k, _)| k != key);
+            let err = SavedRow7::from_json(&Json::Obj(pairs)).unwrap_err();
+            assert!(err.contains(key), "{err}");
         }
-        assert!(Figure7Checkpoint::from_text("figure7-checkpoint v1\nend\n").is_err());
-        assert!(Figure8Checkpoint::from_text("figure8-checkpoint v1\nend\n").is_err());
     }
 
+    /// A run that is cut and then finishes its benchmark leaves a spent
+    /// cut behind; reopening drops it and keeps the row.
     #[test]
-    fn store_checkpoint_is_atomic_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join(format!("cdsspec-ckpt-test-{}", std::process::id()));
+    fn reopening_keeps_rows_and_only_a_live_cut() {
+        let dir = std::env::temp_dir().join(format!("cdsspec-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ck.txt");
-        store_checkpoint(&path, "first\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first\n");
-        // Overwrite: the rename replaces the old content in one step.
-        store_checkpoint(&path, "second\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
-        // No temp debris in the directory.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|n| n.contains(".tmp."))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
+        let path = dir.join("ck");
+        let args = HarnessArgs {
+            resume: Some(path.clone()),
+            ..HarnessArgs::default()
+        };
+        let cut = mc::Stats {
+            executions: 3,
+            stop: mc::StopReason::Deadline,
+            frontier: Some(vec![0, 1]),
+            ..mc::Stats::default()
+        };
+        let (mut file, saved) = ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap();
+        assert!(saved.rows.is_empty() && saved.cut.is_none());
+        file.append_cut("RCU", &cut).unwrap();
+        drop(file);
+        let (mut file, saved) = ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap();
+        let (name, stats) = saved.cut.expect("the cut survives");
+        assert_eq!((name.as_str(), stats.executions), ("RCU", 3));
+        assert_eq!(stats.frontier_shards(), cut.frontier_shards());
+        file.append_row(&row7()).unwrap();
+        drop(file);
+        let (file, saved) = ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap();
+        assert_eq!(saved.rows, vec![row7()]);
+        assert!(saved.cut.is_none(), "RCU completed, so its cut is spent");
+        file.finish();
+        assert!(!path.exists(), "a finished run removes its file");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_checkpoint_errors_are_typed_and_actionable() {
-        let dir = std::env::temp_dir().join(format!("cdsspec-ckpt-load-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Missing file: Io variant naming the path.
-        let missing = dir.join("nope.txt");
-        let err = load_checkpoint(&missing, Figure7Checkpoint::from_text).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io { .. }), "{err:?}");
-        assert!(err.to_string().contains("nope.txt"));
-
-        // Corrupted fixture: a checkpoint truncated mid-write (no `end`
-        // terminator), as a crash before the atomic-write fix could leave.
-        let corrupt = dir.join("corrupt.txt");
-        let header = mc::report::tree_header(FIGURE7_FORMAT);
-        std::fs::write(&corrupt, format!("{header}\nrow SPSC Queue|42|30")).unwrap();
-        let err = load_checkpoint(&corrupt, Figure7Checkpoint::from_text).unwrap_err();
-        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err:?}");
-        let msg = err.to_string();
-        assert!(msg.contains("corrupt.txt"), "{msg}");
-        assert!(msg.contains("delete it to start fresh"), "{msg}");
-
-        // Wrong version/header: also Malformed, with the parser's detail.
-        let wrong = dir.join("wrong.txt");
-        std::fs::write(&wrong, "figure9-checkpoint v9\nend\n").unwrap();
-        let err = load_checkpoint(&wrong, Figure7Checkpoint::from_text).unwrap_err();
-        assert!(matches!(err, CheckpointError::Malformed { .. }), "{err:?}");
-        assert!(err.to_string().contains("header"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Rows of the older, shorter formats are refused.
-    #[test]
-    fn short_rows_are_refused() {
-        let f7 = mc::report::tree_header(FIGURE7_FORMAT);
-        for row in [
-            "SPSC Queue|42|30|1000000|exhausted|0",
-            "SPSC Queue|42|30|1000000|exhausted|0|7",
-        ] {
-            let text = format!("{f7}\nrow {row}\nend\n");
-            assert!(Figure7Checkpoint::from_text(&text).is_err(), "{row}");
-        }
-        let f8 = mc::report::tree_header(FIGURE8_FORMAT);
-        for row in [
-            "Ticket Lock|2|0|0|2|0",
-            "Ticket Lock|2|0|0|2|0|61000|2500000|11",
-        ] {
-            let text = format!("{f8}\nrow {row}\nend\n");
-            assert!(Figure8Checkpoint::from_text(&text).is_err(), "{row}");
-        }
     }
 }

@@ -646,12 +646,7 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
             Outcome::Done(s) => {
                 stop = stop.worst(s.stop);
                 leftover.extend(s.frontier_shards());
-                merged.executions += s.executions;
-                merged.feasible += s.feasible;
-                merged.diverged += s.diverged;
-                merged.sleep_pruned += s.sleep_pruned;
-                merged.sampled += s.sampled;
-                merged.peak_depth = merged.peak_depth.max(s.peak_depth);
+                merged.add_counters(&s);
                 merged.elapsed += s.elapsed;
                 merged.bugs.extend(s.bugs);
             }
@@ -777,6 +772,26 @@ mod tests {
             "probe's cap is not inherited"
         );
         assert!(m1.frontier.is_none());
+    }
+
+    /// A split row keeps every counter of its tasks, not only the
+    /// probe's: pruned branches sum and rf classes union.
+    #[test]
+    fn merge_keeps_task_pruning_and_rf_classes() {
+        let probe = Stats {
+            executions_pruned: 1,
+            rf_classes: [1].into(),
+            stop: StopReason::ExecutionCap,
+            ..Stats::default()
+        };
+        let task = Stats {
+            executions_pruned: 5,
+            rf_classes: [2].into(),
+            ..Stats::default()
+        };
+        let (m, _, _) = merge(probe, &[spec("X")], vec![Outcome::Done(task)]);
+        assert_eq!(m.executions_pruned, 6);
+        assert_eq!(m.rf_classes, [1, 2].into());
     }
 
     #[test]

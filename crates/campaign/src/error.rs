@@ -33,7 +33,8 @@ pub enum ParseError {
         detail: String,
     },
     /// A journal belongs to a different campaign configuration than the
-    /// one being resumed (e.g. the benchmark filter or split cap changed).
+    /// one being resumed (e.g. the benchmark filter or split cap changed,
+    /// or a `figure7` resume file was cut from another exploration tree).
     WrongCampaign {
         /// File involved.
         path: PathBuf,
@@ -55,8 +56,8 @@ impl std::fmt::Display for ParseError {
             } => write!(
                 f,
                 "{} is not a {expected} file (starts with {found:?}) — \
-                 point --journal/--cache-dir at a path this tool owns, or \
-                 delete the file if it is stale",
+                 point the tool at a path it owns, or delete the file if \
+                 it is stale",
                 path.display()
             ),
             ParseError::Malformed { path, detail } => write!(

@@ -322,19 +322,33 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => {
+                return Err(format!(
+                    "unescaped control character at offset {pos}",
+                    pos = *pos
+                ));
+            }
             Some(_) => {
-                // Consume one UTF-8 scalar. `bytes` came from a &str, so
-                // boundaries are valid; find the char at this offset.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().unwrap();
-                if (c as u32) < 0x20 {
-                    return Err(format!(
-                        "unescaped control character at offset {pos}",
-                        pos = *pos
-                    ));
+                // Copy the run up to the next quote, backslash or control
+                // byte in one step: those are ASCII, so the run ends on a
+                // char boundary of the source `&str`, and parsing stays
+                // linear in the length of the document.
+                let start = *pos;
+                let plain = |b: u8| b != b'"' && b != b'\\' && b >= 0x20;
+                // Sixteen bytes per test while no byte needs a look: the
+                // fold compiles to vector compares.
+                while let Some(chunk) = bytes.get(*pos..*pos + 16) {
+                    if !chunk.iter().fold(true, |all, &b| all & plain(b)) {
+                        break;
+                    }
+                    *pos += 16;
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                while matches!(bytes.get(*pos), Some(&b) if plain(b)) {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?,
+                );
             }
         }
     }

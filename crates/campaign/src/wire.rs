@@ -13,50 +13,19 @@ use cdsspec_mc::{Bug, BugCategory, Config, FoundBug, ShardSpec, Stats, StopReaso
 use cdsspec_structures::registry::Benchmark;
 use std::time::Duration;
 
-/// Stable text label of a [`StopReason`] (mirrors its `Display`).
-pub fn stop_label(stop: StopReason) -> &'static str {
-    match stop {
-        StopReason::Exhausted => "exhausted",
-        StopReason::FirstBug => "first-bug",
-        StopReason::ExecutionCap => "execution-cap",
-        StopReason::Deadline => "deadline",
-        StopReason::Errored => "errored",
+/// Lower-case hex digits, as `rf_classes` is spelt.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The value of each byte as a [`HEX_DIGITS`] digit; 16 for any other.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [16u8; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
     }
-}
-
-/// Inverse of [`stop_label`].
-pub fn stop_from_label(s: &str) -> Option<StopReason> {
-    Some(match s {
-        "exhausted" => StopReason::Exhausted,
-        "first-bug" => StopReason::FirstBug,
-        "execution-cap" => StopReason::ExecutionCap,
-        "deadline" => StopReason::Deadline,
-        "errored" => StopReason::Errored,
-        _ => return None,
-    })
-}
-
-/// Stable text label of a [`BugCategory`] (the checkpoint format's
-/// spelling).
-pub fn category_label(cat: BugCategory) -> &'static str {
-    match cat {
-        BugCategory::BuiltIn => "builtin",
-        BugCategory::Admissibility => "admissibility",
-        BugCategory::Assertion => "assertion",
-        BugCategory::Internal => "internal",
-    }
-}
-
-/// Inverse of [`category_label`].
-pub fn category_from_label(s: &str) -> Option<BugCategory> {
-    Some(match s {
-        "builtin" => BugCategory::BuiltIn,
-        "admissibility" => BugCategory::Admissibility,
-        "assertion" => BugCategory::Assertion,
-        "internal" => BugCategory::Internal,
-        _ => return None,
-    })
-}
+    table
+};
 
 /// Encode a frontier shard.
 pub fn shard_to_json(shard: &ShardSpec) -> Json {
@@ -107,7 +76,7 @@ pub fn stats_to_json(stats: &Stats) -> Json {
         .iter()
         .map(|b| {
             Json::obj(vec![
-                ("category", Json::str(category_label(b.bug.category()))),
+                ("category", Json::str(b.bug.category().label())),
                 ("message", Json::str(b.bug.to_string())),
                 ("execution", Json::num(b.execution)),
                 ("worker", Json::num(b.worker as u64)),
@@ -119,9 +88,17 @@ pub fn stats_to_json(stats: &Stats) -> Json {
         })
         .collect();
     let shards = stats.frontier_shards().iter().map(shard_to_json).collect();
-    // `rf_classes` is a BTreeSet, so the array is sorted — part of the
-    // deterministic-encoding guarantee the cache's byte identity needs.
-    let classes = stats.rf_classes.iter().map(|&c| Json::num(c)).collect();
+    // `rf_classes` is a BTreeSet, so the classes come out sorted — part of
+    // the deterministic-encoding guarantee the cache's byte identity needs.
+    // A merged campaign row carries every class of its benchmark, thousands
+    // of them, so they travel as one string of 16 hex digits each, which
+    // checks and parses several times faster than an array of numbers.
+    let mut classes = String::with_capacity(16 * stats.rf_classes.len());
+    for &c in &stats.rf_classes {
+        for shift in (0..16).rev() {
+            classes.push(char::from(HEX_DIGITS[(c >> (4 * shift)) as usize & 0xF]));
+        }
+    }
     Json::obj(vec![
         ("executions", Json::num(stats.executions)),
         ("feasible", Json::num(stats.feasible)),
@@ -129,10 +106,10 @@ pub fn stats_to_json(stats: &Stats) -> Json {
         ("sleep_pruned", Json::num(stats.sleep_pruned)),
         ("sampled", Json::num(stats.sampled)),
         ("executions_pruned", Json::num(stats.executions_pruned)),
-        ("rf_classes", Json::Arr(classes)),
+        ("rf_classes", Json::Str(classes)),
         ("peak_depth", Json::num(stats.peak_depth)),
         ("elapsed_ns", Json::Num(stats.elapsed.as_nanos() as i128)),
-        ("stop", Json::str(stop_label(stats.stop))),
+        ("stop", Json::str(stats.stop.label())),
         ("bugs", Json::Arr(bugs)),
         ("shards", Json::Arr(shards)),
     ])
@@ -157,15 +134,27 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
         executions_pruned: num("executions_pruned")?,
         ..Stats::default()
     };
-    for c in v
+    let classes = v
         .get("rf_classes")
-        .and_then(Json::as_arr)
-        .ok_or("stats missing rf_classes")?
-    {
-        stats
-            .rf_classes
-            .insert(c.as_u64().ok_or("non-integer rf class")?);
+        .and_then(Json::as_str)
+        .ok_or("stats missing rf_classes")?;
+    if classes.len() % 16 != 0 {
+        return Err("rf_classes is not a run of 16-digit classes".into());
     }
+    stats.rf_classes = classes
+        .as_bytes()
+        .chunks(16)
+        .map(|digits| {
+            let (class, flags) = digits.iter().fold((0u64, 0u8), |(n, flags), &d| {
+                let v = HEX_VALUE[usize::from(d)];
+                (n << 4 | u64::from(v & 0xF), flags | v)
+            });
+            // A non-digit's value of 16 leaves its mark in `flags`.
+            (flags & 16 == 0)
+                .then_some(class)
+                .ok_or("bad rf class digit")
+        })
+        .collect::<Result<_, _>>()?;
     let ns = v
         .get("elapsed_ns")
         .and_then(Json::as_num)
@@ -175,7 +164,7 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
     stats.stop = v
         .get("stop")
         .and_then(Json::as_str)
-        .and_then(stop_from_label)
+        .and_then(StopReason::from_label)
         .ok_or("stats missing/unknown stop")?;
     for b in v
         .get("bugs")
@@ -185,7 +174,7 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
         let category = b
             .get("category")
             .and_then(Json::as_str)
-            .and_then(category_from_label)
+            .and_then(BugCategory::from_label)
             .ok_or("bug missing/unknown category")?;
         let message = b
             .get("message")
@@ -474,6 +463,22 @@ mod tests {
             let err = stats_from_json(&json).unwrap_err();
             assert!(err.contains(field), "{err}");
         }
+        let with_classes = |classes: &str| match stats_to_json(&sample_stats()) {
+            Json::Obj(mut pairs) => {
+                for (k, v) in &mut pairs {
+                    if k == "rf_classes" {
+                        *v = Json::str(classes);
+                    }
+                }
+                stats_from_json(&Json::Obj(pairs))
+            }
+            _ => unreachable!(),
+        };
+        assert!(with_classes("").is_ok());
+        assert!(with_classes("0123456789abcdef").is_ok());
+        for bad in ["0123456789abcde", "0123456789abcdeF", "0123456789abcdeg"] {
+            assert!(with_classes(bad).is_err(), "{bad}");
+        }
         for field in ["rf_prune", "debug_audit"] {
             let json = without(config_to_json(&Config::default()), field);
             let err = config_from_json(&json).unwrap_err();
@@ -490,9 +495,8 @@ mod tests {
             StopReason::Deadline,
             StopReason::Errored,
         ] {
-            assert_eq!(stop_from_label(stop_label(stop)), Some(stop));
-            // Mirrors the checkpoint format's Display spelling.
-            assert_eq!(stop_label(stop), stop.to_string());
+            assert_eq!(StopReason::from_label(stop.label()), Some(stop));
+            assert_eq!(stop.label(), stop.to_string());
         }
         for cat in [
             BugCategory::BuiltIn,
@@ -500,7 +504,7 @@ mod tests {
             BugCategory::Assertion,
             BugCategory::Internal,
         ] {
-            assert_eq!(category_from_label(category_label(cat)), Some(cat));
+            assert_eq!(BugCategory::from_label(cat.label()), Some(cat));
         }
     }
 

@@ -405,9 +405,9 @@ where
 }
 
 /// Resume an interrupted exploration from `checkpoint` (see
-/// [`Stats::checkpoint`] / [`Checkpoint::from_text`]): statistics continue
-/// accumulating on top of the checkpointed counts, previously reported
-/// bugs stay deduplicated, and DFS restarts at the checkpointed frontier
+/// [`Stats::checkpoint`]): statistics continue accumulating on top of
+/// the checkpointed counts, previously reported bugs stay deduplicated,
+/// and DFS restarts at the checkpointed frontier
 /// — every frontier shard of it, when the checkpoint came from an
 /// interrupted parallel run.
 ///

@@ -268,14 +268,7 @@ fn merge_results(
     for r in results {
         match r {
             Ok((stats, rem)) => {
-                merged.executions += stats.executions;
-                merged.feasible += stats.feasible;
-                merged.diverged += stats.diverged;
-                merged.sleep_pruned += stats.sleep_pruned;
-                merged.sampled += stats.sampled;
-                merged.executions_pruned += stats.executions_pruned;
-                merged.rf_classes.extend(stats.rf_classes);
-                merged.peak_depth = merged.peak_depth.max(stats.peak_depth);
+                merged.add_counters(&stats);
                 merged.stop = merged.stop.worst(stats.stop);
                 for b in stats.bugs {
                     if seen.insert(b.bug.to_string()) {

@@ -1,7 +1,6 @@
 //! Exploration outcomes: bug kinds, found-bug records, aggregate stats,
-//! stop reasons, and serializable checkpoints for resumable campaigns.
+//! stop reasons, and in-memory checkpoints for resumable explorations.
 
-use crate::explore::TREE_VERSION;
 use cdsspec_c11::{DataId, LocId, Tid};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -179,7 +178,9 @@ pub enum BugCategory {
 }
 
 impl BugCategory {
-    fn label(&self) -> &'static str {
+    /// Stable lower-case name of the category, as resume files and the
+    /// campaign wire spell it.
+    pub fn label(&self) -> &'static str {
         match self {
             BugCategory::BuiltIn => "builtin",
             BugCategory::Admissibility => "admissibility",
@@ -188,7 +189,8 @@ impl BugCategory {
         }
     }
 
-    fn from_label(s: &str) -> Option<Self> {
+    /// Inverse of [`BugCategory::label`].
+    pub fn from_label(s: &str) -> Option<Self> {
         Some(match s {
             "builtin" => BugCategory::BuiltIn,
             "admissibility" => BugCategory::Admissibility,
@@ -258,7 +260,8 @@ impl StopReason {
         }
     }
 
-    fn label(&self) -> &'static str {
+    /// Stable name of the reason; also its `Display` form.
+    pub fn label(&self) -> &'static str {
         match self {
             StopReason::Exhausted => "exhausted",
             StopReason::FirstBug => "first-bug",
@@ -268,7 +271,8 @@ impl StopReason {
         }
     }
 
-    fn from_label(s: &str) -> Option<Self> {
+    /// Inverse of [`StopReason::label`].
+    pub fn from_label(s: &str) -> Option<Self> {
         Some(match s {
             "exhausted" => StopReason::Exhausted,
             "first-bug" => StopReason::FirstBug,
@@ -431,11 +435,11 @@ impl Stats {
         })
     }
 
-    /// Merge another run's statistics into this one (used when a
-    /// benchmark's standard check is a *suite* of unit tests, as the
-    /// paper's §6.4 corner-case tests are). Keeps the worst stop reason
-    /// and the other run's frontier, if any.
-    pub fn merge(&mut self, other: Stats) {
+    /// Fold another run's counters into these: the execution counters
+    /// sum, the rf-class sets union and `peak_depth` keeps the maximum.
+    /// Elapsed time, stop reason, bugs and frontier are left to the
+    /// caller, because every merge has its own rule for them.
+    pub fn add_counters(&mut self, other: &Stats) {
         self.executions += other.executions;
         self.feasible += other.feasible;
         self.diverged += other.diverged;
@@ -444,6 +448,14 @@ impl Stats {
         self.executions_pruned += other.executions_pruned;
         self.rf_classes.extend(other.rf_classes.iter().copied());
         self.peak_depth = self.peak_depth.max(other.peak_depth);
+    }
+
+    /// Merge another run's statistics into this one (used when a
+    /// benchmark's standard check is a *suite* of unit tests, as the
+    /// paper's §6.4 corner-case tests are). Keeps the worst stop reason
+    /// and the other run's frontier, if any.
+    pub fn merge(&mut self, other: Stats) {
+        self.add_counters(&other);
         self.elapsed += other.elapsed;
         self.stop = self.stop.worst(other.stop);
         if other.frontier.is_some() {
@@ -511,24 +523,31 @@ impl Stats {
 /// shards partition the unexplored remainder, so the same identity holds
 /// at any worker count.
 ///
-/// Checkpoints survive process restarts through a line-oriented text
-/// form:
+/// Resuming happens in memory, through [`crate::explore_from`]. Across
+/// process restarts the checkpoint's [`Stats`] travel as a campaign
+/// journal record (see `ARCHITECTURE.md`, *Resume files are journals*).
 ///
 /// ```
-/// use cdsspec_mc::{Checkpoint, ShardSpec};
+/// use cdsspec_mc as mc;
+/// use mc::MemOrd::Relaxed;
 ///
-/// let mut ckpt = Checkpoint::root();
-/// ckpt.script = vec![0, 2, 1];
-/// ckpt.stats.executions = 7;
-/// let back = Checkpoint::from_text(&ckpt.to_text()).unwrap();
-/// assert_eq!(back.script, vec![0, 2, 1]);
-/// assert_eq!(back.stats.executions, 7);
-/// // A single-script checkpoint parses back as one floor-0 shard — the
-/// // degenerate partition a sequential cut leaves behind.
+/// fn test() {
+///     let x = mc::Atomic::new(0i32);
+///     let t = mc::thread::spawn(move || x.store(1, Relaxed));
+///     let _ = x.load(Relaxed);
+///     t.join();
+/// }
+///
+/// let seq = mc::Config { workers: 1, ..mc::Config::default() };
+/// let cut = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
+/// let ckpt = cut.checkpoint().expect("the cap leaves a frontier");
+/// // A sequential cut leaves one floor-0 shard rooted at the script.
 /// assert_eq!(
-///     back.stats.frontier_shards(),
-///     vec![ShardSpec { floor: 0, script: vec![0, 2, 1] }],
+///     ckpt.stats.frontier_shards(),
+///     vec![mc::ShardSpec::from_script(ckpt.script.clone())],
 /// );
+/// let resumed = mc::explore_from(seq.clone(), ckpt, test);
+/// assert_eq!(resumed.executions, mc::explore(seq, test).executions);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Checkpoint {
@@ -544,236 +563,6 @@ impl Checkpoint {
     pub fn root() -> Self {
         Checkpoint::default()
     }
-
-    /// Serialize to a line-oriented text format (see [`Checkpoint::from_text`]),
-    /// with one `shard <floor> <script>` line per frontier shard.
-    pub fn to_text(&self) -> String {
-        let mut out = tree_header(CHECKPOINT_FORMAT);
-        out.push('\n');
-        let render = |script: &[usize]| {
-            if script.is_empty() {
-                "-".to_string()
-            } else {
-                script
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            }
-        };
-        out.push_str(&format!("script {}\n", render(&self.script)));
-        for s in &self.stats.frontier_shards() {
-            out.push_str(&format!("shard {} {}\n", s.floor, render(&s.script)));
-        }
-        out.push_str(&format!(
-            "counts {} {} {} {} {}\n",
-            self.stats.executions,
-            self.stats.feasible,
-            self.stats.diverged,
-            self.stats.sleep_pruned,
-            self.stats.sampled
-        ));
-        out.push_str(&format!("elapsed_ns {}\n", self.stats.elapsed.as_nanos()));
-        if self.stats.peak_depth != 0 {
-            out.push_str(&format!("peak_depth {}\n", self.stats.peak_depth));
-        }
-        // Lines for counters that are zero or empty are omitted.
-        if self.stats.executions_pruned != 0 {
-            out.push_str(&format!(
-                "executions_pruned {}\n",
-                self.stats.executions_pruned
-            ));
-        }
-        if !self.stats.rf_classes.is_empty() {
-            let classes = self
-                .stats
-                .rf_classes
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!("rf_classes {classes}\n"));
-        }
-        out.push_str(&format!("stop {}\n", self.stats.stop));
-        for b in &self.stats.bugs {
-            out.push_str(&format!(
-                "bug {} {} {}\n",
-                b.bug.category().label(),
-                b.execution,
-                escape(&b.bug.to_string())
-            ));
-        }
-        out.push_str("end\n");
-        out
-    }
-
-    /// Parse the format produced by [`Checkpoint::to_text`]. Bugs come
-    /// back as [`Bug::Restored`] (category + message only). Returns a
-    /// human-readable error for malformed input, or for a checkpoint cut
-    /// from another exploration tree.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        check_tree_header(CHECKPOINT_FORMAT, lines.next())?;
-        let parse_script = |s: &str| -> Result<Vec<usize>, String> {
-            if s == "-" {
-                return Ok(Vec::new());
-            }
-            s.split(',')
-                .map(|c| {
-                    c.parse()
-                        .map_err(|e| format!("bad script entry {c:?}: {e}"))
-                })
-                .collect()
-        };
-        let mut ck = Checkpoint::root();
-        let mut saw_end = false;
-        for line in lines {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match key {
-                "script" => {
-                    ck.script = parse_script(rest)?;
-                }
-                "shard" => {
-                    let (floor, script) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| format!("malformed shard line {rest:?}"))?;
-                    let floor: usize = floor
-                        .parse()
-                        .map_err(|e| format!("bad shard floor {floor:?}: {e}"))?;
-                    ck.stats.shard_frontiers.push(ShardSpec {
-                        floor,
-                        script: parse_script(script)?,
-                    });
-                }
-                "counts" => {
-                    let nums: Vec<u64> = rest
-                        .split_whitespace()
-                        .map(|c| c.parse().map_err(|e| format!("bad count {c:?}: {e}")))
-                        .collect::<Result<_, _>>()?;
-                    if nums.len() != 5 {
-                        return Err(format!("expected 5 counters, got {}", nums.len()));
-                    }
-                    ck.stats.executions = nums[0];
-                    ck.stats.feasible = nums[1];
-                    ck.stats.diverged = nums[2];
-                    ck.stats.sleep_pruned = nums[3];
-                    ck.stats.sampled = nums[4];
-                }
-                "elapsed_ns" => {
-                    let ns: u128 = rest
-                        .parse()
-                        .map_err(|e| format!("bad elapsed_ns {rest:?}: {e}"))?;
-                    ck.stats.elapsed = Duration::from_nanos(ns.min(u64::MAX as u128) as u64);
-                }
-                "peak_depth" => {
-                    ck.stats.peak_depth = rest
-                        .parse()
-                        .map_err(|e| format!("bad peak_depth {rest:?}: {e}"))?;
-                }
-                "executions_pruned" => {
-                    ck.stats.executions_pruned = rest
-                        .parse()
-                        .map_err(|e| format!("bad executions_pruned {rest:?}: {e}"))?;
-                }
-                "rf_classes" => {
-                    ck.stats.rf_classes = rest
-                        .split(',')
-                        .filter(|c| !c.is_empty())
-                        .map(|c| c.parse().map_err(|e| format!("bad rf class {c:?}: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "stop" => {
-                    ck.stats.stop = StopReason::from_label(rest)
-                        .ok_or_else(|| format!("unknown stop reason {rest:?}"))?;
-                }
-                "bug" => {
-                    let mut parts = rest.splitn(3, ' ');
-                    let cat = parts
-                        .next()
-                        .and_then(BugCategory::from_label)
-                        .ok_or_else(|| format!("bad bug category in {rest:?}"))?;
-                    let execution: u64 = parts
-                        .next()
-                        .and_then(|e| e.parse().ok())
-                        .ok_or_else(|| format!("bad bug execution in {rest:?}"))?;
-                    let message = unescape(parts.next().unwrap_or(""));
-                    ck.stats.bugs.push(FoundBug {
-                        bug: Bug::Restored {
-                            category: cat,
-                            message,
-                        },
-                        execution,
-                        trace: String::new(),
-                        worker: 0,
-                        shard: Vec::new(),
-                    });
-                }
-                "end" => {
-                    saw_end = true;
-                    break;
-                }
-                other => return Err(format!("unknown checkpoint line {other:?}")),
-            }
-        }
-        if !saw_end {
-            return Err("truncated checkpoint (missing end line)".into());
-        }
-        // A checkpointed run by definition has unexplored work, so the
-        // frontier is the script itself. Without `shard` lines it is the
-        // single floor-0 shard rooted at that script.
-        ck.stats.frontier = Some(ck.script.clone());
-        if ck.stats.shard_frontiers.is_empty() {
-            ck.stats.shard_frontiers = vec![ShardSpec::from_script(ck.script.clone())];
-        }
-        Ok(ck)
-    }
-}
-
-/// Format name and version of [`Checkpoint::to_text`].
-const CHECKPOINT_FORMAT: &str = "cdsspec-checkpoint v3";
-
-/// The header line of a resume file in `format`, stamped with the
-/// [`TREE_VERSION`] it was cut from: a choice script, and the counters
-/// gathered along it, mean something only on the tree that made them.
-pub fn tree_header(format: &str) -> String {
-    format!("{format} tree {TREE_VERSION}")
-}
-
-/// Check that `line` is this build's [`tree_header`] for `format`.
-pub fn check_tree_header(format: &str, line: Option<&str>) -> Result<(), String> {
-    let line = line.unwrap_or_default();
-    match line
-        .strip_prefix(format)
-        .and_then(|v| v.strip_prefix(" tree "))
-    {
-        Some(v) if v == TREE_VERSION.to_string() => Ok(()),
-        Some(v) => Err(format!(
-            "{format} file from exploration tree version {v}, but this build \
-             explores tree version {TREE_VERSION}"
-        )),
-        None => Err(format!("not a {format} file (header {line:?})")),
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -919,137 +708,5 @@ mod tests {
         assert_eq!(prior.executions, 17);
         assert_eq!(prior.stop, StopReason::Exhausted);
         assert_eq!(prior.frontier, None);
-    }
-
-    #[test]
-    fn checkpoint_round_trips() {
-        let stats = Stats {
-            executions: 42,
-            feasible: 30,
-            diverged: 7,
-            sleep_pruned: 5,
-            sampled: 3,
-            executions_pruned: 6,
-            rf_classes: [4u64, u64::MAX - 3].into_iter().collect(),
-            peak_depth: 9,
-            elapsed: Duration::from_millis(1234),
-            stop: StopReason::Deadline,
-            frontier: Some(vec![0, 2, 1]),
-            bugs: vec![FoundBug {
-                bug: Bug::UserPanic {
-                    tid: Tid(2),
-                    message: "boom\nwith newline".into(),
-                },
-                execution: 17,
-                trace: "irrelevant".into(),
-                worker: 0,
-                shard: Vec::new(),
-            }],
-            ..Stats::default()
-        };
-        let ck = stats.checkpoint().expect("has frontier");
-        let text = ck.to_text();
-        let back = Checkpoint::from_text(&text).expect("parses");
-        assert_eq!(back.script, vec![0, 2, 1]);
-        assert_eq!(back.stats.executions, 42);
-        assert_eq!(back.stats.feasible, 30);
-        assert_eq!(back.stats.diverged, 7);
-        assert_eq!(back.stats.sleep_pruned, 5);
-        assert_eq!(back.stats.sampled, 3);
-        assert_eq!(back.stats.executions_pruned, 6);
-        assert_eq!(back.stats.rf_classes, stats.rf_classes);
-        assert_eq!(back.stats.peak_depth, 9);
-        // Elapsed must round-trip exactly: resumed throughput summaries
-        // divide by accumulated *active* time, so a checkpoint that
-        // dropped or re-derived it would fold suspension gaps into the
-        // reported exec/s rate.
-        assert_eq!(back.stats.elapsed, stats.elapsed);
-        assert_eq!(back.stats.stop, StopReason::Deadline);
-        assert_eq!(back.stats.bugs.len(), 1);
-        // The restored bug renders identically, so dedup on resume works.
-        assert_eq!(
-            back.stats.bugs[0].bug.to_string(),
-            stats.bugs[0].bug.to_string()
-        );
-        assert_eq!(back.stats.bugs[0].bug.category(), BugCategory::BuiltIn);
-        assert_eq!(back.stats.bugs[0].execution, 17);
-    }
-
-    #[test]
-    fn checkpoint_rejects_garbage() {
-        assert!(Checkpoint::from_text("").is_err());
-        assert!(Checkpoint::from_text("not a checkpoint\nend\n").is_err());
-        let header = tree_header(CHECKPOINT_FORMAT);
-        assert!(Checkpoint::from_text(&format!("{header}\nscript 0,1\n")).is_err());
-        assert!(Checkpoint::from_text(&format!("{header}\nstop nonsense\nend\n")).is_err());
-    }
-
-    /// A choice script is meaningless on another tree: a checkpoint cut
-    /// from one, or from a build that predates tree stamps, is refused.
-    #[test]
-    fn checkpoint_from_another_tree_is_rejected() {
-        let text = Checkpoint::root().to_text();
-        let other = TREE_VERSION + 1;
-        let moved = text.replacen(
-            &format!("tree {TREE_VERSION}\n"),
-            &format!("tree {other}\n"),
-            1,
-        );
-        let err = Checkpoint::from_text(&moved).unwrap_err();
-        assert!(
-            err.contains(&format!("tree version {other}"))
-                && err.contains(&format!("tree version {TREE_VERSION}")),
-            "{err}"
-        );
-        let unstamped = "cdsspec-checkpoint v1\nscript -\nstop deadline\nend\n";
-        assert!(Checkpoint::from_text(unstamped).is_err());
-    }
-
-    #[test]
-    fn empty_script_round_trips() {
-        let ck = Checkpoint::root();
-        let back = Checkpoint::from_text(&ck.to_text()).unwrap();
-        assert!(back.script.is_empty());
-    }
-
-    #[test]
-    fn multi_shard_checkpoint_round_trips() {
-        let mut stats = Stats {
-            executions: 9,
-            stop: StopReason::Deadline,
-            ..Stats::default()
-        };
-        let shards = vec![
-            ShardSpec {
-                floor: 2,
-                script: vec![0, 1, 3],
-            },
-            ShardSpec {
-                floor: 1,
-                script: vec![2],
-            },
-            ShardSpec {
-                floor: 0,
-                script: vec![],
-            },
-        ];
-        stats.set_frontier_shards(shards.clone());
-        let ck = stats.checkpoint().expect("has frontier");
-        let back = Checkpoint::from_text(&ck.to_text()).expect("parses");
-        assert_eq!(back.stats.shard_frontiers, shards);
-        assert_eq!(back.script, vec![0, 1, 3]);
-        assert_eq!(back.stats.frontier, Some(vec![0, 1, 3]));
-    }
-
-    #[test]
-    fn raised_floor_round_trips() {
-        let mut stats = Stats::default();
-        stats.set_frontier_shards(vec![ShardSpec {
-            floor: 1,
-            script: vec![0, 2],
-        }]);
-        let text = stats.checkpoint().unwrap().to_text();
-        let back = Checkpoint::from_text(&text).unwrap();
-        assert_eq!(back.stats.shard_frontiers[0].floor, 1);
     }
 }

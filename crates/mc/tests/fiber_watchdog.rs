@@ -12,6 +12,11 @@
 //! recursion must produce a deterministic report under both hosts. The
 //! fiber/pool *equivalence* of these paths is pinned separately in
 //! `fiber_equivalence.rs`.
+//!
+//! The fiber-stack overflow tests pin `fiber_hosting: true`. Under
+//! `CDSSPEC_FIBER_HOSTING=0` the default host is the OS-thread pool, where
+//! the same overflow aborts the whole process; that path is covered by
+//! `os_host_stack_overflow_aborts_cleanly` in a subprocess.
 
 use std::time::Duration;
 
@@ -113,11 +118,17 @@ fn deep(n: u64) -> u64 {
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn fiber_stack_overflow_reports_cleanly() {
-    let stats = mc::explore(watchdog_config(30_000), || {
-        let a = Atomic::new(0i64);
-        a.store(1, Relaxed);
-        std::hint::black_box(deep(u64::MAX));
-    });
+    let stats = mc::explore(
+        Config {
+            fiber_hosting: true,
+            ..watchdog_config(30_000)
+        },
+        || {
+            let a = Atomic::new(0i64);
+            a.store(1, Relaxed);
+            std::hint::black_box(deep(u64::MAX));
+        },
+    );
     assert!(stats.buggy(), "overflow not detected");
     let rendered: Vec<String> = stats.bugs.iter().map(|f| f.bug.to_string()).collect();
     assert!(
@@ -138,6 +149,7 @@ fn fiber_stack_overflow_reports_cleanly() {
 fn pooled_stack_still_reports_overflow() {
     let config = Config {
         workers: 1,
+        fiber_hosting: true,
         ..watchdog_config(30_000)
     };
     let clean = mc::explore(config.clone(), || {
@@ -182,10 +194,14 @@ fn fiber_stack_config_sizes_the_guarded_stacks() {
         a.store(1, Relaxed);
         std::hint::black_box(deep(40));
     };
+    let fibers = Config {
+        fiber_hosting: true,
+        ..watchdog_config(30_000)
+    };
     let small = mc::explore(
         Config {
             fiber_stack: 64 << 10,
-            ..watchdog_config(30_000)
+            ..fibers.clone()
         },
         body,
     );
@@ -196,7 +212,7 @@ fn fiber_stack_config_sizes_the_guarded_stacks() {
         "{rendered:?}"
     );
 
-    let roomy = mc::explore(watchdog_config(30_000), body);
+    let roomy = mc::explore(fibers, body);
     assert!(
         !roomy.buggy(),
         "default stack must fit the same recursion: {:?}",

@@ -299,33 +299,6 @@ fn deadline_truncated_parallel_run_resumes_to_exact_total() {
     }
 }
 
-/// A parallel checkpoint serialized to text (v2: one line per shard) and
-/// parsed back must resume to the same exact totals.
-#[test]
-fn parallel_checkpoint_round_trips_through_text() {
-    let seq = mc::explore(seq_config(), three_thread_mix);
-    let cut = mc::explore(
-        Config {
-            workers: 4,
-            max_executions: 9,
-            ..seq_config()
-        },
-        three_thread_mix,
-    );
-    if cut.stop == mc::StopReason::Exhausted {
-        return; // tiny machine finished under the cap; nothing to check
-    }
-    let text = cut.checkpoint().unwrap().to_text();
-    let back = mc::Checkpoint::from_text(&text).expect("parses");
-    assert_eq!(
-        back.stats.shard_frontiers, cut.shard_frontiers,
-        "shards must survive the text round trip"
-    );
-    let resumed = mc::explore_from(seq_config(), back, three_thread_mix);
-    assert_eq!(resumed.executions, seq.executions);
-    assert_eq!(resumed.feasible, seq.feasible);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 

@@ -220,7 +220,7 @@ fn watchdog_aborts_wedged_thread() {
 
 /// Deadline expiry stops between executions with a resumable frontier,
 /// and resuming reproduces the straight-through run's aggregate counts
-/// exactly — including through the text serialization round trip.
+/// exactly.
 #[test]
 fn deadline_expiry_reports_and_resumes() {
     let full = mc::explore(Config::default(), branchy_workload);
@@ -240,10 +240,6 @@ fn deadline_expiry_reports_and_resumes() {
     assert_eq!(cut.stop, mc::StopReason::Deadline);
     assert!(cut.executions < full.executions);
     let ckpt = cut.checkpoint().expect("deadline leaves a frontier");
-
-    // Round-trip the checkpoint through its text form, as the bench
-    // binaries do across process restarts.
-    let ckpt = mc::Checkpoint::from_text(&ckpt.to_text()).expect("serializable");
 
     let resumed = mc::explore_from(Config::default(), ckpt, branchy_workload);
     assert_eq!(resumed.stop, mc::StopReason::Exhausted);
@@ -303,16 +299,14 @@ fn resume_elapsed_excludes_suspension_gap() {
         },
         branchy_workload,
     );
-    let ckpt = cut.checkpoint().expect("capped run leaves a frontier");
-    // Round-trip through the text form, as the harness binaries do, and
-    // simulate a long suspension by aging the stored active time: the
-    // resumed total must sit just above it, proving the engine adds only
-    // its own active time on top of what the checkpoint recorded.
-    let mut ckpt = mc::Checkpoint::from_text(&ckpt.to_text()).expect("serializable");
+    let mut ckpt = cut.checkpoint().expect("capped run leaves a frontier");
     assert_eq!(
         ckpt.stats.elapsed, cut.elapsed,
-        "elapsed survives the text form"
+        "the checkpoint keeps elapsed"
     );
+    // Simulate a long suspension by aging the stored active time: the
+    // resumed total must sit just above it, proving the engine adds only
+    // its own active time on top of what the checkpoint recorded.
     let hour = Duration::from_secs(3600);
     ckpt.stats.elapsed = hour;
     let resumed = mc::explore_from(Config::default(), ckpt, branchy_workload);
