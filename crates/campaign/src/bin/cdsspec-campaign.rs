@@ -103,10 +103,7 @@ fn run(args: Vec<String>) -> i32 {
                     Some(value!().split(',').map(|s| s.trim().to_string()).collect());
             }
             "--workers" => opts.sup.workers = parse!(usize),
-            "--worker-threads" => {
-                opts.worker_threads = parse!(usize);
-                opts.sup.worker_threads = opts.worker_threads;
-            }
+            "--worker-threads" => opts.sup.worker_threads = parse!(usize),
             "--split" => opts.split = parse!(u64),
             "--max-executions" => opts.max_executions = parse!(u64),
             "--stable" => opts.stable = true,

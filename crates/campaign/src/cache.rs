@@ -9,21 +9,33 @@
 //! (the hash moves, the old file is simply never looked up again).
 //!
 //! Entries are single files written atomically (temp + fsync + rename)
-//! containing a CRC-guarded JSON encoding of the merged [`Stats`]. A
-//! corrupt entry — bad header, bad CRC, undecodable payload — is treated
-//! as a miss and deleted, never an error: the cache is an accelerator,
-//! not a source of truth.
+//! holding one [`crate::frame`] frame of the merged [`Stats`] as JSON.
+//! The entry stays a text file: the magic line, then the frame's
+//! 8-byte header as 16 hex digits, then the payload on a line of its
+//! own (the JSON encoder never emits a newline):
+//!
+//! ```text
+//! cdsspec-result v2
+//! <len: u32 LE><crc32: u32 LE>   (hex)
+//! <payload>
+//! ```
+//!
+//! A corrupt entry — bad magic, bad header, a length or CRC that does
+//! not match the payload line, undecodable stats — is treated as a miss
+//! and deleted, never an error: the cache is an accelerator, not a
+//! source of truth. Entries of the older `v1` layout are misses too.
 
 use crate::error::ParseError;
+use crate::frame::{frame_header, verify_frame, HEADER_LEN};
 use crate::fsio::write_atomic;
-use crate::hash::{crc32, fnv1a64};
+use crate::hash::fnv1a64;
 use crate::json::Json;
 use crate::wire::{stats_from_json, stats_to_json};
 use cdsspec_mc::Stats;
 use std::path::{Path, PathBuf};
 
 /// First line of every cache entry file.
-const ENTRY_MAGIC: &str = "cdsspec-result v1";
+const ENTRY_MAGIC: &str = "cdsspec-result v2";
 
 /// Identity of one cached result.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,25 +103,28 @@ impl ResultCache {
     /// never a torn file.
     pub fn store(&self, key: &CacheKey, stats: &Stats) -> Result<(), ParseError> {
         let payload = stats_to_json(stats).encode();
-        let text = format!(
-            "{ENTRY_MAGIC}\n{:08x}\n{payload}\n",
-            crc32(payload.as_bytes())
-        );
+        let header: String = frame_header(payload.as_bytes())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let text = format!("{ENTRY_MAGIC}\n{header}\n{payload}\n");
         let path = self.entry_path(key);
         write_atomic(&path, text.as_bytes()).map_err(|error| ParseError::Io { path, error })
     }
 }
 
 fn parse_entry(text: &str) -> Option<Stats> {
-    let mut lines = text.lines();
-    if lines.next()? != ENTRY_MAGIC {
+    let rest = text.strip_prefix(ENTRY_MAGIC)?.strip_prefix('\n')?;
+    let (hex, payload) = rest.split_once('\n')?;
+    let payload = payload.strip_suffix('\n')?;
+    if hex.len() != 2 * HEADER_LEN {
         return None;
     }
-    let crc = u32::from_str_radix(lines.next()?, 16).ok()?;
-    let payload = lines.next()?;
-    if lines.next().is_some() || crc32(payload.as_bytes()) != crc {
-        return None;
+    let mut header = [0u8; HEADER_LEN];
+    for (i, byte) in header.iter_mut().enumerate() {
+        *byte = u8::from_str_radix(hex.get(2 * i..2 * i + 2)?, 16).ok()?;
     }
+    verify_frame(&header, payload.as_bytes()).ok()?;
     stats_from_json(&Json::parse(payload).ok()?).ok()
 }
 
@@ -188,6 +203,17 @@ mod tests {
         // And a fresh store works again.
         cache.store(&key(), &Stats::default()).unwrap();
         assert!(cache.lookup(&key()).is_some());
+    }
+
+    #[test]
+    fn older_layout_is_a_miss_and_removed() {
+        let cache = temp_cache("v1");
+        let payload = stats_to_json(&Stats::default()).encode();
+        let crc = crate::hash::crc32(payload.as_bytes());
+        let path = cache.entry_path(&key());
+        std::fs::write(&path, format!("cdsspec-result v1\n{crc:08x}\n{payload}\n")).unwrap();
+        assert!(cache.lookup(&key()).is_none());
+        assert!(!path.exists());
     }
 
     #[test]

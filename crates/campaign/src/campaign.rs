@@ -27,8 +27,10 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::journal::Journal;
 use crate::json::Json;
 use crate::lease::{Outcome, TaskSpec, TaskTable};
+use crate::proto::FromWorker;
 use crate::supervisor::{SlotStats, Supervisor, SupervisorOpts, SupervisorStats, Transport};
 use crate::wire::{config_hash, spec_hash, stats_from_json, stats_to_json, task_key};
+use crate::worker::{execute_run, WorkerOpts};
 use crate::{EXIT_BUG, EXIT_CLEAN, EXIT_RESUMABLE};
 use cdsspec_mc::{Config, ShardSpec, Stats, StopReason};
 use cdsspec_structures::registry::{benchmarks, Benchmark};
@@ -53,8 +55,6 @@ pub struct CampaignOpts {
     /// Run tasks in this process instead of worker subprocesses (the
     /// fault-free baseline chaos runs are diffed against).
     pub in_process: bool,
-    /// Explorer threads per task.
-    pub worker_threads: usize,
     /// Journal path (`None` = no journal).
     pub journal: Option<PathBuf>,
     /// Result-cache directory (`None` = no cache).
@@ -67,7 +67,8 @@ pub struct CampaignOpts {
     /// Part of the campaign identity: it changes results, so it is folded
     /// into the config hash the journal header and cache key use.
     pub weaken: Vec<usize>,
-    /// Subprocess pool settings (ignored with `in_process`).
+    /// Worker pool settings. With `in_process` only `worker_threads`
+    /// applies: tasks run here with that many explorer threads each.
     pub sup: SupervisorOpts,
 }
 
@@ -79,7 +80,6 @@ impl Default for CampaignOpts {
             max_executions: 1_000_000,
             stable: false,
             in_process: false,
-            worker_threads: 1,
             journal: None,
             cache_dir: None,
             halt_after: None,
@@ -596,39 +596,42 @@ fn run_tasks(
             });
             table.outcomes()
         }
-        None => specs
-            .into_iter()
-            .zip(keys)
-            .map(|(spec, key)| {
-                if let Some(stats) = replay.tasks.get(&key) {
-                    return Outcome::Done(stats.clone());
-                }
-                let all = benchmarks();
-                let bench = all
-                    .iter()
-                    .find(|b| b.name == spec.bench)
-                    .expect("benchmark validated earlier");
-                let mut config = base_config.clone();
-                config.max_executions = spec.max_executions;
-                config.workers = opts.worker_threads.max(1);
-                config.resume_script = None;
-                config.resume_shards = Some(vec![spec.shard]);
-                let mut ords = bench.default_ords();
-                for &s in &opts.weaken {
-                    ords.weaken(s);
-                }
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    (bench.check)(config, ords)
-                }));
-                match result {
-                    Ok(stats) => {
-                        journal_task(journal, &key, &stats);
-                        Outcome::Done(stats)
+        None => {
+            // The same task executor a worker runs, minus the fault
+            // injection that only makes sense across a process boundary.
+            let worker = WorkerOpts {
+                heartbeat: opts.sup.heartbeat,
+                worker_threads: opts.sup.worker_threads,
+                poison: None,
+            };
+            specs
+                .into_iter()
+                .zip(keys)
+                .enumerate()
+                .map(|(id, (spec, key))| {
+                    if let Some(stats) = replay.tasks.get(&key) {
+                        return Outcome::Done(stats.clone());
                     }
-                    Err(_) => Outcome::Quarantined { attempts: 1 },
-                }
-            })
-            .collect(),
+                    let mut config = base_config.clone();
+                    config.max_executions = spec.max_executions;
+                    let reply = execute_run(
+                        id as u64,
+                        spec.bench,
+                        spec.shard,
+                        config,
+                        &opts.weaken,
+                        &worker,
+                    );
+                    match reply {
+                        FromWorker::Result { stats, .. } => {
+                            journal_task(journal, &key, &stats);
+                            Outcome::Done(stats)
+                        }
+                        _ => Outcome::Quarantined { attempts: 1 },
+                    }
+                })
+                .collect()
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! - a **worker registry**: TCP connections that completed the
 //!   [`crate::net::NetHello::Attach`] handshake. Each has a dedicated
-//!   reader thread routing its framed [`crate::proto`] lines to
+//!   reader thread routing its [`crate::proto`] frames to
 //!   whatever supervisor slot the worker is currently wired to; a
 //!   connection that dies while wired surfaces as [`Event::Eof`] and
 //!   the supervisor requeues its lease — byte-for-byte the same
@@ -22,9 +22,9 @@
 //! (the pool is the bottleneck either way).
 
 use crate::campaign::{run_campaign_with, CampaignOpts};
+use crate::frame::{read_frame, write_frame};
 use crate::net::{
-    read_frame, registry_hash, write_frame, CampaignRequest, NetHello, NetReply, StatusReport,
-    WorkerStatus, PROTO_VERSION,
+    registry_hash, CampaignRequest, NetHello, NetReply, StatusReport, WorkerStatus, PROTO_VERSION,
 };
 use crate::proto::ToWorker;
 use crate::supervisor::{Event, Provision, SupervisorOpts, Transport, WorkerLink};
@@ -63,13 +63,13 @@ impl Default for DaemonOpts {
     }
 }
 
-/// Where an attached worker's incoming lines currently go.
+/// Where an attached worker's incoming messages currently go.
 enum Route {
-    /// Attached, not wired to any slot; lines are dropped (a worker
+    /// Attached, not wired to any slot; messages are dropped (a worker
     /// speaks only when spoken to, so there is nothing to drop in
     /// practice beyond a late heartbeat).
     Idle,
-    /// Wired to supervisor slot `slot` at provision `epoch`; lines
+    /// Wired to supervisor slot `slot` at provision `epoch`; messages
     /// forward to the supervisor's event channel.
     Wired {
         slot: usize,
@@ -118,11 +118,11 @@ impl WorkerRegistry {
             let mut reader = stream;
             std::thread::spawn(move || loop {
                 match read_frame(&mut reader) {
-                    Ok(line) => {
+                    Ok(payload) => {
                         let r = route.lock().unwrap_or_else(|p| p.into_inner());
                         match &*r {
                             Route::Wired { slot, epoch, tx } => {
-                                let _ = tx.send(Event::Line(*slot, *epoch, line));
+                                let _ = tx.send(Event::Message(*slot, *epoch, payload));
                             }
                             Route::Idle => {} // late heartbeat; drop
                             Route::Dead => break,

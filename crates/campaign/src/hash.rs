@@ -1,5 +1,5 @@
 //! Hash primitives for the campaign layer: FNV-1a for content addresses
-//! and CRC-32 (IEEE) for journal record framing.
+//! and CRC-32 (IEEE) for the frame codec ([`crate::frame`]).
 //!
 //! Both are implemented locally: the build environment has no crates
 //! registry, and the campaign formats need hashes that are *stable across
@@ -95,8 +95,9 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE) of a byte slice — the checksum guarding every journal
-/// record and cache entry against torn writes and bit rot.
+/// CRC-32 (IEEE) of a byte slice — the checksum in every campaign
+/// frame ([`crate::frame`]), guarding pipe, socket, journal and cache
+/// bytes against torn writes and bit rot.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c: u32 = 0xFFFF_FFFF;

@@ -8,12 +8,13 @@
 //! [len: u32 LE][crc32: u32 LE][payload: len bytes]   (per record)
 //! ```
 //!
-//! The payload is a single-line JSON object (see [`crate::json`]); the
-//! CRC covers the payload bytes. On open, the journal replays every
-//! record, verifying length and checksum; the first frame that is
-//! truncated or fails its CRC — the fingerprint of a crash mid-append —
-//! ends the replay, and the file is **truncated back to the last valid
-//! record** so subsequent appends continue from a clean state. A bad
+//! Records are [`crate::frame`] frames whose payload is a JSON object
+//! (see [`crate::json`]). On open, the journal replays every record; the
+//! first frame that is truncated or fails its checks — the fingerprint
+//! of a crash mid-append — ends the replay, and the file is **truncated
+//! back to the last valid record** so subsequent appends continue from
+//! a clean state. A record over the frame cap is refused at append time,
+//! so it can never be written and then dropped as corruption. A bad
 //! *header* is not recoverable (the file is not ours) and is reported as
 //! a typed error instead.
 //!
@@ -21,20 +22,15 @@
 //! a temp file + rename, for retiring a finished campaign's history.
 
 use crate::error::ParseError;
+use crate::frame::{read_frame, write_frame};
 use crate::fsio::write_atomic;
-use crate::hash::crc32;
 use crate::json::Json;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic first line of every journal file.
 pub const MAGIC: &str = "cdsspec-journal v1\n";
-
-/// Frames larger than this are treated as tail corruption, not records —
-/// no legitimate campaign record approaches it, and honoring a garbage
-/// length prefix would mean a multi-gigabyte allocation.
-const MAX_RECORD: u32 = 64 << 20;
 
 /// What [`Journal::open`] recovered from an existing file.
 #[derive(Debug, Default)]
@@ -94,19 +90,16 @@ impl Journal {
         }
 
         let mut recovery = Recovery::default();
-        let mut pos = MAGIC.len();
-        let mut valid_end = pos;
-        while pos < bytes.len() {
-            let Some(frame) = decode_frame(&bytes[pos..]) else {
-                break; // truncated or corrupted tail
-            };
-            let (payload, frame_len) = frame;
-            let Ok(record) = Json::parse(payload) else {
-                break; // CRC passed but payload is not our JSON: corrupt
+        let mut frames = Cursor::new(&bytes[MAGIC.len()..]);
+        let mut valid_end = MAGIC.len();
+        // A clean end or the first bad frame ends the replay; a frame
+        // whose payload is not our JSON counts as bad too.
+        while let Ok(payload) = read_frame(&mut frames) {
+            let Ok(record) = Json::parse(&payload) else {
+                break;
             };
             recovery.records.push(record);
-            pos += frame_len;
-            valid_end = pos;
+            valid_end = MAGIC.len() + frames.position() as usize;
         }
         if valid_end < bytes.len() {
             recovery.dropped_bytes = (bytes.len() - valid_end) as u64;
@@ -126,17 +119,11 @@ impl Journal {
     /// Append one record and fsync it. When this returns, the record
     /// survives a crash of this process and of the machine.
     pub fn append(&mut self, record: &Json) -> Result<(), ParseError> {
-        let payload = record.encode();
-        let payload = payload.as_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
         let io_err = |error: std::io::Error| ParseError::Io {
             path: self.path.clone(),
             error,
         };
-        self.file.write_all(&frame).map_err(io_err)?;
+        write_frame(&mut self.file, &record.encode()).map_err(io_err)?;
         self.file.sync_data().map_err(io_err)?;
         Ok(())
     }
@@ -150,40 +137,16 @@ impl Journal {
     /// in the same directory, fsync, rename). Used to retire history the
     /// campaign no longer needs.
     pub fn compact(path: &Path, records: &[Json]) -> Result<(), ParseError> {
-        let mut bytes = Vec::from(MAGIC.as_bytes());
-        for record in records {
-            let payload = record.encode();
-            let payload = payload.as_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
-        }
-        write_atomic(path, &bytes).map_err(|error| ParseError::Io {
+        let io_err = |error: std::io::Error| ParseError::Io {
             path: path.to_path_buf(),
             error,
-        })
+        };
+        let mut bytes = Vec::from(MAGIC.as_bytes());
+        for record in records {
+            write_frame(&mut bytes, &record.encode()).map_err(io_err)?;
+        }
+        write_atomic(path, &bytes).map_err(io_err)
     }
-}
-
-/// Decode one `[len][crc][payload]` frame from the front of `bytes`.
-/// Returns the payload text and total frame length, or `None` if the
-/// frame is truncated, oversized, checksum-corrupt, or not UTF-8.
-fn decode_frame(bytes: &[u8]) -> Option<(&str, usize)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len > MAX_RECORD {
-        return None;
-    }
-    let end = 8usize.checked_add(len as usize)?;
-    let payload = bytes.get(8..end)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    let payload = std::str::from_utf8(payload).ok()?;
-    Some((payload, end))
 }
 
 #[cfg(test)]
@@ -269,11 +232,34 @@ mod tests {
             j.append(&rec(1)).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd length
+        bytes.extend_from_slice(&[0xff; 4]); // absurd length
         bytes.extend_from_slice(&[0u8; 12]);
         std::fs::write(&path, &bytes).unwrap();
         let (_, recovery) = Journal::open(&path).unwrap();
         assert_eq!(recovery.records, vec![rec(1)]);
+    }
+
+    #[test]
+    fn oversized_record_is_refused_and_earlier_records_survive() {
+        let path = temp_path("oversized");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path).unwrap();
+        j.append(&rec(1)).unwrap();
+        // `{"pad":"x…x"}` encodes to exactly one byte over the cap.
+        let pad = "x".repeat(crate::frame::MAX_FRAME + 1 - r#"{"pad":""}"#.len());
+        let big = Json::obj(vec![("pad", Json::str(pad))]);
+        assert_eq!(big.encode().len(), crate::frame::MAX_FRAME + 1);
+        match j.append(&big) {
+            Err(ParseError::Io { error, .. }) => {
+                assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput)
+            }
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        j.append(&rec(2)).unwrap();
+        drop(j);
+        let (_, recovery) = Journal::open(&path).unwrap();
+        assert_eq!(recovery.records, vec![rec(1), rec(2)]);
+        assert_eq!(recovery.dropped_bytes, 0);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   deterministic: the same value always serializes to the same bytes
 //!   (required for CRC framing and byte-identity tests).
 //! - The writer emits no insignificant whitespace and escapes every
-//!   control character, so any encoded value is a single line — the
-//!   invariant the newline-delimited worker protocol relies on.
+//!   control character, so any encoded value is a single line. Framing
+//!   does not depend on it ([`crate::frame`] carries a length), but the
+//!   result cache's text layout keeps each payload on one line of its
+//!   own.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

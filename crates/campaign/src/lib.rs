@@ -15,6 +15,10 @@
 //!   append-only, CRC-framed, fsync'd record log; a campaign killed at
 //!   any instant resumes from the last durable record, and a torn tail
 //!   is truncated away on open.
+//! - **One wire** ([`frame`]): the worker pipe, the daemon socket, the
+//!   journal and cache entries all carry CRC-guarded frames of one
+//!   codec, so corruption anywhere is detected the same way and never
+//!   misparses into a different message.
 //! - **Result cache** ([`cache`]): completed per-benchmark results are
 //!   content-addressed by `(structure, spec hash, config hash)`, so
 //!   re-running an unchanged campaign is nearly free — and a cached row
@@ -54,6 +58,7 @@ pub mod cache;
 pub mod campaign;
 pub mod daemon;
 pub mod error;
+pub mod frame;
 pub mod fsio;
 pub mod hash;
 pub mod journal;

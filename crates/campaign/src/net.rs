@@ -1,25 +1,14 @@
-//! The networked campaign wire: CRC-guarded frames over TCP, the
-//! attach handshake, and the client/worker sides of the daemon
-//! protocol.
+//! The networked campaign wire: the attach handshake and the
+//! client/worker sides of the daemon protocol.
 //!
 //! ## Framing
 //!
-//! The supervisor ⇄ worker protocol ([`crate::proto`]) is
-//! newline-delimited JSON; over a pipe the OS guarantees stream
-//! integrity, over TCP nothing guards against a half-written buffer
-//! from a dying peer. Every payload line therefore travels as one
-//! frame:
-//!
-//! ```text
-//! [len: u32 BE] [crc32(payload): u32 BE] [payload bytes]
-//! ```
-//!
-//! A frame that fails *any* check — truncated header, truncated
-//! payload, oversized length, CRC mismatch, non-UTF-8 — is
-//! [`FrameError::Corrupt`]: the connection is declared dead, exactly
-//! like a SIGKILLed subprocess. Corruption can requeue a shard, never
-//! misparse into a different message — the same stance the journal and
-//! cache take toward torn writes.
+//! Every message on a socket is one [`crate::frame`] frame — the codec
+//! the worker pipe, the journal and the cache use too, re-exported here
+//! for clients that speak to a daemon directly. A frame that fails any
+//! check is [`crate::frame::FrameError::Corrupt`]: the connection is
+//! declared dead, exactly like a SIGKILLed subprocess. Corruption can
+//! requeue a shard, never misparse into a different message.
 //!
 //! ## Handshake
 //!
@@ -32,175 +21,25 @@
 //! - a **client** sends [`NetHello::Campaign`] (same version/registry
 //!   guard) or [`NetHello::Status`].
 //!
-//! Everything after the handshake is ordinary [`crate::proto`] lines
-//! in frames (worker connections) or a single [`NetReply`] frame
-//! (client connections).
+//! Everything after the handshake is ordinary [`crate::proto`]
+//! messages served by [`crate::worker::serve`] (worker connections) or
+//! a single [`NetReply`] frame (client connections).
 
-use crate::hash::{crc32, Fnv1a};
+pub use crate::frame::{frame_bytes, read_frame, write_frame};
+use crate::hash::Fnv1a;
 use crate::json::Json;
-use crate::proto::{FromWorker, ToWorker};
 use crate::wire::spec_hash;
-use crate::worker::{execute_run, WorkerOpts, IDLE};
+use crate::worker::{serve, ServeEnd, WorkerOpts};
 use cdsspec_mc::explore::TREE_VERSION;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Version of the framed TCP protocol. Bumped on any change to the
-/// framing, the handshake, or the [`crate::proto`] message set; the
-/// daemon rejects mismatched peers at attach time.
-pub const PROTO_VERSION: u64 = 1;
-
-/// Hard cap on a single frame's payload (defense against a corrupt or
-/// hostile length word committing us to a multi-gigabyte read). Result
-/// lines with large frontiers run to kilobytes; 16 MiB is orders of
-/// magnitude of headroom.
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// Why a frame could not be read.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The peer closed the stream cleanly between frames.
-    Closed,
-    /// The stream died mid-frame or carried a frame that fails
-    /// validation (truncation, oversize, CRC mismatch, bad UTF-8).
-    /// Indistinguishable from peer death — treated exactly like it.
-    Corrupt(String),
-    /// The underlying socket read failed.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Closed => write!(f, "connection closed"),
-            FrameError::Corrupt(why) => write!(f, "corrupt frame: {why}"),
-            FrameError::Io(e) => write!(f, "socket error: {e}"),
-        }
-    }
-}
-
-/// Encode `payload` as one frame (length + CRC header, then the
-/// bytes). Pure function of the payload — shared by the socket writer
-/// and the proptest suite.
-pub fn frame_bytes(payload: &str) -> Vec<u8> {
-    let bytes = payload.as_bytes();
-    let mut out = Vec::with_capacity(8 + bytes.len());
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(bytes).to_be_bytes());
-    out.extend_from_slice(bytes);
-    out
-}
-
-/// Write one framed payload and flush it.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    w.write_all(&frame_bytes(payload))?;
-    w.flush()
-}
-
-/// Read one frame. Distinguishes a clean close *between* frames
-/// ([`FrameError::Closed`]) from every flavor of mid-frame death or
-/// corruption ([`FrameError::Corrupt`]).
-pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
-    let mut header = [0u8; 8];
-    // First byte by hand: EOF here is a clean close, EOF anywhere later
-    // is a truncated frame.
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Err(FrameError::Closed),
-            Ok(_) => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    header[0] = first[0];
-    r.read_exact(&mut header[1..])
-        .map_err(|_| FrameError::Corrupt("truncated header".into()))?;
-    decode_header_and_read(&header, |buf| {
-        r.read_exact(buf)
-            .map_err(|_| FrameError::Corrupt("truncated payload".into()))
-    })
-}
-
-/// Shared validation: parse an 8-byte header, obtain the payload via
-/// `fill`, check CRC and UTF-8.
-fn decode_header_and_read(
-    header: &[u8; 8],
-    fill: impl FnOnce(&mut [u8]) -> Result<(), FrameError>,
-) -> Result<String, FrameError> {
-    let len = u32::from_be_bytes(header[0..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_be_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(FrameError::Corrupt(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    fill(&mut payload)?;
-    let got_crc = crc32(&payload);
-    if got_crc != want_crc {
-        return Err(FrameError::Corrupt(format!(
-            "crc mismatch: header {want_crc:#010x}, payload {got_crc:#010x}"
-        )));
-    }
-    String::from_utf8(payload).map_err(|_| FrameError::Corrupt("payload is not UTF-8".into()))
-}
-
-/// Incremental frame decoder over an in-memory byte stream. Feed bytes
-/// in arbitrary chunks with [`FrameSplitter::push`], pull complete
-/// payloads with [`FrameSplitter::next_frame`]. Exists so the proptest
-/// suite can exercise the exact header/CRC/UTF-8 validation logic over
-/// arbitrary splits without sockets.
-#[derive(Default)]
-pub struct FrameSplitter {
-    buf: Vec<u8>,
-}
-
-impl FrameSplitter {
-    /// An empty splitter.
-    pub fn new() -> Self {
-        FrameSplitter::default()
-    }
-
-    /// Append raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decode the next complete frame, `Ok(None)` if more bytes are
-    /// needed. After the first `Err` the stream is dead; behavior of
-    /// further calls is unspecified (a real connection is torn down).
-    pub fn next_frame(&mut self) -> Result<Option<String>, FrameError> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let header: [u8; 8] = self.buf[0..8].try_into().unwrap();
-        let len = u32::from_be_bytes(header[0..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            return Err(FrameError::Corrupt(format!(
-                "frame length {len} exceeds cap {MAX_FRAME}"
-            )));
-        }
-        if self.buf.len() < 8 + len {
-            return Ok(None);
-        }
-        let rest = self.buf.split_off(8 + len);
-        let whole = std::mem::replace(&mut self.buf, rest);
-        let payload = decode_header_and_read(&header, |buf| {
-            buf.copy_from_slice(&whole[8..]);
-            Ok(())
-        })?;
-        Ok(Some(payload))
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-}
+/// Version of the TCP protocol. Bumped on any change to the framing,
+/// the handshake, or the [`crate::proto`] message set; the daemon
+/// rejects mismatched peers at attach time. Version 2 moved the socket
+/// onto the shared little-endian [`crate::frame`] codec.
+pub const PROTO_VERSION: u64 = 2;
 
 /// FNV fold over every registered benchmark's name and spec hash, in
 /// registry order, and over the explorer's [`TREE_VERSION`]. Two
@@ -716,222 +555,93 @@ pub struct AttachOpts {
     /// poison fault injection) — identical semantics to the stdio
     /// worker's.
     pub worker: WorkerOpts,
-    /// Give up after this long of consecutive failed connection
-    /// attempts. A worker that has attached at least once exits 0 when
-    /// the budget runs out (the daemon went away — normal shutdown);
-    /// one that never attached exits 1.
+    /// Give up after this long of consecutive failed attaches (a
+    /// refused connect, or a connection that ends before `Welcome`). A
+    /// worker that has attached at least once exits 0 when the budget
+    /// runs out (the daemon went away — normal shutdown); one that never
+    /// attached exits 1.
     pub reconnect_budget: Duration,
 }
 
 /// Run a TCP worker: attach to the daemon, serve `Run` dispatches, and
-/// reconnect (with backoff) whenever the socket dies. Returns the
-/// process exit code.
+/// reconnect whenever the socket dies. Every attach that fails — no
+/// connection, or a connection that ends before `Welcome` — waits out a
+/// doubling backoff and counts against the reconnect budget. Returns
+/// the process exit code.
 pub fn attach_worker(opts: &AttachOpts) -> i32 {
     let mut ever_attached = false;
     let mut last_contact = Instant::now();
     let mut backoff = Duration::from_millis(50);
     loop {
-        let stream = match TcpStream::connect(&opts.addr) {
-            Ok(s) => s,
-            Err(e) => {
-                if last_contact.elapsed() >= opts.reconnect_budget {
-                    if !ever_attached {
-                        eprintln!("cdsspec-campaign worker: cannot reach {}: {e}", opts.addr);
-                    }
-                    return i32::from(!ever_attached);
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
+        let failure = match attach_once(opts) {
+            Attach::Served(ServeEnd::Exit) => return 0,
+            Attach::Served(_) => {
+                // The daemon may come back, or the budget expires.
+                ever_attached = true;
+                last_contact = Instant::now();
+                backoff = Duration::from_millis(50);
                 continue;
             }
-        };
-        backoff = Duration::from_millis(50);
-        match serve_connection(stream, opts) {
-            ServeEnd::Exit => return 0,
-            ServeEnd::Rejected => return 1,
-            ServeEnd::Disconnected { attached } => {
-                if attached {
-                    ever_attached = true;
-                    last_contact = Instant::now();
-                }
-                // Loop: the daemon may come back, or the budget expires.
+            Attach::Rejected(reason) => {
+                // Retrying cannot help: a restart of the same binaries
+                // would mismatch again.
+                eprintln!("cdsspec-campaign worker: attach rejected: {reason}");
+                return 1;
             }
+            Attach::Failed(why) => why,
+        };
+        if last_contact.elapsed() >= opts.reconnect_budget {
+            if !ever_attached {
+                eprintln!(
+                    "cdsspec-campaign worker: cannot attach to {}: {failure}",
+                    opts.addr
+                );
+            }
+            return i32::from(!ever_attached);
         }
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(Duration::from_secs(1));
     }
 }
 
-enum ServeEnd {
-    /// The daemon sent `Exit` (it has no further use for us).
-    Exit,
-    /// The daemon refused the handshake — retrying cannot help (wrong
-    /// version or registry; a restart of the same binaries would
-    /// mismatch again).
-    Rejected,
-    /// The socket died; maybe reconnect.
-    Disconnected {
-        /// Did the handshake complete on this connection?
-        attached: bool,
-    },
+enum Attach {
+    /// The handshake completed and the serve loop ran until this end.
+    Served(ServeEnd),
+    /// The daemon refused the handshake.
+    Rejected(String),
+    /// No handshake: the connect failed or the connection ended first.
+    Failed(String),
 }
 
-fn serve_connection(stream: TcpStream, opts: &AttachOpts) -> ServeEnd {
-    let mut reader = stream;
-    let Ok(writer) = reader.try_clone() else {
-        return ServeEnd::Disconnected { attached: false };
+fn attach_once(opts: &AttachOpts) -> Attach {
+    let mut stream = match TcpStream::connect(&opts.addr) {
+        Ok(s) => s,
+        Err(e) => return Attach::Failed(format!("connect failed: {e}")),
     };
-    let writer = Arc::new(Mutex::new(writer));
-    let send = |msg: &FromWorker| -> bool {
-        let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-        write_frame(&mut *w, &msg.encode()).is_ok()
-    };
-
     let hello = NetHello::Attach {
         proto: PROTO_VERSION,
         registry: registry_hash(),
         pid: std::process::id(),
     };
-    {
-        let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-        if write_frame(&mut *w, &hello.encode()).is_err() {
-            return ServeEnd::Disconnected { attached: false };
-        }
+    if let Err(e) = write_frame(&mut stream, &hello.encode()) {
+        return Attach::Failed(format!("attach not sent: {e}"));
     }
-    match read_frame(&mut reader) {
-        Ok(line) => match NetReply::decode(&line) {
-            Ok(NetReply::Welcome { .. }) => {}
-            Ok(NetReply::Reject { reason }) => {
-                eprintln!("cdsspec-campaign worker: attach rejected: {reason}");
-                return ServeEnd::Rejected;
-            }
-            _ => return ServeEnd::Disconnected { attached: false },
-        },
-        Err(_) => return ServeEnd::Disconnected { attached: false },
+    match read_frame(&mut stream).map(|reply| NetReply::decode(&reply)) {
+        Ok(Ok(NetReply::Welcome { .. })) => {}
+        Ok(Ok(NetReply::Reject { reason })) => return Attach::Rejected(reason),
+        Ok(Ok(other)) => return Attach::Failed(format!("unexpected daemon reply {other:?}")),
+        Ok(Err(e)) => return Attach::Failed(format!("bad daemon reply: {e}")),
+        Err(e) => return Attach::Failed(format!("no welcome from the daemon: {e}")),
     }
-
-    // Heartbeat thread for this connection's lifetime. Send failures
-    // are ignored here — the serve loop notices the dead socket on its
-    // next read and tears the connection down.
-    let current = Arc::new(AtomicU64::new(IDLE));
-    let stop = Arc::new(AtomicBool::new(false));
-    let hb = {
-        let current = Arc::clone(&current);
-        let stop = Arc::clone(&stop);
-        let writer = Arc::clone(&writer);
-        let interval = opts.worker.heartbeat;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                let task = current.load(Ordering::Relaxed);
-                if task != IDLE {
-                    let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-                    let _ = write_frame(&mut *w, &FromWorker::Heartbeat { task }.encode());
-                }
-            }
-        })
-    };
-    let end = loop {
-        let line = match read_frame(&mut reader) {
-            Ok(line) => line,
-            Err(_) => break ServeEnd::Disconnected { attached: true },
-        };
-        match ToWorker::decode(&line) {
-            Ok(ToWorker::Run {
-                task,
-                bench,
-                shard,
-                config,
-                weaken,
-            }) => {
-                let reply = execute_run(task, bench, shard, config, weaken, &opts.worker, &current);
-                if !send(&reply) {
-                    break ServeEnd::Disconnected { attached: true };
-                }
-            }
-            Ok(ToWorker::Exit) => break ServeEnd::Exit,
-            Err(e) => {
-                eprintln!("cdsspec-campaign worker: bad daemon message: {e}");
-                break ServeEnd::Disconnected { attached: true };
-            }
-        }
-    };
-    stop.store(true, Ordering::Relaxed);
-    let _ = reader.shutdown(std::net::Shutdown::Both);
-    let _ = hb.join();
-    end
+    match stream.try_clone() {
+        Ok(writer) => Attach::Served(serve(stream, writer, &opts.worker)),
+        Err(e) => Attach::Failed(format!("socket clone failed: {e}")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_round_trip_over_a_cursor() {
-        for payload in ["", "x", "{\"msg\":\"hello\",\"pid\":1}", "π — non-ascii"] {
-            let bytes = frame_bytes(payload);
-            let mut cursor = std::io::Cursor::new(bytes);
-            assert_eq!(read_frame(&mut cursor).unwrap(), payload);
-            assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
-        }
-    }
-
-    #[test]
-    fn corrupt_frames_are_rejected_not_misparsed() {
-        let mut bytes = frame_bytes("{\"msg\":\"heartbeat\",\"task\":4}");
-        // Flip a payload bit: CRC must catch it.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-
-        // Truncated payload.
-        let mut bytes = frame_bytes("hello");
-        bytes.truncate(bytes.len() - 2);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-
-        // Truncated header.
-        let mut cursor = std::io::Cursor::new(vec![0u8; 5]);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-
-        // Oversized length word.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(u32::MAX).to_be_bytes());
-        bytes.extend_from_slice(&[0u8; 4]);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn splitter_reassembles_across_arbitrary_chunks() {
-        let payloads = ["first", "", "third with spaces"];
-        let mut stream = Vec::new();
-        for p in payloads {
-            stream.extend_from_slice(&frame_bytes(p));
-        }
-        // Push one byte at a time: worst-case fragmentation.
-        let mut splitter = FrameSplitter::new();
-        let mut got = Vec::new();
-        for b in stream {
-            splitter.push(&[b]);
-            while let Some(p) = splitter.next_frame().unwrap() {
-                got.push(p);
-            }
-        }
-        assert_eq!(got, payloads);
-        assert_eq!(splitter.pending(), 0);
-    }
 
     #[test]
     fn hello_and_reply_round_trip() {

@@ -1,11 +1,10 @@
 //! The supervisor ⇄ worker wire protocol.
 //!
-//! Newline-delimited JSON over the worker's stdin (supervisor → worker)
-//! and stdout (worker → supervisor). Every message is one line; the
-//! encoder guarantees no embedded newlines (see [`crate::json`]). A
-//! malformed line from a worker is treated like worker death — the
-//! supervisor kills the process and requeues its lease — so protocol
-//! corruption can never corrupt campaign results.
+//! Each message is one JSON object in one [`crate::frame`] frame, over a
+//! worker's stdin/stdout pipe or its TCP connection alike. A corrupt
+//! frame or a payload that is not a message is treated like worker
+//! death — the supervisor kills the link and requeues its lease — so
+//! protocol corruption can never corrupt campaign results.
 
 use crate::json::Json;
 use crate::wire::{
@@ -42,11 +41,6 @@ pub enum ToWorker {
 /// Worker → supervisor.
 #[derive(Debug)]
 pub enum FromWorker {
-    /// First message after startup.
-    Hello {
-        /// The worker's OS pid (diagnostics only).
-        pid: u32,
-    },
     /// Lease keep-alive while a task is running.
     Heartbeat {
         /// The running task's id.
@@ -69,7 +63,7 @@ pub enum FromWorker {
 }
 
 impl ToWorker {
-    /// Encode to a single JSON line (no trailing newline).
+    /// Encode to one JSON payload.
     pub fn encode(&self) -> String {
         match self {
             ToWorker::Run {
@@ -94,7 +88,7 @@ impl ToWorker {
         .encode()
     }
 
-    /// Decode one line.
+    /// Decode one payload.
     pub fn decode(line: &str) -> Result<ToWorker, String> {
         let v = Json::parse(line)?;
         match v.get("msg").and_then(Json::as_str) {
@@ -125,12 +119,9 @@ impl ToWorker {
 }
 
 impl FromWorker {
-    /// Encode to a single JSON line (no trailing newline).
+    /// Encode to one JSON payload.
     pub fn encode(&self) -> String {
         match self {
-            FromWorker::Hello { pid } => {
-                Json::obj(vec![("msg", Json::str("hello")), ("pid", Json::num(*pid))])
-            }
             FromWorker::Heartbeat { task } => Json::obj(vec![
                 ("msg", Json::str("heartbeat")),
                 ("task", Json::num(*task)),
@@ -149,17 +140,10 @@ impl FromWorker {
         .encode()
     }
 
-    /// Decode one line.
+    /// Decode one payload.
     pub fn decode(line: &str) -> Result<FromWorker, String> {
         let v = Json::parse(line)?;
         match v.get("msg").and_then(Json::as_str) {
-            Some("hello") => Ok(FromWorker::Hello {
-                pid: v
-                    .get("pid")
-                    .and_then(Json::as_u64)
-                    .and_then(|p| u32::try_from(p).ok())
-                    .ok_or("hello missing pid")?,
-            }),
             Some("heartbeat") => Ok(FromWorker::Heartbeat {
                 task: v
                     .get("task")
@@ -237,7 +221,6 @@ mod tests {
     #[test]
     fn worker_messages_round_trip() {
         for msg in [
-            FromWorker::Hello { pid: 42 },
             FromWorker::Heartbeat { task: 9 },
             FromWorker::Result {
                 task: 1,

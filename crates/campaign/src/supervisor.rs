@@ -16,9 +16,10 @@
 //!   [`crate::lease::MAX_REQUEUE_BACKOFF`]).
 //! - A worker death (crash, chaos kill, kill -9 from outside, TCP
 //!   disconnect) surfaces as EOF on its link; its leased shard requeues
-//!   the same way. Partial output is discarded wholesale — only
-//!   complete, checksummed `result` lines ever reach the merge — so a
-//!   rerun is byte-identical to an undisturbed run.
+//!   the same way, and so does a corrupt frame on it. Partial output is
+//!   discarded wholesale — only complete, checksummed `result` frames
+//!   ever reach the merge — so a rerun is byte-identical to an
+//!   undisturbed run.
 //! - A shard that keeps killing workers quarantines after
 //!   `max_attempts` dispatches (reported as *suspect*), and a slot that
 //!   keeps dying in quick succession is retired after
@@ -37,11 +38,12 @@
 //! healthy shard. CI uses it to prove kill-tolerance by diffing a chaos
 //! campaign against an in-process run.
 
+use crate::frame::{read_frame, write_frame};
 use crate::lease::{FailOutcome, TaskTable};
 use crate::proto::{FromWorker, ToWorker};
 use cdsspec_mc::{Config, Stats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
@@ -139,13 +141,15 @@ pub struct SlotStats {
     pub completed: u64,
 }
 
-/// One transport event: a complete protocol line from a worker link,
+/// One transport event: a complete frame payload from a worker link,
 /// or the link's death. Tagged with the slot index and the provision
 /// epoch so output from a revoked incarnation can be dropped.
 pub enum Event {
-    /// One complete NDJSON line from the link on `(slot, epoch)`.
-    Line(usize, u64, String),
-    /// The link on `(slot, epoch)` died (EOF / socket close).
+    /// One complete, checksummed frame payload from the link on
+    /// `(slot, epoch)`.
+    Message(usize, u64, String),
+    /// The link on `(slot, epoch)` died (EOF, socket close or a corrupt
+    /// frame).
     Eof(usize, u64),
 }
 
@@ -164,8 +168,8 @@ pub enum Provision {
 
 /// A live bidirectional channel to one worker.
 ///
-/// Implementations must have delivered every incoming protocol line as
-/// [`Event::Line`] and exactly one [`Event::Eof`] on the channel given
+/// Implementations must have delivered every incoming frame payload as
+/// [`Event::Message`] and exactly one [`Event::Eof`] on the channel given
 /// to [`Transport::provision`], tagged with that provision's
 /// `(slot, epoch)`.
 pub trait WorkerLink: Send {
@@ -186,7 +190,7 @@ pub trait WorkerLink: Send {
 /// connections); the supervisor owns every scheduling decision.
 pub trait Transport: Send {
     /// Try to produce a link for `slot`. The transport must arrange for
-    /// the link's incoming lines and eventual EOF to arrive on `tx`
+    /// the link's incoming messages and eventual EOF to arrive on `tx`
     /// tagged `(slot, epoch)`.
     fn provision(&mut self, slot: usize, epoch: u64, tx: &mpsc::Sender<Event>) -> Provision;
 }
@@ -485,12 +489,11 @@ impl Supervisor {
     ) {
         let now = Instant::now();
         match ev {
-            Event::Line(slot, epoch, line) => {
+            Event::Message(slot, epoch, payload) => {
                 if self.slots[slot].epoch != epoch {
                     return; // output of a revoked/killed incarnation
                 }
-                match FromWorker::decode(&line) {
-                    Ok(FromWorker::Hello { .. }) => {}
+                match FromWorker::decode(&payload) {
                     Ok(FromWorker::Heartbeat { .. }) => {
                         table.extend(slot, now);
                     }
@@ -538,7 +541,7 @@ impl Drop for Supervisor {
 }
 
 /// The classic transport: spawn the campaign binary with
-/// `--worker-mode` and speak NDJSON over its stdin/stdout.
+/// `--worker-mode` and exchange frames over its stdin/stdout.
 struct SubprocessTransport {
     worker_exe: Option<PathBuf>,
     heartbeat: Duration,
@@ -575,15 +578,11 @@ impl Transport for SubprocessTransport {
         let stdout = child.stdout.take().expect("piped stdout");
         let tx = tx.clone();
         std::thread::spawn(move || {
-            let reader = BufReader::new(stdout);
-            for line in reader.lines() {
-                match line {
-                    Ok(l) => {
-                        if tx.send(Event::Line(slot, epoch, l)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
+            // A corrupt frame ends the link exactly like EOF does.
+            let mut reader = BufReader::new(stdout);
+            while let Ok(payload) = read_frame(&mut reader) {
+                if tx.send(Event::Message(slot, epoch, payload)).is_err() {
+                    return;
                 }
             }
             let _ = tx.send(Event::Eof(slot, epoch));
@@ -601,7 +600,7 @@ struct SubprocessLink {
 impl WorkerLink for SubprocessLink {
     fn send(&mut self, msg: &ToWorker) -> bool {
         match &mut self.child {
-            Some((_, Some(stdin))) => writeln!(stdin, "{}", msg.encode()).is_ok(),
+            Some((_, Some(stdin))) => write_frame(stdin, &msg.encode()).is_ok(),
             _ => false,
         }
     }
@@ -617,7 +616,7 @@ impl WorkerLink for SubprocessLink {
     fn release(mut self: Box<Self>) {
         if let Some((_, stdin)) = &mut self.child {
             if let Some(stdin) = stdin {
-                let _ = writeln!(stdin, "{}", ToWorker::Exit.encode());
+                let _ = write_frame(stdin, &ToWorker::Exit.encode());
             }
             *stdin = None; // EOF backstop in case the Exit write raced
         }

@@ -13,7 +13,12 @@
 //! `kill -9` a worker mid-shard. (Chase-Lev Deque takes minutes in debug
 //! and must never appear here.)
 
-use cdsspec_campaign::{EXIT_BUG, EXIT_CLEAN, EXIT_ERROR, EXIT_RESUMABLE};
+use cdsspec_campaign::{
+    Outcome, Supervisor, SupervisorOpts, TaskSpec, TaskTable, EXIT_BUG, EXIT_CLEAN, EXIT_ERROR,
+    EXIT_RESUMABLE,
+};
+use cdsspec_mc::{Config, ShardSpec};
+use std::os::unix::fs::PermissionsExt;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -346,6 +351,58 @@ fn corrupted_journal_tail_is_recovered_end_to_end() {
         "recovery is reported:\n{}",
         stderr(&resumed)
     );
+}
+
+/// Protocol corruption is worker death: a "worker" that writes garbage
+/// to its stdout has its link killed on the first corrupt frame, and its
+/// task is requeued, never merged. The slot retires after
+/// `Supervisor::FAST_DEATH_CAP` fast deaths and the batch ends abandoned
+/// instead of hanging.
+#[test]
+fn corrupt_worker_pipe_is_a_worker_death() {
+    let dir = tmp_dir("corrupt-pipe");
+    let script = dir.join("garbage-worker.sh");
+    std::fs::write(
+        &script,
+        "#!/bin/sh\nprintf 'this is not a frame, only garbage bytes\\n'\nexec sleep 30\n",
+    )
+    .unwrap();
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+    // More attempts than the slot's fast-death cap, so the slot retires
+    // before the task could quarantine.
+    let attempts = Supervisor::FAST_DEATH_CAP + 5;
+    let mut sup = Supervisor::new(SupervisorOpts {
+        workers: 1,
+        max_attempts: attempts,
+        worker_exe: Some(script),
+        ..SupervisorOpts::default()
+    });
+    let mut table = TaskTable::new(
+        vec![TaskSpec {
+            bench: "SPSC Queue".into(),
+            shard: ShardSpec::root(),
+            max_executions: 10,
+        }],
+        Duration::from_secs(30),
+        Duration::from_millis(10),
+        attempts,
+    );
+    let started = Instant::now();
+    let mut merged = 0;
+    sup.run_batch(&Config::default(), &mut table, |_, _| merged += 1);
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(merged, 0, "a corrupt worker's output is never merged");
+    assert!(matches!(table.outcomes()[..], [Outcome::Abandoned]));
+    let stats = sup.stats;
+    assert_eq!(stats.dead_slots, 1, "{stats:?}");
+    assert_eq!(stats.quarantined, 0, "{stats:?}");
+    assert!(stats.worker_deaths >= 1, "{stats:?}");
+    assert!(stats.requeues >= 1, "{stats:?}");
 }
 
 #[test]

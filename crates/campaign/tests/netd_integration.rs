@@ -12,13 +12,16 @@
 //! worker mid-shard.
 
 use cdsspec_campaign::net::{
-    read_frame, registry_hash, request_status, write_frame, NetHello, NetReply, PROTO_VERSION,
+    attach_worker, read_frame, registry_hash, request_status, write_frame, NetHello, NetReply,
+    PROTO_VERSION,
 };
 use cdsspec_campaign::{AttachOpts, WorkerOpts, EXIT_CLEAN, EXIT_ERROR};
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_cdsspec-campaign");
@@ -341,8 +344,10 @@ extern "C" {
 }
 
 /// Handshake guards: a wrong protocol version and a wrong registry hash
-/// are both rejected with a reason, and a worker whose attach is
-/// rejected exits 1 immediately (retrying cannot help).
+/// are both rejected with a reason, a worker whose attach is rejected
+/// exits 1 immediately (retrying cannot help), and one whose every
+/// connection ends before a welcome backs off and exits 1 when its
+/// reconnect budget runs out.
 #[test]
 fn handshake_mismatches_are_rejected() {
     let daemon = Daemon::start(&["--workers", "1"]);
@@ -396,17 +401,43 @@ fn handshake_mismatches_are_rejected() {
             .encode(),
         );
     });
-    let code = cdsspec_campaign::net::attach_worker(&AttachOpts {
-        addr: fake_addr,
+    let attach_opts = |addr: String, reconnect_budget: Duration| AttachOpts {
+        addr,
         worker: WorkerOpts {
             heartbeat: Duration::from_millis(500),
             worker_threads: 1,
             poison: None,
         },
-        reconnect_budget: Duration::from_secs(5),
-    });
+        reconnect_budget,
+    };
+    let code = attach_worker(&attach_opts(fake_addr, Duration::from_secs(5)));
     assert_eq!(code, EXIT_ERROR, "rejected attach must exit 1, not retry");
     fake.join().unwrap();
+
+    // A listener that closes every connection before any welcome: each
+    // attach fails, so the worker backs off between attempts and gives
+    // up once its budget is spent, instead of reconnecting in a hot loop.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let closer_addr = listener.local_addr().unwrap().to_string();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    {
+        let accepted = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                accepted.fetch_add(1, Ordering::SeqCst);
+                drop(conn);
+            }
+        });
+    }
+    let (done, code) = std::sync::mpsc::channel();
+    let opts = attach_opts(closer_addr, Duration::from_millis(500));
+    std::thread::spawn(move || done.send(attach_worker(&opts)));
+    let code = code
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the worker must give up within a few seconds");
+    assert_eq!(code, EXIT_ERROR, "a worker that never attached exits 1");
+    let seen = accepted.load(Ordering::SeqCst);
+    assert!(seen <= 10, "{seen} connections in one 500 ms budget");
 }
 
 /// A worker that can never reach a daemon exhausts its reconnect budget

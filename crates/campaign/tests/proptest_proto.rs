@@ -4,18 +4,22 @@
 //! rejected as a framing error (worker death at the transport layer) —
 //! never silently misparsed into a different message.
 //!
-//! The framing under test is `crates/campaign/src/net.rs`:
-//! `[len: u32 BE][crc32(payload): u32 BE][payload]`. The CRC covers the
+//! The framing under test is the one codec in
+//! `crates/campaign/src/frame.rs`, shared by the worker pipe, the TCP
+//! socket, the journal and the cache:
+//! `[len: u32 LE][crc32(payload): u32 LE][payload]`. The CRC covers the
 //! payload, so any payload flip is caught directly; header flips either
 //! desynchronize the length (truncated/oversize ⇒ `Corrupt`) or corrupt
 //! the stored CRC (mismatch ⇒ `Corrupt`). These tests pin that argument
-//! against real random damage rather than trusting it.
+//! against real random damage rather than trusting it. Streams arrive
+//! through a reader that hands out arbitrary chunk sizes, the way a
+//! pipe or socket does.
 
-use cdsspec_campaign::net::{frame_bytes, read_frame, FrameSplitter};
+use cdsspec_campaign::frame::{frame_bytes, read_frame, FrameError};
 use cdsspec_campaign::proto::{FromWorker, ToWorker};
 use cdsspec_mc::{Bug, BugCategory, Config, FoundBug, ShardSpec, Stats, StopReason};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::Read;
 use std::time::Duration;
 
 /// Strings chosen to stress the JSON escaper inside the framed payload:
@@ -160,7 +164,6 @@ fn to_worker_strategy() -> impl Strategy<Value = ToWorker> {
 
 fn from_worker_strategy() -> impl Strategy<Value = FromWorker> {
     prop_oneof![
-        (any::<u32>()).prop_map(|pid| FromWorker::Hello { pid }),
         (any::<u64>()).prop_map(|task| FromWorker::Heartbeat { task }),
         (any::<u64>(), stats_strategy())
             .prop_map(|(task, stats)| FromWorker::Result { task, stats }),
@@ -177,24 +180,50 @@ fn line_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Split `bytes` into consecutive chunks whose sizes cycle through
-/// `sizes` (1-byte chunks when empty).
-fn chunked<'a>(bytes: &'a [u8], sizes: &'a [usize]) -> Vec<&'a [u8]> {
-    let mut out = Vec::new();
-    let mut at = 0;
-    let mut i = 0;
-    while at < bytes.len() {
-        let want = if sizes.is_empty() {
-            1
-        } else {
-            sizes[i % sizes.len()].max(1)
-        };
-        let end = (at + want).min(bytes.len());
-        out.push(&bytes[at..end]);
-        at = end;
-        i += 1;
+/// A reader over `bytes` whose reads return chunks with sizes cycling
+/// through `sizes` (1-byte chunks when empty), so every frame boundary
+/// and header split a pipe or socket can produce gets exercised.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(bytes: &'a [u8], sizes: &'a [usize]) -> Self {
+        Chunked {
+            bytes,
+            sizes,
+            reads: 0,
+        }
     }
-    out
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = match self.sizes {
+            [] => 1,
+            sizes => sizes[self.reads % sizes.len()].max(1),
+        };
+        self.reads += 1;
+        let n = want.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Read frames until the stream ends; panics on anything but a clean
+/// end between frames.
+fn read_all(r: &mut impl Read) -> Vec<String> {
+    let mut got = Vec::new();
+    loop {
+        match read_frame(r) {
+            Ok(payload) => got.push(payload),
+            Err(FrameError::Closed) => return got,
+            Err(e) => panic!("clean stream rejected: {e}"),
+        }
+    }
 }
 
 proptest! {
@@ -208,17 +237,9 @@ proptest! {
         sizes in prop::collection::vec(1usize..64, 0..8),
     ) {
         let bytes = frame_bytes(&line);
-        let mut splitter = FrameSplitter::new();
-        let mut got = Vec::new();
-        for chunk in chunked(&bytes, &sizes) {
-            splitter.push(chunk);
-            while let Some(out) = splitter.next_frame().expect("clean frame") {
-                got.push(out);
-            }
-        }
+        let got = read_all(&mut Chunked::new(&bytes, &sizes));
         prop_assert_eq!(got.len(), 1, "exactly one frame comes out");
         prop_assert_eq!(&got[0], &line, "payload survives verbatim");
-        prop_assert_eq!(splitter.pending(), 0, "no residue after a whole frame");
 
         // The payload decodes back to a message that re-encodes to the
         // same line (works for both directions; try both decoders).
@@ -238,16 +259,7 @@ proptest! {
         for line in &lines {
             bytes.extend_from_slice(&frame_bytes(line));
         }
-        let mut splitter = FrameSplitter::new();
-        let mut got = Vec::new();
-        for chunk in chunked(&bytes, &sizes) {
-            splitter.push(chunk);
-            while let Some(out) = splitter.next_frame().expect("clean frames") {
-                got.push(out);
-            }
-        }
-        prop_assert_eq!(got, lines);
-        prop_assert_eq!(splitter.pending(), 0);
+        prop_assert_eq!(read_all(&mut Chunked::new(&bytes, &sizes)), lines);
     }
 
     /// Flip any single byte of a framed message: the reader must either
@@ -259,11 +271,12 @@ proptest! {
         line in line_strategy(),
         flip_at in any::<usize>(),
         flip_bit in 0u8..8,
+        sizes in prop::collection::vec(1usize..48, 0..8),
     ) {
         let mut bytes = frame_bytes(&line);
         let at = flip_at % bytes.len();
         bytes[at] ^= 1 << flip_bit;
-        match read_frame(&mut Cursor::new(&bytes)) {
+        match read_frame(&mut Chunked::new(&bytes, &sizes)) {
             Err(_) => {} // rejected: the supervisor treats this as death
             Ok(out) => prop_assert_eq!(
                 out, line,
@@ -279,24 +292,11 @@ proptest! {
     fn truncated_frames_are_rejected(
         line in line_strategy(),
         cut_at in any::<usize>(),
+        sizes in prop::collection::vec(1usize..48, 0..8),
     ) {
         let bytes = frame_bytes(&line);
         let cut = cut_at % bytes.len(); // 0..len, always a strict prefix
-        let err = read_frame(&mut Cursor::new(&bytes[..cut]));
+        let err = read_frame(&mut Chunked::new(&bytes[..cut], &sizes));
         prop_assert!(err.is_err(), "truncated frame must not parse: {err:?}");
-
-        // The splitter view: a strict prefix never yields a frame.
-        let mut splitter = FrameSplitter::new();
-        splitter.push(&bytes[..cut]);
-        loop {
-            match splitter.next_frame() {
-                Ok(None) => break,         // incomplete: waiting for the rest
-                Err(_) => break,           // oversize/corrupt: rejected
-                Ok(Some(out)) => prop_assert_eq!(
-                    out, String::new(),
-                    "a truncated frame must never yield a payload"
-                ),
-            }
-        }
     }
 }
