@@ -9,7 +9,9 @@
 //! (the hash moves, the old file is simply never looked up again).
 //!
 //! Entries are single files written atomically (temp + fsync + rename)
-//! holding one [`crate::frame`] frame of the merged [`Stats`] as JSON.
+//! holding one [`crate::frame`] frame of the merged [`Stats`] as JSON,
+//! without the rf-class hashes ([`crate::wire::row_to_json`]): nothing
+//! reads a final row's classes, and they were nearly all of an entry.
 //! The entry stays a text file: the magic line, then the frame's
 //! 8-byte header as 16 hex digits, then the payload on a line of its
 //! own (the JSON encoder never emits a newline):
@@ -20,17 +22,20 @@
 //! <payload>
 //! ```
 //!
-//! A corrupt entry — bad magic, bad header, a length or CRC that does
-//! not match the payload line, undecodable stats — is treated as a miss
-//! and deleted, never an error: the cache is an accelerator, not a
-//! source of truth. Entries of the older `v1` layout are misses too.
+//! A corrupt entry — not UTF-8, bad magic, bad header, a length or CRC
+//! that does not match the payload line, undecodable stats — is treated
+//! as a miss and deleted, never an error: the cache is an accelerator,
+//! not a source of truth. Entries of the older `v1` layout are misses
+//! too. Entries written with their classes (by older builds) still
+//! decode, and a class-less entry decodes on those builds: the layout
+//! and the magic are unchanged.
 
 use crate::error::ParseError;
 use crate::frame::{frame_header, verify_frame, HEADER_LEN};
 use crate::fsio::write_atomic;
 use crate::hash::fnv1a64;
 use crate::json::Json;
-use crate::wire::{stats_from_json, stats_to_json};
+use crate::wire::{row_to_json, stats_from_json};
 use cdsspec_mc::Stats;
 use std::path::{Path, PathBuf};
 
@@ -83,13 +88,13 @@ impl ResultCache {
         self.dir.join(key.file_name())
     }
 
-    /// Look up a cached result. Any defect in the entry (missing, foreign
-    /// header, CRC mismatch, undecodable stats) is a miss; defective
-    /// entries are deleted so they cannot shadow a future store.
+    /// Look up a cached result. Any defect in the entry (missing, not
+    /// UTF-8, foreign header, CRC mismatch, undecodable stats) is a miss;
+    /// defective entries are deleted so they cannot shadow a future store.
     pub fn lookup(&self, key: &CacheKey) -> Option<Stats> {
         let path = self.entry_path(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match parse_entry(&text) {
+        let bytes = std::fs::read(&path).ok()?;
+        match std::str::from_utf8(&bytes).ok().and_then(parse_entry) {
             Some(stats) => Some(stats),
             None => {
                 let _ = std::fs::remove_file(&path);
@@ -100,9 +105,10 @@ impl ResultCache {
 
     /// Store a result atomically. The entry lands fully formed or not at
     /// all — a crash mid-store leaves the previous entry (or no entry),
-    /// never a torn file.
+    /// never a torn file. The entry holds the row without its rf-class
+    /// hashes ([`row_to_json`]): a hit comes back with an empty class set.
     pub fn store(&self, key: &CacheKey, stats: &Stats) -> Result<(), ParseError> {
-        let payload = stats_to_json(stats).encode();
+        let payload = row_to_json(stats).encode();
         let header: String = frame_header(payload.as_bytes())
             .iter()
             .map(|b| format!("{b:02x}"))
@@ -208,12 +214,21 @@ mod tests {
     #[test]
     fn older_layout_is_a_miss_and_removed() {
         let cache = temp_cache("v1");
-        let payload = stats_to_json(&Stats::default()).encode();
+        let payload = row_to_json(&Stats::default()).encode();
         let crc = crate::hash::crc32(payload.as_bytes());
         let path = cache.entry_path(&key());
         std::fs::write(&path, format!("cdsspec-result v1\n{crc:08x}\n{payload}\n")).unwrap();
         assert!(cache.lookup(&key()).is_none());
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn non_utf8_entry_is_a_miss_and_removed() {
+        let cache = temp_cache("utf8");
+        let path = cache.entry_path(&key());
+        std::fs::write(&path, [0xff, 0xfe, 0x00]).unwrap();
+        assert!(cache.lookup(&key()).is_none());
+        assert!(!path.exists(), "a non-UTF-8 entry is a defect and removed");
     }
 
     #[test]

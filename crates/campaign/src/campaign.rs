@@ -8,16 +8,18 @@
 //!
 //! 1. A **probe** task explores the root shard under the split cap (or
 //!    the full cap when splitting is off).
-//! 2. If the probe hit the split cap, its leftover frontier shards become
-//!    one task each, run to completion in any order, on any worker, with
-//!    any number of crash/retry cycles in between.
-//! 3. The merge folds task results **in task order** — never completion
-//!    order — so the merged row is a pure function of the per-task
-//!    results, which are themselves deterministic (the PR 2 partition
-//!    invariant). Worker deaths only ever discard *partial* output and
-//!    rerun whole shards, so a chaos-ridden campaign renders the exact
-//!    bytes an undisturbed one does (`--stable` masks wall-clock, the
-//!    one nondeterministic column).
+//! 2. If the probe hit the split cap, its leftover frontier shards — the
+//!    sibling subtrees along its DFS path, deepest first (see
+//!    `cdsspec_mc::explore`) — become one task each, dispatched largest
+//!    (shallowest) first and run to completion in any order, on any
+//!    worker, with any number of crash/retry cycles in between.
+//! 3. The merge folds task results **in frontier order** — never dispatch
+//!    or completion order — so the merged row is a pure function of the
+//!    per-task results, which are themselves deterministic (the
+//!    partition invariant). Worker deaths only ever discard *partial*
+//!    output and rerun whole shards, so a chaos-ridden campaign renders
+//!    the exact bytes an undisturbed one does (`--stable` masks
+//!    wall-clock, the one nondeterministic column).
 //!
 //! The same argument makes the journal and cache sound: both store
 //! completed per-bench merges keyed by content, and replaying or
@@ -29,7 +31,7 @@ use crate::json::Json;
 use crate::lease::{Outcome, TaskSpec, TaskTable};
 use crate::proto::FromWorker;
 use crate::supervisor::{SlotStats, Supervisor, SupervisorOpts, SupervisorStats, Transport};
-use crate::wire::{config_hash, spec_hash, stats_from_json, stats_to_json, task_key};
+use crate::wire::{config_hash, row_to_json, spec_hash, stats_from_json, stats_to_json, task_key};
 use crate::worker::{execute_run, WorkerOpts};
 use crate::{EXIT_BUG, EXIT_CLEAN, EXIT_RESUMABLE};
 use cdsspec_mc::{Config, ShardSpec, Stats, StopReason};
@@ -484,7 +486,7 @@ fn journal_bench(
         let record = Json::obj(vec![
             ("rec", Json::str("bench")),
             ("name", Json::str(name)),
-            ("stats", stats_to_json(stats)),
+            ("stats", row_to_json(stats)),
             ("suspects", Json::num(suspects as u64)),
             ("abandoned", Json::num(abandoned as u64)),
         ]);
@@ -541,15 +543,22 @@ fn run_bench(
     if opts.split == 0 || probe_stats.stop != StopReason::ExecutionCap || leftover.is_empty() {
         return Ok((probe_stats, 0, 0));
     }
-    let shard_specs: Vec<TaskSpec> = leftover
+    // A capped probe's frontier runs from its deepest sibling subtree to
+    // its shallowest, the biggest: dispatch it reversed, largest first,
+    // so no worker is left with the biggest shard at the end, and merge
+    // in frontier order, so the row does not depend on dispatch order.
+    let mut shard_specs: Vec<TaskSpec> = leftover
         .into_iter()
+        .rev()
         .map(|shard| TaskSpec {
             bench: bench.name.to_string(),
             shard,
             max_executions: opts.max_executions,
         })
         .collect();
-    let outcomes = run_tasks(shard_specs.clone(), opts, base_config, sup, journal, replay);
+    let mut outcomes = run_tasks(shard_specs.clone(), opts, base_config, sup, journal, replay);
+    shard_specs.reverse();
+    outcomes.reverse();
     Ok(merge(probe_stats, &shard_specs, outcomes))
 }
 
@@ -635,7 +644,7 @@ fn run_tasks(
     }
 }
 
-/// Fold task outcomes (in task order) into the probe's stats. Quarantined
+/// Fold task outcomes (in frontier order) into the probe's stats. Quarantined
 /// and abandoned shards stay on the frontier — the row is resumable — and
 /// force `StopReason::Errored`.
 fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, usize, usize) {
@@ -852,6 +861,64 @@ mod tests {
         let (m, _, _) = merge(probe, &specs, vec![Outcome::Done(task)]);
         assert_eq!(m.bugs.len(), 2);
         assert_eq!(m.bugs[0].execution, 1, "first occurrence wins");
+    }
+
+    /// A cached row comes back without its rf-class hashes and with
+    /// every other field intact, so the warm report renders the cold
+    /// report's bytes.
+    #[test]
+    fn cached_row_drops_its_classes_and_renders_the_live_bytes() {
+        use cdsspec_mc::{Bug, BugCategory, FoundBug};
+        let dir = std::env::temp_dir().join(format!("cdsspec-row-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        let key = CacheKey {
+            structure: "MPMC Queue".into(),
+            spec_hash: 1,
+            config_hash: 2,
+        };
+        let live = Stats {
+            executions: 4705,
+            feasible: 3936,
+            executions_pruned: 12,
+            peak_depth: 24,
+            rf_classes: [3, 7, u64::MAX].into(),
+            bugs: vec![FoundBug {
+                bug: Bug::Restored {
+                    category: BugCategory::Assertion,
+                    message: "queue lost an item".into(),
+                },
+                execution: 17,
+                trace: String::new(),
+                worker: 1,
+                shard: vec![0, 2],
+            }],
+            stop: StopReason::FirstBug,
+            elapsed: Duration::from_millis(80),
+            ..Stats::default()
+        };
+        cache.store(&key, &live).unwrap();
+        let hit = cache.lookup(&key).expect("stored row hits");
+        assert!(hit.rf_classes.is_empty(), "a cached row has no classes");
+        let classless = Stats {
+            rf_classes: Default::default(),
+            ..live.clone()
+        };
+        assert_eq!(stats_to_json(&hit), stats_to_json(&classless));
+        let report = |stats: Stats, source| {
+            let row = Row {
+                name: key.structure.clone(),
+                stats,
+                suspects: 0,
+                abandoned: 0,
+                source,
+            };
+            let mut out = Vec::new();
+            render(&[row], true, &mut out).unwrap();
+            out
+        };
+        assert_eq!(report(hit, Source::Cache), report(live, Source::Live));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 use crate::campaign::{run_campaign_with, CampaignOpts};
 use crate::frame::{read_frame, write_frame};
 use crate::net::{
-    registry_hash, CampaignRequest, NetHello, NetReply, StatusReport, WorkerStatus, PROTO_VERSION,
+    registry_hash, CampaignRequest, NetHello, NetReply, StatusReport, WorkerStatus,
+    HANDSHAKE_TIMEOUT, PROTO_VERSION,
 };
 use crate::proto::ToWorker;
 use crate::supervisor::{Event, Provision, SupervisorOpts, Transport, WorkerLink};
@@ -32,7 +33,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Daemon settings (the `cdsspec-netd` CLI builds one of these).
 #[derive(Clone, Debug)]
@@ -336,7 +337,7 @@ fn handle_conn(mut stream: TcpStream, state: &DaemonState) {
     // A generous handshake deadline so a wedged client can't pin this
     // thread forever; cleared for worker connections, which legally
     // stay silent between campaigns.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     let hello = match read_frame(&mut stream) {
         Ok(line) => match NetHello::decode(&line) {
             Ok(h) => h,

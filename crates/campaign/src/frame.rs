@@ -26,9 +26,11 @@ use std::io::{Read, Write};
 pub const HEADER_LEN: usize = 8;
 
 /// Hard cap on one frame's payload. No legitimate message, record or
-/// cache entry approaches it (a merged row with thousands of rf classes
-/// is tens of kilobytes), and a corrupt or hostile length word must not
-/// commit a reader to a multi-gigabyte read.
+/// cache entry approaches it (the largest, a task result or journal
+/// `task` record carrying thousands of rf classes, is tens of kilobytes;
+/// cache entries and `bench` records leave the classes out), and a
+/// corrupt or hostile length word must not commit a reader to a
+/// multi-gigabyte read.
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// What a reader allocates before the payload bytes arrive. Larger

@@ -32,8 +32,13 @@ use crate::wire::spec_hash;
 use crate::worker::{serve, ServeEnd, WorkerOpts};
 use cdsspec_mc::explore::TREE_VERSION;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
+
+/// How long either side of a connection waits for the other's handshake
+/// frame. A silent peer must not pin a daemon thread or an attaching
+/// worker forever.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Version of the TCP protocol. Bumped on any change to the framing,
 /// the handshake, or the [`crate::proto`] message set; the daemon
@@ -556,24 +561,26 @@ pub struct AttachOpts {
     /// worker's.
     pub worker: WorkerOpts,
     /// Give up after this long of consecutive failed attaches (a
-    /// refused connect, or a connection that ends before `Welcome`). A
-    /// worker that has attached at least once exits 0 when the budget
-    /// runs out (the daemon went away — normal shutdown); one that never
-    /// attached exits 1.
+    /// refused connect, or a connection that ends or stays silent
+    /// before `Welcome`). A worker that has attached at least once exits
+    /// 0 when the budget runs out (the daemon went away — normal
+    /// shutdown); one that never attached exits 1.
     pub reconnect_budget: Duration,
 }
 
 /// Run a TCP worker: attach to the daemon, serve `Run` dispatches, and
 /// reconnect whenever the socket dies. Every attach that fails — no
-/// connection, or a connection that ends before `Welcome` — waits out a
-/// doubling backoff and counts against the reconnect budget. Returns
-/// the process exit code.
+/// connection, or a connection that ends before `Welcome` or sends
+/// nothing within the 10 s handshake bound and the rest of the budget —
+/// waits out a doubling backoff and counts against the reconnect
+/// budget. Returns the process exit code.
 pub fn attach_worker(opts: &AttachOpts) -> i32 {
     let mut ever_attached = false;
     let mut last_contact = Instant::now();
     let mut backoff = Duration::from_millis(50);
     loop {
-        let failure = match attach_once(opts) {
+        let budget_left = opts.reconnect_budget.saturating_sub(last_contact.elapsed());
+        let failure = match attach_once(opts, budget_left) {
             Attach::Served(ServeEnd::Exit) => return 0,
             Attach::Served(_) => {
                 // The daemon may come back, or the budget expires.
@@ -609,15 +616,27 @@ enum Attach {
     Served(ServeEnd),
     /// The daemon refused the handshake.
     Rejected(String),
-    /// No handshake: the connect failed or the connection ended first.
+    /// No handshake: the connect failed, or the connection ended or
+    /// timed out first.
     Failed(String),
 }
 
-fn attach_once(opts: &AttachOpts) -> Attach {
-    let mut stream = match TcpStream::connect(&opts.addr) {
+/// One attach: connect, handshake and serve. Connecting and waiting for
+/// `Welcome` each take at most the smaller of [`HANDSHAKE_TIMEOUT`] and
+/// `budget_left`; the serve loop itself has no read timeout, because a
+/// worker legally idles between campaigns.
+fn attach_once(opts: &AttachOpts, budget_left: Duration) -> Attach {
+    // A zero timeout is an error for both calls below.
+    let bound = HANDSHAKE_TIMEOUT
+        .min(budget_left)
+        .max(Duration::from_millis(1));
+    let mut stream = match connect_within(&opts.addr, bound) {
         Ok(s) => s,
         Err(e) => return Attach::Failed(format!("connect failed: {e}")),
     };
+    if let Err(e) = stream.set_read_timeout(Some(bound)) {
+        return Attach::Failed(format!("socket setup failed: {e}"));
+    }
     let hello = NetHello::Attach {
         proto: PROTO_VERSION,
         registry: registry_hash(),
@@ -633,10 +652,29 @@ fn attach_once(opts: &AttachOpts) -> Attach {
         Ok(Err(e)) => return Attach::Failed(format!("bad daemon reply: {e}")),
         Err(e) => return Attach::Failed(format!("no welcome from the daemon: {e}")),
     }
+    if let Err(e) = stream.set_read_timeout(None) {
+        return Attach::Failed(format!("socket setup failed: {e}"));
+    }
     match stream.try_clone() {
         Ok(writer) => Attach::Served(serve(stream, writer, &opts.worker)),
         Err(e) => Attach::Failed(format!("socket clone failed: {e}")),
     }
+}
+
+/// Connect to the first address `addr` resolves to that answers within
+/// `timeout`.
+fn connect_within(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("{addr} resolves to no address"),
+    );
+    for sock in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sock, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
 }
 
 #[cfg(test)]

@@ -71,6 +71,20 @@ pub fn task_key(bench: &str, shard: &ShardSpec, max_executions: u64) -> String {
 /// execution index, worker, and shard, which is everything report
 /// rendering and dedup use.
 pub fn stats_to_json(stats: &Stats) -> Json {
+    encode_stats(stats, &stats.rf_classes)
+}
+
+/// Encode a benchmark's final row: [`stats_to_json`] with an empty
+/// rf-class set. A class set only deduplicates classes across the tasks
+/// of one merge; a final row is never merged again, and neither the
+/// report nor the summary reads its classes, so the result cache and the
+/// journal's `bench` records leave them out (for MPMC that is 3,372
+/// classes, nearly all of the entry). The entry decodes like any other.
+pub fn row_to_json(stats: &Stats) -> Json {
+    encode_stats(stats, &std::collections::BTreeSet::new())
+}
+
+fn encode_stats(stats: &Stats, rf_classes: &std::collections::BTreeSet<u64>) -> Json {
     let bugs = stats
         .bugs
         .iter()
@@ -93,8 +107,8 @@ pub fn stats_to_json(stats: &Stats) -> Json {
     // A merged campaign row carries every class of its benchmark, thousands
     // of them, so they travel as one string of 16 hex digits each, which
     // checks and parses several times faster than an array of numbers.
-    let mut classes = String::with_capacity(16 * stats.rf_classes.len());
-    for &c in &stats.rf_classes {
+    let mut classes = String::with_capacity(16 * rf_classes.len());
+    for &c in rf_classes {
         for shift in (0..16).rev() {
             classes.push(char::from(HEX_DIGITS[(c >> (4 * shift)) as usize & 0xF]));
         }

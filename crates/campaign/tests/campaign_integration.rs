@@ -10,8 +10,7 @@
 //! Benchmark choice matters for wall-clock: `SPSC Queue`, `RCU` and
 //! `Seqlock` exhaust in well under a second even in debug builds, while
 //! `MPMC Queue` runs for a couple of seconds — long enough to reliably
-//! `kill -9` a worker mid-shard. (Chase-Lev Deque takes minutes in debug
-//! and must never appear here.)
+//! `kill -9` a worker mid-shard.
 
 use cdsspec_campaign::{
     Outcome, Supervisor, SupervisorOpts, TaskSpec, TaskTable, EXIT_BUG, EXIT_CLEAN, EXIT_ERROR,
@@ -126,6 +125,44 @@ const SIGSTOP: i32 = 19;
 extern "C" {
     #[link_name = "kill"]
     fn libc_kill(pid: i32, sig: i32) -> i32;
+}
+
+/// A split campaign fans a capped probe's frontier out as one task per
+/// sibling subtree, suite parts included: the rows are the same bytes
+/// with splitting off, with a tiny split, with two explorer threads per
+/// task and across two worker processes. Each of these suites counts
+/// every execution exactly once (MPMC: 4,705 executions, 3,936 feasible).
+#[test]
+fn split_rows_match_the_unsplit_rows_at_any_fan_out() {
+    let benches = "MPMC Queue,Chase-Lev Deque,M&S Queue";
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--bench", benches, "--stable"];
+        args.extend_from_slice(extra);
+        let out = campaign(&args);
+        assert_eq!(code(&out), EXIT_CLEAN, "{extra:?}:\n{}", stderr(&out));
+        (stdout(&out), stderr(&out))
+    };
+    let (base, _) = run(&["--in-process", "--split", "0"]);
+    let mpmc = base
+        .lines()
+        .find(|l| l.starts_with("MPMC Queue"))
+        .expect("an MPMC row");
+    let counts: Vec<&str> = mpmc.split_whitespace().skip(2).take(2).collect();
+    assert_eq!(counts, ["4705", "3936"], "{mpmc}");
+    for extra in [
+        &["--in-process", "--split", "4"][..],
+        &["--in-process", "--worker-threads", "2", "--split", "1000"],
+        &["--workers", "2", "--split", "4"],
+    ] {
+        let (out, err) = run(extra);
+        assert_eq!(out, base, "{extra:?} changed the rows");
+        if !extra.contains(&"--in-process") {
+            // Each capped probe fans out one task per sibling subtree of
+            // its DFS path: 62 dispatches here, where one shard per cut
+            // suite part would make 8.
+            assert!(field_u64(&err, "dispatches") > 20, "{err}");
+        }
+    }
 }
 
 #[test]

@@ -438,6 +438,25 @@ fn handshake_mismatches_are_rejected() {
     assert_eq!(code, EXIT_ERROR, "a worker that never attached exits 1");
     let seen = accepted.load(Ordering::SeqCst);
     assert!(seen <= 10, "{seen} connections in one 500 ms budget");
+
+    // A listener that accepts every connection and never answers: the
+    // wait for `Welcome` is bounded by the budget, so each silent peer is
+    // one more failed attach and the worker still gives up in time.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let silent_addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for conn in listener.incoming() {
+            held.push(conn);
+        }
+    });
+    let (done, code) = std::sync::mpsc::channel();
+    let opts = attach_opts(silent_addr, Duration::from_millis(500));
+    std::thread::spawn(move || done.send(attach_worker(&opts)));
+    let code = code
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a silent daemon must not wedge the worker");
+    assert_eq!(code, EXIT_ERROR, "a worker that never attached exits 1");
 }
 
 /// A worker that can never reach a daemon exhausts its reconnect budget

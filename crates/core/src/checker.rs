@@ -434,9 +434,20 @@ pub type SuitePart<S> = (Spec<S>, Box<dyn Fn() + Send + Sync + 'static>);
 /// [`cdsspec_mc::Stats::frontier`] replay script does not say which
 /// part's choice tree it belongs to. `check_suite` therefore prefixes
 /// every frontier it reports with the part index and peels that prefix
-/// off [`cdsspec_mc::Config::resume_script`] on the way back in, so the
-/// suite as a whole keeps the partition invariant
+/// off on the way back in, so the suite as a whole keeps the partition
+/// invariant
 /// `executions(full) == executions(to checkpoint) + executions(resumed)`.
+///
+/// A prefixed shard's floor counts the prefix too. A cut suite's
+/// [`cdsspec_mc::Stats::shard_frontiers`] list exactly the work left:
+/// the cut part's shards (floor >= 1, so they stay in their part), then
+/// a root shard `{ floor: 1, script: [q] }` for each later part `q` that
+/// still had work. Resuming from [`cdsspec_mc::Config::resume_shards`]
+/// explores exactly the listed shards, part by part, and nothing else,
+/// so any subset of a frontier (one campaign task per shard) counts
+/// every execution once. A floor-0 shard — and so a single
+/// [`cdsspec_mc::Config::resume_script`] — may backtrack past its
+/// part's index and continues into every later part.
 ///
 /// A wall-clock [`cdsspec_mc::Config::time_budget`] covers the whole
 /// suite, not each part: later parts run on whatever remains.
@@ -444,64 +455,65 @@ pub fn check_suite<S>(config: cdsspec_mc::Config, parts: Vec<SuitePart<S>>) -> c
 where
     S: Send + 'static,
 {
+    use cdsspec_mc::ShardSpec;
     let last = parts.len().saturating_sub(1);
-    // Three resume channels, in precedence order: a shard set from an
-    // interrupted parallel run (every shard carries the same part-index
-    // prefix — shards never span parts), a single prefixed script, or
-    // nothing. Peeling the part index off a shard also lowers its floor:
-    // the synthetic prefix element sits below every real choice point.
-    let (start, inner_script, inner_shards) = match (&config.resume_shards, &config.resume_script) {
-        (Some(shards), _) if !shards.is_empty() && !shards[0].script.is_empty() => {
-            let idx = shards[0].script[0].min(last);
-            let inner: Vec<cdsspec_mc::ShardSpec> = shards
-                .iter()
-                .filter(|s| !s.script.is_empty())
-                .map(|s| cdsspec_mc::ShardSpec {
-                    floor: s.floor.saturating_sub(1),
-                    script: s.script[1..].to_vec(),
-                })
-                .collect();
-            (idx, None, Some(inner))
+    let listed = match (&config.resume_shards, &config.resume_script) {
+        (Some(shards), _) if !shards.is_empty() => shards.clone(),
+        (_, Some(script)) => vec![ShardSpec::from_script(script.clone())],
+        _ => vec![ShardSpec::root()],
+    };
+    // Each part's own shards, prefix peeled: the synthetic prefix element
+    // sits below every real choice point, so the floor drops by one.
+    let mut work: std::collections::BTreeMap<usize, Vec<ShardSpec>> = Default::default();
+    for shard in listed {
+        // The suite's root shard is part 0's root with floor 0.
+        let (idx, inner) = match shard.script.split_first() {
+            Some((&idx, inner)) => (idx.min(last), inner.to_vec()),
+            None => (0, Vec::new()),
+        };
+        work.entry(idx).or_default().push(ShardSpec {
+            floor: shard.floor.saturating_sub(1),
+            script: inner,
+        });
+        if shard.floor == 0 {
+            for q in idx + 1..parts.len() {
+                work.entry(q).or_default().push(ShardSpec::root());
+            }
         }
-        (_, Some(script)) if !script.is_empty() => {
-            (script[0].min(last), Some(script[1..].to_vec()), None)
+    }
+    let prefixed = |idx: usize, shard: ShardSpec| {
+        let mut script = Vec::with_capacity(shard.script.len() + 1);
+        script.push(idx);
+        script.extend(shard.script);
+        ShardSpec {
+            floor: shard.floor + 1,
+            script,
         }
-        _ => (0, None, None),
     };
     let deadline = config.time_budget.map(|b| std::time::Instant::now() + b);
     let mut acc = cdsspec_mc::Stats::default();
-    for (idx, (spec, test)) in parts.into_iter().enumerate().skip(start) {
-        let mut part_config = config.clone();
-        (part_config.resume_script, part_config.resume_shards) = if idx == start {
-            (inner_script.clone(), inner_shards.clone())
-        } else {
-            (None, None)
+    let mut parts: Vec<Option<SuitePart<S>>> = parts.into_iter().map(Some).collect();
+    while let Some((idx, shards)) = work.pop_first() {
+        let Some((spec, test)) = parts.get_mut(idx).and_then(Option::take) else {
+            continue;
         };
+        let mut part_config = config.clone();
+        part_config.resume_script = None;
+        part_config.resume_shards = Some(shards);
         part_config.time_budget =
             deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
         let mut fresh = check(part_config, spec, test);
-        if let Some(frontier) = fresh.frontier.take() {
-            let mut prefixed = Vec::with_capacity(frontier.len() + 1);
-            prefixed.push(idx);
-            prefixed.extend(frontier);
-            fresh.frontier = Some(prefixed);
-        }
-        if !fresh.shard_frontiers.is_empty() {
-            let shards = std::mem::take(&mut fresh.shard_frontiers);
-            fresh.shard_frontiers = shards
-                .into_iter()
-                .map(|s| {
-                    let mut prefixed = Vec::with_capacity(s.script.len() + 1);
-                    prefixed.push(idx);
-                    prefixed.extend(s.script);
-                    cdsspec_mc::ShardSpec {
-                        floor: s.floor + 1,
-                        script: prefixed,
-                    }
-                })
-                .collect();
-        }
         let stop_here = fresh.buggy() || fresh.truncated();
+        if !fresh.shard_frontiers.is_empty() {
+            let mut left: Vec<ShardSpec> = std::mem::take(&mut fresh.shard_frontiers)
+                .into_iter()
+                .map(|s| prefixed(idx, s))
+                .collect();
+            for (q, shards) in std::mem::take(&mut work) {
+                left.extend(shards.into_iter().map(|s| prefixed(q, s)));
+            }
+            fresh.set_frontier_shards(left);
+        }
         acc.continue_with(fresh);
         if stop_here {
             break;

@@ -169,6 +169,59 @@ fn suite_parallel_cut_resumes_through_shards() {
     }
 }
 
+/// A suite frontier lists exactly the work left: a cut inside part A
+/// lists part A's sibling subtrees, then part B's root shard. Exploring
+/// the shards one at a time — one campaign task each — counts every
+/// execution of the straight run exactly once.
+#[test]
+fn suite_frontier_shards_explore_alone_to_the_straight_run() {
+    let seq = || Config {
+        workers: 1,
+        ..Config::default()
+    };
+    let full = check_suite(seq(), suite());
+    let part_a_total = spec::check(seq(), Spec::new("noop", || ()), part_a).executions;
+    assert!(part_a_total > 1, "part A must be cuttable");
+    for cap in 1..part_a_total {
+        let cut = check_suite(
+            Config {
+                max_executions: cap,
+                ..seq()
+            },
+            suite(),
+        );
+        assert_eq!(cut.stop, mc::StopReason::ExecutionCap, "cap {cap}");
+        let shards = &cut.shard_frontiers;
+        assert!(shards[..shards.len() - 1]
+            .iter()
+            .all(|s| s.script[0] == 0 && s.floor >= 1));
+        assert_eq!(
+            shards.last(),
+            Some(&mc::ShardSpec {
+                floor: 1,
+                script: vec![1],
+            }),
+            "cap {cap}: part B's root shard closes the list: {shards:?}"
+        );
+        let mut executions = cut.executions;
+        let mut feasible = cut.feasible;
+        for shard in shards {
+            let alone = check_suite(
+                Config {
+                    resume_shards: Some(vec![shard.clone()]),
+                    ..seq()
+                },
+                suite(),
+            );
+            assert_eq!(alone.stop, mc::StopReason::Exhausted, "cap {cap}");
+            executions += alone.executions;
+            feasible += alone.feasible;
+        }
+        assert_eq!(executions, full.executions, "cap {cap}: {shards:?}");
+        assert_eq!(feasible, full.feasible, "cap {cap}: {shards:?}");
+    }
+}
+
 /// Reads-from equivalence pruning composes with suite shard peeling: a
 /// pruned suite reports the same bug set and rf classes as an unpruned
 /// one, and a pruned parallel cut resumed through part-prefixed shards

@@ -98,9 +98,9 @@ pub(crate) enum PluginSource {
 pub(crate) enum ShardEnd {
     /// Every leaf of the shard's subtree was visited.
     Exhausted,
-    /// Stopped early; carries the shard's remaining frontier (`None` when
+    /// Stopped early; carries the shard's remaining frontier (empty when
     /// the stop fired on the shard's final leaf).
-    Stopped(StopReason, Option<ShardSpec>),
+    Stopped(StopReason, Vec<ShardSpec>),
 }
 
 /// One DFS campaign over a test closure's choice tree (or a shard of it).
@@ -324,7 +324,7 @@ impl Explorer {
 
             if let Some(reason) = stop {
                 let rem = frontier.map(|script| ShardSpec { floor, script });
-                return ShardEnd::Stopped(reason, rem);
+                return ShardEnd::Stopped(reason, rem.into_iter().collect());
             }
             // Exhaustion outranks the resource limits: a cap or deadline
             // that fires on the final leaf did not truncate anything, and
@@ -332,25 +332,18 @@ impl Explorer {
             let Some(next) = frontier else {
                 return ShardEnd::Exhausted;
             };
-            if self.local_executions >= self.config.max_executions {
-                return ShardEnd::Stopped(
-                    StopReason::ExecutionCap,
-                    Some(ShardSpec {
-                        floor,
-                        script: next,
-                    }),
-                );
-            }
             // The deadline is only checked between executions: partition
             // counts stay exact across checkpoint/resume.
-            if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                return ShardEnd::Stopped(
-                    StopReason::Deadline,
-                    Some(ShardSpec {
-                        floor,
-                        script: next,
-                    }),
-                );
+            let limit = if self.local_executions >= self.config.max_executions {
+                Some(StopReason::ExecutionCap)
+            } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                Some(StopReason::Deadline)
+            } else {
+                None
+            };
+            if let Some(reason) = limit {
+                let rem = stop_frontier(reason, next, &result.choices, floor);
+                return ShardEnd::Stopped(reason, rem);
             }
             script = next;
         }
@@ -611,6 +604,41 @@ pub(crate) fn next_script_bounded(choices: &[ChoiceRec], floor: usize) -> Option
     let mut script: Vec<usize> = choices[..i].iter().map(|c| c.picked).collect();
     script.push(choices[i].picked + 1);
     Some(script)
+}
+
+/// The remaining frontier of a shard that stopped for `reason` before
+/// its next leaf `next` (with `choices`, the record of the execution that
+/// led there).
+///
+/// An `ExecutionCap` stop reports the remainder as the disjoint sibling
+/// subtrees along the DFS path to `next` ([`split_frontier`] without a
+/// batch limit): the branch under `next` with its raised floor first,
+/// then the siblings deepest to shallowest. That is DFS order, so
+/// draining the list visits the leaves the single `{ floor, next }`
+/// shard would have, in the same order, and the first script
+/// ([`Stats::frontier`]) still resumes the whole remainder from floor 0.
+/// A campaign fans the list out as one task per shard. Every other stop
+/// keeps the single shard: deadline sampling marches one unfloored
+/// script across the remainder.
+pub(crate) fn stop_frontier(
+    reason: StopReason,
+    next: Vec<usize>,
+    choices: &[ChoiceRec],
+    floor: usize,
+) -> Vec<ShardSpec> {
+    if reason != StopReason::ExecutionCap {
+        return vec![ShardSpec {
+            floor,
+            script: next,
+        }];
+    }
+    let (siblings, branch_floor) = split_frontier(&next, choices, floor, usize::MAX);
+    let mut shards = vec![ShardSpec {
+        floor: branch_floor,
+        script: next,
+    }];
+    shards.extend(siblings.into_iter().rev());
+    shards
 }
 
 /// Split a donor's frontier for work-stealing: scan the frontier

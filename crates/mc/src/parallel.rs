@@ -23,7 +23,9 @@
 //! Termination: work only ever enters the queue from a busy worker, so
 //! "every worker idle and the queue empty" is stable and final. A global
 //! halt (first bug, execution cap, deadline, error) wakes all waiters and
-//! makes each busy worker park its current frontier as a leftover shard.
+//! makes each busy worker park its current frontier as a leftover shard —
+//! as the sibling subtrees along its DFS path when the halt is the
+//! execution cap ([`crate::explore::stop_frontier`]).
 //!
 //! The execution cap is enforced via a global atomic counter checked
 //! between executions; concurrent workers may overshoot the cap by up to
@@ -42,7 +44,8 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::config::Config;
 use crate::explore::{
-    next_script_bounded, split_frontier, Explorer, PluginSet, PluginSource, MAX_BUG_RECORDS,
+    next_script_bounded, split_frontier, stop_frontier, Explorer, PluginSet, PluginSource,
+    MAX_BUG_RECORDS,
 };
 use crate::report::{FoundBug, ShardSpec, Stats, StopReason};
 use crate::worker::run_shard_threads;
@@ -165,31 +168,21 @@ fn shard_worker(
             let Some(next) = frontier else {
                 continue 'shards; // shard exhausted; fetch the next one
             };
-            if total >= coord.max_executions {
-                ex.stats.stop = ex.stats.stop.worst(StopReason::ExecutionCap);
-                coord.halt(StopReason::ExecutionCap);
-                leftovers.push(ShardSpec {
-                    floor,
-                    script: next,
-                });
-                break 'shards;
+            let limit = if total >= coord.max_executions {
+                Some(StopReason::ExecutionCap)
+            } else if coord.deadline.is_some_and(|d| Instant::now() >= d) {
+                Some(StopReason::Deadline)
+            } else {
+                None
+            };
+            if let Some(reason) = limit {
+                coord.halt(reason);
             }
-            if coord.deadline.is_some_and(|d| Instant::now() >= d) {
-                ex.stats.stop = ex.stats.stop.worst(StopReason::Deadline);
-                coord.halt(StopReason::Deadline);
-                leftovers.push(ShardSpec {
-                    floor,
-                    script: next,
-                });
-                break 'shards;
-            }
-            if let Some(reason) = coord.halted() {
-                // Someone else stopped the run: park the frontier and go.
+            // This worker's own limit, or someone else stopped the run:
+            // park the frontier and go.
+            if let Some(reason) = limit.or_else(|| coord.halted()) {
                 ex.stats.stop = ex.stats.stop.worst(reason);
-                leftovers.push(ShardSpec {
-                    floor,
-                    script: next,
-                });
+                leftovers.extend(stop_frontier(reason, next, &result.choices, floor));
                 break 'shards;
             }
             coord.maybe_donate(&next, &result.choices, &mut floor);

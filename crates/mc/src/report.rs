@@ -373,12 +373,14 @@ pub struct Stats {
     pub frontier: Option<Vec<usize>>,
     /// The complete unexplored frontier as a list of disjoint shards.
     ///
-    /// A sequential run that stops early leaves exactly one floor-0 shard
-    /// here (mirroring [`Stats::frontier`]); an interrupted *parallel*
-    /// run leaves one shard per in-flight worker plus any shards still
-    /// queued for stealing. Resuming every listed shard visits exactly
-    /// the leaves the interrupted run had left — the partition invariant
-    /// extended to shard sets.
+    /// A sequential run stopped by a deadline or a bug leaves exactly one
+    /// floor-0 shard here (mirroring [`Stats::frontier`]); an interrupted
+    /// *parallel* run leaves one shard per in-flight worker plus any
+    /// shards still queued for stealing. A shard cut by the execution cap
+    /// is listed as the sibling subtrees along its DFS path, deepest
+    /// first. Resuming every listed shard visits exactly the leaves the
+    /// interrupted run had left — the partition invariant extended to
+    /// shard sets — and each shard can also be explored on its own.
     pub shard_frontiers: Vec<ShardSpec>,
 }
 
@@ -518,10 +520,12 @@ impl Stats {
 /// from `script` visits exactly the leaves a straight-through run would
 /// have visited after the interruption point, so
 /// `executions(full) == executions(to checkpoint) + executions(resumed)`.
-/// A *parallel* run's checkpoint additionally carries one
-/// [`ShardSpec`] per abandoned subtree in its statistics; together the
-/// shards partition the unexplored remainder, so the same identity holds
-/// at any worker count.
+/// The statistics also carry the remainder as disjoint [`ShardSpec`]
+/// subtrees: one per abandoned shard of a *parallel* run, and, when the
+/// execution cap cut the run, the sibling subtrees along each cut DFS
+/// path, the first of them rooted at `script`. Together the shards
+/// partition the unexplored remainder, so the same identity holds at any
+/// worker count, and each shard can be explored on its own.
 ///
 /// Resuming happens in memory, through [`crate::explore_from`]. Across
 /// process restarts the checkpoint's [`Stats`] travel as a campaign
@@ -541,7 +545,8 @@ impl Stats {
 /// let seq = mc::Config { workers: 1, ..mc::Config::default() };
 /// let cut = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
 /// let ckpt = cut.checkpoint().expect("the cap leaves a frontier");
-/// // A sequential cut leaves one floor-0 shard rooted at the script.
+/// // The first execution left no untried sibling above the next leaf,
+/// // so the remainder is one floor-0 shard rooted at the script.
 /// assert_eq!(
 ///     ckpt.stats.frontier_shards(),
 ///     vec![mc::ShardSpec::from_script(ckpt.script.clone())],

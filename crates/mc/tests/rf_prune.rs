@@ -304,6 +304,32 @@ fn interp(steps: &[(Step, MemOrd)], cells: &[Atomic<i64>]) -> Vec<i64> {
     reads
 }
 
+/// Run `prog` as one modeled execution (thread 0 is the main thread)
+/// and return every thread's read values, in thread order.
+fn run_threads(prog: &Arc<Program>, locs: usize) -> Vec<i64> {
+    let cells: Vec<Atomic<i64>> = (0..locs).map(|_| Atomic::new(0)).collect();
+    type ThreadReads = Vec<(usize, Vec<i64>)>;
+    let reads: Arc<Mutex<ThreadReads>> = Arc::new(Mutex::new(Vec::new()));
+    let mut handles = Vec::new();
+    for (ti, steps) in prog.iter().enumerate().skip(1) {
+        let steps = steps.clone();
+        let cells = cells.clone();
+        let reads = Arc::clone(&reads);
+        handles.push(mc::thread::spawn(move || {
+            let r = interp(&steps, &cells);
+            reads.lock().unwrap().push((ti, r));
+        }));
+    }
+    let r0 = interp(&prog[0], &cells);
+    reads.lock().unwrap().push((0, r0));
+    for h in handles {
+        h.join();
+    }
+    let mut all = reads.lock().unwrap().clone();
+    all.sort_by_key(|(ti, _)| *ti);
+    all.into_iter().flat_map(|(_, v)| v).collect()
+}
+
 /// Explore `prog` and collect the set of per-thread read-value vectors
 /// over all feasible executions, plus the stats.
 fn run_prog(prog: &Program, locs: usize, config: Config) -> (BTreeSet<Vec<i64>>, mc::Stats) {
@@ -315,31 +341,82 @@ fn run_prog(prog: &Program, locs: usize, config: Config) -> (BTreeSet<Vec<i64>>,
         ..config
     };
     let stats = mc::explore(config, move || {
-        let cells: Vec<Atomic<i64>> = (0..locs).map(|_| Atomic::new(0)).collect();
-        type ThreadReads = Vec<(usize, Vec<i64>)>;
-        let reads: Arc<Mutex<ThreadReads>> = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for (ti, steps) in prog.iter().enumerate().skip(1) {
-            let steps = steps.clone();
-            let cells = cells.clone();
-            let reads = Arc::clone(&reads);
-            handles.push(mc::thread::spawn(move || {
-                let r = interp(&steps, &cells);
-                reads.lock().unwrap().push((ti, r));
-            }));
-        }
-        let r0 = interp(&prog[0], &cells);
-        reads.lock().unwrap().push((0, r0));
-        for h in handles {
-            h.join();
-        }
-        let mut all = reads.lock().unwrap().clone();
-        all.sort_by_key(|(ti, _)| *ti);
-        let flat: Vec<i64> = all.into_iter().flat_map(|(_, v)| v).collect();
+        let flat = run_threads(&prog, locs);
         oc.lock().unwrap().insert(flat);
     });
     let set = outcomes.lock().unwrap().clone();
     (set, stats)
+}
+
+/// A capped run's frontier lists its remainder as disjoint sibling
+/// subtrees. At every cap, exploring each shard alone (one campaign task
+/// per shard) completes the uncapped run's executions, feasible count and
+/// rf classes; and draining the whole frontier at once, in its order,
+/// meets the uncapped run's first bug at the same execution. The bug is
+/// an assertion on the read values, so random programs fail somewhere
+/// inside their trees.
+fn capped_frontier_fans_out_exactly(prog: &Program) {
+    let prog = Arc::new(prog.clone());
+    let test = |assert: bool| {
+        let prog = Arc::clone(&prog);
+        move || {
+            let flat = run_threads(&prog, 2);
+            if assert {
+                mc_assert!(flat.iter().sum::<i64>() % 3 != 1);
+            }
+        }
+    };
+    let base = Config {
+        workers: 1,
+        ..Config::default()
+    };
+    let full = mc::explore(base.clone(), test(false));
+    assert_eq!(full.stop, mc::StopReason::Exhausted, "{}", full.summary());
+    for cap in 1..full.executions {
+        let cut = mc::explore(
+            Config {
+                max_executions: cap,
+                ..base.clone()
+            },
+            test(false),
+        );
+        assert_eq!(cut.stop, mc::StopReason::ExecutionCap, "cap {cap}");
+        let (mut executions, mut feasible) = (cut.executions, cut.feasible);
+        let mut classes = cut.rf_classes.clone();
+        for shard in &cut.shard_frontiers {
+            let alone = mc::explore(
+                Config {
+                    resume_shards: Some(vec![shard.clone()]),
+                    ..base.clone()
+                },
+                test(false),
+            );
+            assert_eq!(alone.stop, mc::StopReason::Exhausted, "cap {cap}");
+            executions += alone.executions;
+            feasible += alone.feasible;
+            classes.extend(alone.rf_classes.iter().copied());
+        }
+        let shards = &cut.shard_frontiers;
+        assert_eq!(executions, full.executions, "cap {cap}: {shards:?}");
+        assert_eq!(feasible, full.feasible, "cap {cap}: {shards:?}");
+        assert_eq!(classes, full.rf_classes, "cap {cap}: {shards:?}");
+    }
+
+    let first_bug = |s: &mc::Stats| s.bugs.first().map(|b| (b.bug.to_string(), b.execution));
+    let straight = mc::explore(base.clone(), test(true));
+    for cap in 1..straight.executions {
+        let cut = mc::explore(
+            Config {
+                max_executions: cap,
+                ..base.clone()
+            },
+            test(true),
+        );
+        let ck = cut.checkpoint().expect("a cut before the first bug");
+        let drained = mc::explore_from(base.clone(), ck, test(true));
+        assert_eq!(first_bug(&drained), first_bug(&straight), "cap {cap}");
+        assert_eq!(drained.executions, straight.executions, "cap {cap}");
+    }
 }
 
 /// The default reduced exploration and the unreduced tree (no sleep
@@ -427,5 +504,15 @@ proptest! {
     #[test]
     fn sleep_sets_preserve_rf_classes_on_random_programs(prog in program_strategy(3, 2..=3, 2)) {
         sleep_sets_preserve_classes(&prog);
+    }
+}
+
+proptest! {
+    // Every cap of every program re-explores the whole tree once.
+    #![proptest_config(ProptestConfig { cases: CASES / 4, ..ProptestConfig::default() })]
+
+    #[test]
+    fn capped_frontier_fans_out_exactly_on_random_programs(prog in program_strategy(3, 1..=3, 2)) {
+        capped_frontier_fans_out_exactly(&prog);
     }
 }
