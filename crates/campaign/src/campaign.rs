@@ -16,7 +16,9 @@
 //! 3. The merge folds task results **in frontier order** — never dispatch
 //!    or completion order — so the merged row is a pure function of the
 //!    per-task results, which are themselves deterministic (the
-//!    partition invariant). Worker deaths only ever discard *partial*
+//!    partition invariant), and it stops counting at the first task
+//!    that stopped on its first bug, as one explorer draining the
+//!    frontier in order would have. Worker deaths only ever discard *partial*
 //!    output and rerun whole shards, so a chaos-ridden campaign renders
 //!    the exact bytes an undisturbed one does (`--stable` masks
 //!    wall-clock, the one nondeterministic column).
@@ -647,15 +649,29 @@ fn run_tasks(
 /// Fold task outcomes (in frontier order) into the probe's stats. Quarantined
 /// and abandoned shards stay on the frontier — the row is resumable — and
 /// force `StopReason::Errored`.
+///
+/// Frontier order is DFS order, so the first shard that stopped on its
+/// first bug is where one explorer draining the frontier would have
+/// stopped: the shards after it count nothing and stay on the frontier,
+/// and the row equals the unsplit one at any fan-out.
 fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, usize, usize) {
     let mut merged = probe;
     let mut stop = StopReason::Exhausted;
     let mut leftover: Vec<ShardSpec> = Vec::new();
     let mut suspects = 0;
     let mut abandoned = 0;
+    let mut first_bug = false;
     for (spec, outcome) in specs.iter().zip(outcomes) {
+        if first_bug {
+            if let Outcome::Done(s) = &outcome {
+                merged.elapsed += s.elapsed;
+            }
+            leftover.push(spec.shard.clone());
+            continue;
+        }
         match outcome {
             Outcome::Done(s) => {
+                first_bug = s.stop == StopReason::FirstBug;
                 stop = stop.worst(s.stop);
                 leftover.extend(s.frontier_shards());
                 merged.add_counters(&s);
@@ -788,6 +804,63 @@ mod tests {
 
     /// A split row keeps every counter of its tasks, not only the
     /// probe's: pruned branches sum and rf classes union.
+    #[test]
+    fn merge_stops_counting_after_the_first_first_bug_shard() {
+        use cdsspec_mc::{Bug, BugCategory, FoundBug};
+        let probe = Stats {
+            executions: 5,
+            stop: StopReason::ExecutionCap,
+            ..Stats::default()
+        };
+        let bug = |message: &str| FoundBug {
+            bug: Bug::Restored {
+                category: BugCategory::Assertion,
+                message: message.into(),
+            },
+            execution: 1,
+            trace: String::new(),
+            worker: 0,
+            shard: Vec::new(),
+        };
+        let clean = Stats {
+            executions: 10,
+            stop: StopReason::Exhausted,
+            ..Stats::default()
+        };
+        let mut buggy = Stats {
+            executions: 3,
+            bugs: vec![bug("first")],
+            stop: StopReason::FirstBug,
+            ..Stats::default()
+        };
+        buggy.set_frontier_shards(vec![ShardSpec {
+            floor: 1,
+            script: vec![1],
+        }]);
+        let later = Stats {
+            executions: 50,
+            bugs: vec![bug("later")],
+            stop: StopReason::FirstBug,
+            ..Stats::default()
+        };
+        let specs = [spec("X"), spec("X"), spec("X")];
+        let (m, _, _) = merge(
+            probe,
+            &specs,
+            vec![
+                Outcome::Done(clean),
+                Outcome::Done(buggy),
+                Outcome::Done(later),
+            ],
+        );
+        assert_eq!(m.executions, 18, "the shard after the bug counts nothing");
+        assert_eq!(m.bugs.len(), 1);
+        assert_eq!(m.stop, StopReason::FirstBug);
+        let left = m.frontier_shards();
+        assert_eq!(left.len(), 2, "the bug shard's rest, then the later shard");
+        assert_eq!(left[1], specs[2].shard);
+    }
+
     #[test]
     fn merge_keeps_task_pruning_and_rf_classes() {
         let probe = Stats {

@@ -128,7 +128,7 @@ extern "C" {
 }
 
 /// A split campaign fans a capped probe's frontier out as one task per
-/// sibling subtree, suite parts included: the rows are the same bytes
+/// subtree, suite parts included: the rows are the same bytes
 /// with splitting off, with a tiny split, with two explorer threads per
 /// task and across two worker processes. Each of these suites counts
 /// every execution exactly once (MPMC: 4,705 executions, 3,936 feasible).
@@ -157,10 +157,35 @@ fn split_rows_match_the_unsplit_rows_at_any_fan_out() {
         let (out, err) = run(extra);
         assert_eq!(out, base, "{extra:?} changed the rows");
         if !extra.contains(&"--in-process") {
-            // Each capped probe fans out one task per sibling subtree of
-            // its DFS path: 62 dispatches here, where one shard per cut
-            // suite part would make 8.
-            assert!(field_u64(&err, "dispatches") > 20, "{err}");
+            // Each capped probe fans out one task per sibling subtree it
+            // splits off its DFS path: 20 dispatches here, where one
+            // shard per cut suite part would make 8.
+            assert!(field_u64(&err, "dispatches") > 8, "{err}");
+        }
+    }
+}
+
+/// Under the default first-bug stop, a split campaign stops where the
+/// unsplit one does: sibling subtrees after the first one that hit a bug
+/// count nothing, however many of them ran. With a split of 1 the probe
+/// cuts before the bug, so the bug lies in a fanned-out shard.
+#[test]
+fn split_first_bug_rows_match_the_unsplit_row() {
+    for (bench, site) in [("SPSC Queue", "1"), ("Chase-Lev Deque", "2")] {
+        let run = |extra: &[&str]| {
+            let mut args = vec!["--bench", bench, "--stable", "--weaken", site];
+            args.extend_from_slice(extra);
+            let out = campaign(&args);
+            assert_eq!(code(&out), EXIT_BUG, "{extra:?}:\n{}", stderr(&out));
+            stdout(&out)
+        };
+        let base = run(&["--in-process", "--split", "0"]);
+        for extra in [
+            &["--in-process", "--split", "1"][..],
+            &["--in-process", "--split", "4"],
+            &["--workers", "2", "--split", "1"],
+        ] {
+            assert_eq!(run(extra), base, "{bench} {extra:?} changed the row");
         }
     }
 }

@@ -492,9 +492,8 @@ where
     };
     let deadline = config.time_budget.map(|b| std::time::Instant::now() + b);
     let mut acc = cdsspec_mc::Stats::default();
-    let mut parts: Vec<Option<SuitePart<S>>> = parts.into_iter().map(Some).collect();
-    while let Some((idx, shards)) = work.pop_first() {
-        let Some((spec, test)) = parts.get_mut(idx).and_then(Option::take) else {
+    for (idx, (spec, test)) in parts.into_iter().enumerate() {
+        let Some(shards) = work.remove(&idx) else {
             continue;
         };
         let mut part_config = config.clone();

@@ -55,11 +55,15 @@ use rand::SeedableRng;
 /// Version of the exploration tree: which schedules, rf choices and
 /// therefore execution counters a fixed [`Config`] produces. Bump it
 /// whenever a change alters which schedules a fixed `Config` visits (the
-/// dependence relation, pruning rules, scheduling order). Result caches
-/// and campaign journals key on it, so results of an older tree stop
-/// matching; `--checkpoint` frontiers cut under an older tree must not be
-/// resumed.
-pub const TREE_VERSION: u64 = 1;
+/// dependence relation, pruning rules, scheduling order) or which leaves
+/// a frontier shard stands for. Result caches and campaign journals key
+/// on it, so results of an older tree stop matching; `--checkpoint`
+/// frontiers cut under an older tree must not be resumed, and the attach
+/// handshake turns away a worker of another tree.
+///
+/// Version 2: a suite frontier shard stands for its own subtree only,
+/// where a version-1 shard also covered every later suite part.
+pub const TREE_VERSION: u64 = 2;
 
 /// Maximum distinct bug records retained (duplicates across executions are
 /// folded; exploration statistics still count every occurrence).
@@ -606,20 +610,29 @@ pub(crate) fn next_script_bounded(choices: &[ChoiceRec], floor: usize) -> Option
     Some(script)
 }
 
+/// Sibling subtrees a capped shard splits off its DFS path, at most.
+/// The shallowest siblings are the biggest; the deeper ones stay in the
+/// branch shard, since each shard is one campaign task (a dispatch, and
+/// a journal sync) and a deep sibling is too small to pay for its own.
+/// Four keeps two workers busy on `campaign-net` while a journaled
+/// registry campaign at `--split 4` makes 60 tasks, not 120.
+const CAP_SIBLINGS: usize = 4;
+
 /// The remaining frontier of a shard that stopped for `reason` before
 /// its next leaf `next` (with `choices`, the record of the execution that
 /// led there).
 ///
-/// An `ExecutionCap` stop reports the remainder as the disjoint sibling
-/// subtrees along the DFS path to `next` ([`split_frontier`] without a
-/// batch limit): the branch under `next` with its raised floor first,
-/// then the siblings deepest to shallowest. That is DFS order, so
-/// draining the list visits the leaves the single `{ floor, next }`
-/// shard would have, in the same order, and the first script
-/// ([`Stats::frontier`]) still resumes the whole remainder from floor 0.
-/// A campaign fans the list out as one task per shard. Every other stop
-/// keeps the single shard: deadline sampling marches one unfloored
-/// script across the remainder.
+/// An `ExecutionCap` stop reports the remainder as disjoint subtrees: the
+/// [`CAP_SIBLINGS`] shallowest sibling subtrees along the DFS path to
+/// `next` ([`split_frontier`]), and the branch under `next` with its
+/// floor raised past them, which keeps every deeper sibling. The branch
+/// comes first, then the siblings deepest to shallowest. That is DFS
+/// order, so draining the list visits the leaves the single
+/// `{ floor, next }` shard would have, in the same order, and the first
+/// script ([`Stats::frontier`]) still resumes the whole remainder from
+/// floor 0. A campaign fans the list out as one task per shard. Every
+/// other stop keeps the single shard: deadline sampling marches one
+/// unfloored script across the remainder.
 pub(crate) fn stop_frontier(
     reason: StopReason,
     next: Vec<usize>,
@@ -632,7 +645,7 @@ pub(crate) fn stop_frontier(
             script: next,
         }];
     }
-    let (siblings, branch_floor) = split_frontier(&next, choices, floor, usize::MAX);
+    let (siblings, branch_floor) = split_frontier(&next, choices, floor, CAP_SIBLINGS);
     let mut shards = vec![ShardSpec {
         floor: branch_floor,
         script: next,

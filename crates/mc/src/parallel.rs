@@ -24,7 +24,7 @@
 //! "every worker idle and the queue empty" is stable and final. A global
 //! halt (first bug, execution cap, deadline, error) wakes all waiters and
 //! makes each busy worker park its current frontier as a leftover shard —
-//! as the sibling subtrees along its DFS path when the halt is the
+//! as sibling subtrees along its DFS path when the halt is the
 //! execution cap ([`crate::explore::stop_frontier`]).
 //!
 //! The execution cap is enforced via a global atomic counter checked

@@ -377,8 +377,7 @@ pub struct Stats {
     /// floor-0 shard here (mirroring [`Stats::frontier`]); an interrupted
     /// *parallel* run leaves one shard per in-flight worker plus any
     /// shards still queued for stealing. A shard cut by the execution cap
-    /// is listed as the sibling subtrees along its DFS path, deepest
-    /// first. Resuming every listed shard visits exactly the leaves the
+    /// is listed as sibling subtrees along its DFS path, deepest first. Resuming every listed shard visits exactly the leaves the
     /// interrupted run had left — the partition invariant extended to
     /// shard sets — and each shard can also be explored on its own.
     pub shard_frontiers: Vec<ShardSpec>,
@@ -522,8 +521,8 @@ impl Stats {
 /// `executions(full) == executions(to checkpoint) + executions(resumed)`.
 /// The statistics also carry the remainder as disjoint [`ShardSpec`]
 /// subtrees: one per abandoned shard of a *parallel* run, and, when the
-/// execution cap cut the run, the sibling subtrees along each cut DFS
-/// path, the first of them rooted at `script`. Together the shards
+/// execution cap cut the run, sibling subtrees along each cut DFS path,
+/// the first of them rooted at `script`. Together the shards
 /// partition the unexplored remainder, so the same identity holds at any
 /// worker count, and each shard can be explored on its own.
 ///
