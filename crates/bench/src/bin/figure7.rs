@@ -123,7 +123,7 @@ fn main() {
             .take_if(|(name, _)| name == bench.name)
             .map(|(_, stats)| stats);
         if let Some(prior) = &prior {
-            config.resume_shards = Some(prior.frontier_shards());
+            config.resume_shards = Some(prior.shard_frontiers.clone());
         }
         let fresh = bench.check_default(config);
         let stats = match prior {

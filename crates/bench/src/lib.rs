@@ -11,8 +11,8 @@
 //!   default checkpoint destination, so repeated interruptions keep
 //!   updating one file);
 //! * `--workers <n>` — explorer threads per exploration (default:
-//!   auto-detect available parallelism; `--workers 1` forces the
-//!   sequential engine);
+//!   auto-detect available parallelism; `--workers 1` explores on the
+//!   calling thread alone);
 //! * `--stable` — mask wall-clock columns so two runs at different
 //!   worker counts diff byte-for-byte;
 //! * `--no-rf-prune` — disable reads-from equivalence pruning
@@ -56,7 +56,7 @@ pub struct HarnessArgs {
     /// Per-trial detail (figure8).
     pub verbose: bool,
     /// Explorer workers (`--workers N`; `None` = auto-detect, `Some(1)` =
-    /// sequential engine). Threaded into [`mc::Config::workers`].
+    /// the calling thread alone). Threaded into [`mc::Config::workers`].
     pub workers: Option<usize>,
     /// Suppress wall-clock columns so output is byte-comparable across
     /// runs (`diff <(figure7 --stable) <(figure7 --stable --workers 4)`).
@@ -663,7 +663,7 @@ mod tests {
         let cut = mc::Stats {
             executions: 3,
             stop: mc::StopReason::Deadline,
-            frontier: Some(vec![0, 1]),
+            shard_frontiers: vec![mc::ShardSpec::from_script(vec![0, 1])],
             ..mc::Stats::default()
         };
         let (mut file, saved) = ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap();
@@ -673,7 +673,7 @@ mod tests {
         let (mut file, saved) = ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap();
         let (name, stats) = saved.cut.expect("the cut survives");
         assert_eq!((name.as_str(), stats.executions), ("RCU", 3));
-        assert_eq!(stats.frontier_shards(), cut.frontier_shards());
+        assert_eq!(stats.shard_frontiers, cut.shard_frontiers);
         file.append_row(&row7()).unwrap();
         drop(file);
         let (file, saved) = ResumeFile::open::<SavedRow7>(&args, "figure7").unwrap();

@@ -541,7 +541,7 @@ fn run_bench(
     };
 
     // Fan out only when the probe was cut by its cap and left work.
-    let leftover = probe_stats.frontier_shards();
+    let leftover = probe_stats.shard_frontiers.clone();
     if opts.split == 0 || probe_stats.stop != StopReason::ExecutionCap || leftover.is_empty() {
         return Ok((probe_stats, 0, 0));
     }
@@ -567,12 +567,11 @@ fn run_bench(
 /// The row for a benchmark whose probe never completed: zero counters,
 /// errored, with the whole (root) shard left on the resumable frontier.
 fn errored_root_stats() -> Stats {
-    let mut stats = Stats {
+    Stats {
         stop: StopReason::Errored,
+        shard_frontiers: vec![ShardSpec::root()],
         ..Stats::default()
-    };
-    stats.set_frontier_shards(vec![ShardSpec::root()]);
-    stats
+    }
 }
 
 /// Execute a batch of tasks, answering journaled tasks without running
@@ -673,9 +672,9 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
             Outcome::Done(s) => {
                 first_bug = s.stop == StopReason::FirstBug;
                 stop = stop.worst(s.stop);
-                leftover.extend(s.frontier_shards());
                 merged.add_counters(&s);
                 merged.elapsed += s.elapsed;
+                leftover.extend(s.shard_frontiers);
                 merged.bugs.extend(s.bugs);
             }
             Outcome::Quarantined { .. } => {
@@ -697,7 +696,7 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
         .bugs
         .retain(|b| seen.insert((b.bug.category(), b.bug.to_string())));
     merged.stop = stop;
-    merged.set_frontier_shards(leftover);
+    merged.shard_frontiers = leftover;
     (merged, suspects, abandoned)
 }
 
@@ -799,7 +798,7 @@ mod tests {
             StopReason::Exhausted,
             "probe's cap is not inherited"
         );
-        assert!(m1.frontier.is_none());
+        assert!(m1.frontier().is_none());
     }
 
     /// A split row keeps every counter of its tasks, not only the
@@ -827,16 +826,16 @@ mod tests {
             stop: StopReason::Exhausted,
             ..Stats::default()
         };
-        let mut buggy = Stats {
+        let buggy = Stats {
             executions: 3,
             bugs: vec![bug("first")],
             stop: StopReason::FirstBug,
+            shard_frontiers: vec![ShardSpec {
+                floor: 1,
+                script: vec![1],
+            }],
             ..Stats::default()
         };
-        buggy.set_frontier_shards(vec![ShardSpec {
-            floor: 1,
-            script: vec![1],
-        }]);
         let later = Stats {
             executions: 50,
             bugs: vec![bug("later")],
@@ -856,7 +855,7 @@ mod tests {
         assert_eq!(m.executions, 18, "the shard after the bug counts nothing");
         assert_eq!(m.bugs.len(), 1);
         assert_eq!(m.stop, StopReason::FirstBug);
-        let left = m.frontier_shards();
+        let left = m.shard_frontiers;
         assert_eq!(left.len(), 2, "the bug shard's rest, then the later shard");
         assert_eq!(left[1], specs[2].shard);
     }
@@ -901,7 +900,7 @@ mod tests {
         assert_eq!(abandoned, 0);
         assert_eq!(m.stop, StopReason::Errored);
         assert_eq!(
-            m.frontier_shards(),
+            m.shard_frontiers,
             vec![specs[1].shard.clone()],
             "the unexplored quarantined shard is resumable"
         );

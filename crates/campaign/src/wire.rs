@@ -101,7 +101,7 @@ fn encode_stats(stats: &Stats, rf_classes: &std::collections::BTreeSet<u64>) -> 
             ])
         })
         .collect();
-    let shards = stats.frontier_shards().iter().map(shard_to_json).collect();
+    let shards = stats.shard_frontiers.iter().map(shard_to_json).collect();
     // `rf_classes` is a BTreeSet, so the classes come out sorted — part of
     // the deterministic-encoding guarantee the cache's byte identity needs.
     // A merged campaign row carries every class of its benchmark, thousands
@@ -217,7 +217,7 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
         .iter()
         .map(shard_from_json)
         .collect::<Result<Vec<_>, _>>()?;
-    stats.set_frontier_shards(shards);
+    stats.shard_frontiers = shards;
     Ok(stats)
 }
 
@@ -361,7 +361,7 @@ mod tests {
         // Include a signature above i64::MAX: FNV values use the full
         // u64 range and must survive the i128 wire representation.
         stats.rf_classes.extend([3, u64::MAX - 1, 7]);
-        stats.set_frontier_shards(vec![
+        stats.shard_frontiers = vec![
             ShardSpec {
                 floor: 2,
                 script: vec![0, 1, 3],
@@ -370,7 +370,7 @@ mod tests {
                 floor: 0,
                 script: vec![],
             },
-        ]);
+        ];
         stats
     }
 
@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(back.elapsed, stats.elapsed);
         assert_eq!(back.stop, stats.stop);
         assert_eq!(back.shard_frontiers, stats.shard_frontiers);
-        assert_eq!(back.frontier, stats.frontier);
+        assert_eq!(back.frontier(), stats.frontier());
         assert_eq!(back.bugs.len(), 1);
         assert_eq!(back.bugs[0].bug.to_string(), stats.bugs[0].bug.to_string());
         assert_eq!(back.bugs[0].bug.category(), BugCategory::Assertion);
@@ -407,7 +407,7 @@ mod tests {
             ..Stats::default()
         };
         let back = stats_from_json(&stats_to_json(&stats)).unwrap();
-        assert_eq!(back.frontier, None);
+        assert_eq!(back.frontier(), None);
         assert!(back.shard_frontiers.is_empty());
     }
 

@@ -83,7 +83,7 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
                 bugs,
                 shards,
             )| {
-                let mut s = Stats {
+                Stats {
                     executions,
                     feasible,
                     diverged,
@@ -93,10 +93,9 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
                     bugs,
                     elapsed: Duration::from_nanos(elapsed_ns),
                     stop: stop(stop_ix),
+                    shard_frontiers: shards,
                     ..Stats::default()
-                };
-                s.set_frontier_shards(shards);
-                s
+                }
             },
         )
 }

@@ -118,7 +118,7 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
                 bugs,
                 shards,
             )| {
-                let mut s = Stats {
+                Stats {
                     executions,
                     feasible,
                     diverged,
@@ -134,10 +134,9 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
                         3 => StopReason::Deadline,
                         _ => StopReason::Errored,
                     },
+                    shard_frontiers: shards,
                     ..Stats::default()
-                };
-                s.set_frontier_shards(shards);
-                s
+                }
             },
         )
 }

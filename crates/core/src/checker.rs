@@ -511,7 +511,7 @@ where
             for (q, shards) in std::mem::take(&mut work) {
                 left.extend(shards.into_iter().map(|s| prefixed(q, s)));
             }
-            fresh.set_frontier_shards(left);
+            fresh.shard_frontiers = left;
         }
         acc.continue_with(fresh);
         if stop_here {

@@ -43,7 +43,7 @@ fn suite() -> Vec<SuitePart<()>> {
 fn suite_runs_all_parts() {
     let full = check_suite(Config::default(), suite());
     assert_eq!(full.stop, mc::StopReason::Exhausted, "{}", full.summary());
-    assert!(full.frontier.is_none());
+    assert!(full.frontier().is_none());
     let a = spec::check(Config::default(), Spec::new("noop", || ()), part_a);
     let b = spec::check(Config::default(), Spec::new("noop", || ()), part_b);
     assert_eq!(full.executions, a.executions + b.executions);
@@ -64,8 +64,9 @@ fn suite_partitions_across_any_cut() {
         .chain([1, part_a_total + 1])
         .collect::<Vec<_>>();
     for cap in caps {
-        // `workers: 1` on the cut: `resume_script` resumption needs the
-        // single-shard frontier only the sequential engine guarantees.
+        // `workers: 1` on the cut: `resume_script` resumes every leaf
+        // after one script in DFS order, which is exactly the remainder
+        // only when one worker explored every leaf before it.
         let cut = check_suite(
             Config {
                 max_executions: cap,
@@ -86,9 +87,9 @@ fn suite_partitions_across_any_cut() {
             cut.summary()
         );
         let frontier = cut
-            .frontier
-            .clone()
-            .expect("capped suite leaves a frontier");
+            .frontier()
+            .expect("capped suite leaves a frontier")
+            .to_vec();
         // The per-part cap cuts part A only while it is below part A's
         // tree size; at or past it, part A exhausts and part B truncates.
         let expected_part = usize::from(cap >= part_a_total);
@@ -128,8 +129,12 @@ fn suite_parallel_cut_resumes_through_shards() {
         suite(),
     );
     let part_a_total = spec::check(Config::default(), Spec::new("noop", || ()), part_a).executions;
-    // One cap inside part A's tree, one inside part B's.
-    for cap in [2, part_a_total + 2] {
+    assert!(part_a_total > 1, "part A must be cuttable");
+    // One cap inside part A's tree, so the frontier must also list part
+    // B's root shard, and one inside part B's. The per-part cap applies
+    // to each part's own executions; a worker stops at the first
+    // execution that reaches it, so cap 1 always cuts part A.
+    for (cap, part) in [(1, 0), (part_a_total + 2, 1)] {
         let cut = check_suite(
             Config {
                 max_executions: cap,
@@ -139,12 +144,14 @@ fn suite_parallel_cut_resumes_through_shards() {
             suite(),
         );
         if cut.stop == mc::StopReason::Exhausted {
+            assert_eq!(part, 1, "cap {cap} must cut part A: {}", cut.summary());
             assert_eq!(cut.executions, full.executions);
             continue;
         }
-        assert!(
-            !cut.shard_frontiers.is_empty(),
-            "cap {cap}: a truncated parallel suite leaves shards: {}",
+        assert_eq!(
+            cut.frontier().map(|f| f[0]),
+            Some(part),
+            "cap {cap}: a truncated parallel suite leaves shards in part {part}: {}",
             cut.summary()
         );
         for resume_workers in [1, 3] {
@@ -327,7 +334,7 @@ fn suite_deadline_resumes_exactly() {
         suite(),
     );
     assert_eq!(cut.stop, mc::StopReason::Deadline, "{}", cut.summary());
-    let frontier = cut.frontier.clone().expect("deadline leaves a frontier");
+    let frontier = cut.frontier().expect("deadline leaves a frontier").to_vec();
     assert_eq!(frontier[0], 0, "a zero budget stops in the first part");
     let resumed = check_suite(
         Config {

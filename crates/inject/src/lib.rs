@@ -30,12 +30,13 @@
 //!
 //! ## Parallelism
 //!
-//! Campaigns dispatch their trials across [`mc::Config::workers`] OS
-//! threads; each trial's own exploration is forced to the sequential
-//! engine, so the parallelism budget is spent *across* trials (which are
+//! Campaigns dispatch their trials across [`mc::Config::workers`]
+//! threads — the caller plus scoped threads from the exploration engine's
+//! own fan-out ([`mc::run_shard_threads`]); each trial explores on one
+//! worker, so the parallelism budget is spent *across* trials (which are
 //! fully independent) rather than nested inside them. Results come back
 //! in site order at every worker count — a parallel campaign's rows are
-//! identical to a sequential one's.
+//! identical to a one-thread one's.
 
 #![warn(missing_docs)]
 
@@ -213,12 +214,13 @@ fn run_trial(
     })
 }
 
-/// Dispatch one trial per injectable site across `Config::workers` OS
-/// threads and return the outcomes **in site order**, independent of
-/// thread timing. Each trial's own exploration is forced sequential
-/// (`workers: 1`) — the parallelism budget is spent across trials, not
-/// nested inside them, which keeps thread count bounded and keeps every
-/// individual trial's statistics identical to a sequential campaign's.
+/// Dispatch one trial per injectable site across `Config::workers`
+/// threads, the caller included, and return the outcomes **in site
+/// order**, independent of thread timing. Each trial's own exploration
+/// runs on one worker (`workers: 1`) — the parallelism budget is spent
+/// across trials, not nested inside them, which keeps thread count
+/// bounded and keeps every individual trial's statistics identical to a
+/// one-thread campaign's.
 fn dispatch_trials(
     bench: &Benchmark,
     config: &mc::Config,
@@ -230,33 +232,26 @@ fn dispatch_trials(
         ..config.clone()
     };
     let workers = config.effective_workers().min(sites.len().max(1));
-    if workers <= 1 {
-        return sites
-            .iter()
-            .filter_map(|&i| run_trial(bench, &trial_config, i, &weaken))
-            .collect();
-    }
     let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let done: Vec<std::sync::Mutex<Option<Option<Trial>>>> =
-        sites.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (cursor, done, sites) = (&cursor, &done, &sites);
-            let (trial_config, weaken) = (&trial_config, &weaken);
-            std::thread::Builder::new()
-                .name(format!("cdsspec-inject-{w}"))
-                .spawn_scoped(scope, move || loop {
-                    let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&site_idx) = sites.get(k) else { break };
-                    let t = run_trial(bench, trial_config, site_idx, weaken);
-                    *done[k].lock().unwrap() = Some(t);
-                })
-                .expect("spawn trial thread");
+    let ran = mc::run_shard_threads(vec![(); workers], |_, ()| {
+        let mut mine = Vec::new();
+        loop {
+            let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(&site_idx) = sites.get(k) else {
+                break mine;
+            };
+            mine.extend(run_trial(bench, &trial_config, site_idx, &weaken).map(|t| (k, t)));
         }
     });
-    done.into_iter()
-        .filter_map(|slot| slot.into_inner().unwrap().flatten())
-        .collect()
+    let mut trials = Vec::with_capacity(sites.len());
+    for r in ran {
+        match r {
+            Ok(mine) => trials.extend(mine),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    trials.sort_by_key(|&(k, _)| k);
+    trials.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Run the full one-step-weakening campaign against one benchmark,

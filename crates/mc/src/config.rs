@@ -54,11 +54,13 @@ pub struct Config {
     /// parallel run. Takes precedence over `resume_script` when set.
     /// `None` = start from the root (or from `resume_script`).
     pub resume_shards: Option<Vec<ShardSpec>>,
-    /// Number of parallel explorer workers. `1` = the classic sequential
-    /// engine; `0` = auto-detect (`std::thread::available_parallelism`).
-    /// The default is `1`, overridable process-wide by setting the
-    /// `CDSSPEC_WORKERS` environment variable (used by CI to run the
-    /// whole tier-1 suite through the parallel engine).
+    /// Number of explorer workers draining the shard queue. Worker 0 runs
+    /// on the calling thread and the rest on scoped threads, so `1` is
+    /// the plain DFS on the caller, with no thread spawned; `0` =
+    /// auto-detect (`std::thread::available_parallelism`). Every count
+    /// runs the same engine. The default is `1`, overridable
+    /// process-wide by setting the `CDSSPEC_WORKERS` environment variable
+    /// (used by CI to run the whole tier-1 suite at two workers).
     pub workers: usize,
     /// How many frontier shards an idle worker tries to steal per request
     /// (it receives fewer when the donor has less to give). Must be ≥ 1.

@@ -10,36 +10,38 @@
 //!
 //! The replay script *is* the explorer's complete state: `next_script`
 //! computes the first unexplored leaf from the last execution's choices,
-//! and a run cut short by the cap or the deadline records that script as
-//! its [`Stats::frontier`]. [`explore_from`] restarts DFS at a
+//! and a run cut short by the cap or the deadline records its remainder
+//! as [`Stats::shard_frontiers`]. [`explore_from`] restarts DFS at a
 //! [`Checkpoint`]'s frontier and visits exactly the leaves the original
 //! run had left, so execution counts partition:
 //! `executions(full) == executions(to checkpoint) + executions(resumed)`.
 //!
-//! ## Parallel exploration
+//! ## One engine at any worker count
 //!
-//! With `Config::workers > 1` the frontier is split into disjoint
-//! [`ShardSpec`] subtrees explored concurrently by independent explorer
-//! instances, with dynamic work-stealing between them; results merge
-//! deterministically back into one [`Stats`]. The coordinator lives in
+//! Every run drains a queue of disjoint [`ShardSpec`] subtrees with
+//! `Config::workers` explorer instances, worker 0 on the calling thread
+//! and the rest on scoped threads, with dynamic work-stealing between
+//! them; results merge deterministically back into one [`Stats`]. One
+//! worker is the plain DFS: nobody is hungry, so nothing is donated and
+//! the shards are explored in order. The coordinator lives in
 //! `crate::parallel`; the shard representation (`floor`-bounded DFS via
 //! `next_script_bounded`) and the splitting rule (`split_frontier`)
-//! live here, next to the sequential loop they generalize. See
-//! `ARCHITECTURE.md` for the shard→steal→merge protocol and the
-//! determinism argument.
+//! live here. See `ARCHITECTURE.md` for the shard→steal→merge protocol
+//! and the determinism argument.
 //!
 //! ## Deadline degradation
 //!
-//! With `Config::deadline_samples > 0`, a sequential run that hits its
-//! deadline additionally probes the *unexplored* region with seeded
-//! random-walk executions (each replays the frontier prefix, then resolves
-//! choice points by PRNG) — deterministic per `Config::sample_seed`, and
-//! the DFS frontier is advanced past each probed subtree so samples spread
-//! across the remaining tree instead of clustering under one branch.
-//! (Parallel runs skip the degradation phase: their frontier is a shard
-//! *set*, which the single-script random walk cannot probe coherently.)
+//! With `Config::deadline_samples > 0`, a run that hits its deadline with
+//! a single floor-0 shard left additionally probes the *unexplored*
+//! region with seeded random-walk executions (each replays the frontier
+//! prefix, then resolves choice points by PRNG) — deterministic per
+//! `Config::sample_seed`, and the DFS frontier is advanced past each
+//! probed subtree so samples spread across the remaining tree instead of
+//! clustering under one branch. (A frontier of several shards skips the
+//! degradation phase: the single-script random walk cannot probe a shard
+//! *set* coherently.)
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,15 +73,21 @@ pub(crate) const MAX_BUG_RECORDS: usize = 24;
 
 /// The plugins one explorer instance checks feasible executions with.
 ///
-/// `Owned` is the fast path: the explorer has exclusive plugins (the
-/// sequential engine, or a parallel worker whose plugins came from a
+/// `Owned` is the fast path: the explorer has exclusive plugins (the only
+/// worker of a one-worker run, or a worker whose plugins came from a
 /// [`PluginFactory`]). `Shared` is the compatibility fallback for a plain
-/// plugin `Vec` handed to the *parallel* engine: every worker serializes
-/// its checking through one mutex, which is correct but contended —
-/// prefer [`explore_factory`] for parallel specification checking.
+/// plugin `Vec` handed to several workers: every worker serializes its
+/// checking through one mutex, which is correct but contended — prefer
+/// [`explore_factory`] for parallel specification checking.
 pub(crate) enum PluginSet {
     Owned(Vec<Box<dyn Plugin>>),
     Shared(Arc<Mutex<Vec<Box<dyn Plugin>>>>),
+}
+
+impl Default for PluginSet {
+    fn default() -> Self {
+        PluginSet::Owned(Vec::new())
+    }
 }
 
 impl PluginSet {
@@ -98,29 +106,23 @@ pub(crate) enum PluginSource {
     Factory(PluginFactory),
 }
 
-/// How one shard's DFS ended.
-pub(crate) enum ShardEnd {
-    /// Every leaf of the shard's subtree was visited.
-    Exhausted,
-    /// Stopped early; carries the shard's remaining frontier (empty when
-    /// the stop fired on the shard's final leaf).
-    Stopped(StopReason, Vec<ShardSpec>),
-}
-
-/// One DFS campaign over a test closure's choice tree (or a shard of it).
+/// One explorer worker: a DFS over the shards the coordinator hands it.
 pub(crate) struct Explorer {
-    pub(crate) config: Config,
+    config: Config,
     pool: Arc<Mutex<Pool>>,
     test: Arc<dyn Fn() + Send + Sync>,
+    plugins: PluginSet,
+    /// This worker's own statistics; the checkpointed prior lives once, in
+    /// the merge base.
     pub(crate) stats: Stats,
-    /// Rendered messages of every bug seen (the dedup key).
-    pub(crate) seen_bugs: HashSet<String>,
-    /// Executions performed by *this* run (`stats.executions` may include
-    /// a resumed checkpoint's prior count; the cap applies locally).
-    local_executions: u64,
-    deadline: Option<Instant>,
-    /// Worker index stamped onto found bugs (0 for the sequential engine).
-    pub(crate) worker: usize,
+    /// Rendered messages of every bug seen (the dedup key), seeded with
+    /// the prior run's bugs so resumed bugs stay deduplicated.
+    seen_bugs: HashSet<String>,
+    /// Executions before this worker's first one, so found bugs number
+    /// their execution from the checkpoint's prior count.
+    prior_executions: u64,
+    /// Worker index stamped onto found bugs.
+    worker: usize,
     /// Start script of the shard currently being explored, stamped onto
     /// found bugs so parallel repros stay debuggable.
     pub(crate) shard_start: Vec<usize>,
@@ -130,37 +132,26 @@ pub(crate) struct Explorer {
 }
 
 impl Explorer {
-    pub(crate) fn new(config: Config, prior: Stats, test: Arc<dyn Fn() + Send + Sync>) -> Self {
-        let deadline = config.time_budget.map(|b| Instant::now() + b);
-        let seen_bugs = prior.bugs.iter().map(|b| b.bug.to_string()).collect();
+    /// Worker `worker` of a run resuming on top of `prior`.
+    pub(crate) fn new(
+        config: Config,
+        test: Arc<dyn Fn() + Send + Sync>,
+        plugins: PluginSet,
+        worker: usize,
+        prior: &Stats,
+    ) -> Self {
         Explorer {
             config,
             pool: Arc::new(Mutex::new(Pool::new())),
             test,
-            stats: prior,
-            seen_bugs,
-            local_executions: 0,
-            deadline,
-            worker: 0,
+            plugins,
+            stats: Stats::default(),
+            seen_bugs: prior.bugs.iter().map(|b| b.bug.to_string()).collect(),
+            prior_executions: prior.executions,
+            worker,
             shard_start: Vec::new(),
             reuse: Reuse::default(),
         }
-    }
-
-    /// An explorer for parallel worker `worker`: zeroed statistics (the
-    /// checkpointed prior lives once, in the merge base), but with the
-    /// prior run's bug messages pre-seeded so resumed bugs stay
-    /// deduplicated.
-    pub(crate) fn for_worker(
-        config: Config,
-        seen: &[String],
-        test: Arc<dyn Fn() + Send + Sync>,
-        worker: usize,
-    ) -> Self {
-        let mut ex = Explorer::new(config, Stats::default(), test);
-        ex.seen_bugs = seen.iter().cloned().collect();
-        ex.worker = worker;
-        ex
     }
 
     /// Record one bug occurrence, deduplicated by rendered message.
@@ -169,7 +160,7 @@ impl Explorer {
         if self.seen_bugs.insert(key) && self.stats.bugs.len() < MAX_BUG_RECORDS {
             self.stats.bugs.push(FoundBug {
                 bug,
-                execution: self.stats.executions - 1,
+                execution: self.prior_executions + self.stats.executions - 1,
                 trace: trace.render(),
                 worker: self.worker,
                 shard: self.shard_start.clone(),
@@ -183,7 +174,6 @@ impl Explorer {
     /// (a bug with `stop_on_first_bug`, or a crashed checker).
     pub(crate) fn step(
         &mut self,
-        plugins: &mut PluginSet,
         script: &[usize],
         sampler: Option<StdRng>,
     ) -> (RunResult, Option<StopReason>) {
@@ -196,7 +186,6 @@ impl Explorer {
             &mut self.reuse,
         );
         self.stats.executions += 1;
-        self.local_executions += 1;
         self.stats.peak_depth = self.stats.peak_depth.max(result.choices.len() as u64);
         self.stats.executions_pruned += result.pruned;
 
@@ -246,6 +235,8 @@ impl Explorer {
                     stop = Some(StopReason::FirstBug);
                 }
                 let config_stop_on_first = self.config.stop_on_first_bug;
+                // Out of `self` for the loop, so it can record bugs.
+                let mut plugins = std::mem::take(&mut self.plugins);
                 plugins.with(|plugins| {
                     for plugin in plugins.iter_mut() {
                         // A buggy checker must not take the campaign down
@@ -281,6 +272,7 @@ impl Explorer {
                         }
                     }
                 });
+                self.plugins = plugins;
             }
             RunOutcome::BugFound(bug) => {
                 self.stats.feasible += 1; // a buggy execution is a real behavior
@@ -313,79 +305,49 @@ impl Explorer {
         (result, stop)
     }
 
-    /// The DFS phase over one shard: explore leaves depth-first from the
-    /// shard's script, never backtracking above its floor, until the
-    /// subtree is exhausted or a stop condition fires.
-    fn dfs_shard(&mut self, plugins: &mut PluginSet, shard: ShardSpec) -> ShardEnd {
-        self.shard_start = shard.script.clone();
-        let floor = shard.floor;
-        let mut script = shard.script;
-        loop {
-            let (result, stop) = self.step(plugins, &script, None);
-            // Where DFS would go next — recorded before deciding to stop,
-            // so an interrupted run always knows its frontier.
-            let frontier = next_script_bounded(&result.choices, floor);
-
-            if let Some(reason) = stop {
-                let rem = frontier.map(|script| ShardSpec { floor, script });
-                return ShardEnd::Stopped(reason, rem.into_iter().collect());
-            }
-            // Exhaustion outranks the resource limits: a cap or deadline
-            // that fires on the final leaf did not truncate anything, and
-            // `ExecutionCap`/`Deadline` always imply a resumable frontier.
-            let Some(next) = frontier else {
-                return ShardEnd::Exhausted;
-            };
-            // The deadline is only checked between executions: partition
-            // counts stay exact across checkpoint/resume.
-            let limit = if self.local_executions >= self.config.max_executions {
-                Some(StopReason::ExecutionCap)
-            } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                Some(StopReason::Deadline)
-            } else {
-                None
-            };
-            if let Some(reason) = limit {
-                let rem = stop_frontier(reason, next, &result.choices, floor);
-                return ShardEnd::Stopped(reason, rem);
-            }
-            script = next;
-        }
-    }
-
-    /// Deadline degradation: probe the unexplored region with seeded
-    /// random walks. Each sample replays the current frontier prefix and
-    /// resolves further choices by PRNG, then the frontier advances past
-    /// that subtree so successive samples march across the remaining tree.
-    fn sample_remaining(&mut self, plugins: &mut PluginSet) {
+    /// Deadline degradation, run after the merge on worker 0: probe the
+    /// unexplored region with seeded random walks. Each sample replays the
+    /// current frontier prefix and resolves further choices by PRNG, then
+    /// the frontier advances past that subtree so successive samples
+    /// march across the remaining tree. The samples fold into `merged`.
+    pub(crate) fn sample_remaining(&mut self, merged: &mut Stats) {
+        self.stats = Stats::default();
+        self.prior_executions = merged.executions;
+        self.seen_bugs
+            .extend(merged.bugs.iter().map(|b| b.bug.to_string()));
+        let mut frontier = merged.frontier().map(<[usize]>::to_vec);
         for i in 0..self.config.deadline_samples {
-            let Some(prefix) = self.stats.frontier.clone() else {
+            let Some(prefix) = frontier.take() else {
                 break;
             };
             let rng = StdRng::seed_from_u64(self.config.sample_seed.wrapping_add(i));
-            let (result, stop) = self.step(plugins, &prefix, Some(rng));
+            let (result, stop) = self.step(&prefix, Some(rng));
             self.stats.sampled += 1;
             if stop.is_some() {
                 // Keep `Deadline` as the overall stop reason unless the
                 // sample errored — sampling is best-effort extra coverage.
                 if stop == Some(StopReason::Errored) {
-                    self.stats.stop = StopReason::Errored;
+                    merged.stop = StopReason::Errored;
                 }
+                frontier = Some(prefix);
                 break;
             }
             // Advance the DFS frontier past the prefix we just probed.
             // Only the scripted prefix is deterministic; the random tail
             // must not leak into the stored frontier.
-            let prefix_len = prefix.len();
-            let replayed = &result.choices[..prefix_len.min(result.choices.len())];
-            let advanced = next_script(replayed);
-            self.stats.set_frontier_shards(
-                advanced
-                    .map(|s| vec![ShardSpec::from_script(s)])
-                    .unwrap_or_default(),
-            );
+            let replayed = &result.choices[..prefix.len().min(result.choices.len())];
+            frontier = next_script(replayed);
         }
+        merged.add_counters(&self.stats);
+        push_bugs(merged, std::mem::take(&mut self.stats.bugs));
+        merged.shard_frontiers = frontier.map(ShardSpec::from_script).into_iter().collect();
     }
+}
+
+/// Append fresh bug records to `stats`, up to [`MAX_BUG_RECORDS`].
+pub(crate) fn push_bugs(stats: &mut Stats, bugs: Vec<FoundBug>) {
+    let room = MAX_BUG_RECORDS.saturating_sub(stats.bugs.len());
+    stats.bugs.extend(bugs.into_iter().take(room));
 }
 
 /// Exhaustively explore `test` under `config`, invoking `plugins` on every
@@ -461,9 +423,8 @@ where
 /// Explore with per-worker plugin construction: `factory` is invoked once
 /// per explorer worker, so each worker checks its shard with plugins it
 /// owns exclusively — specification checking stays race-free without any
-/// cross-worker locking. The sequential engine (`workers == 1`) invokes
-/// the factory exactly once; behavior is then identical to
-/// [`explore_with_plugins`].
+/// cross-worker locking. A one-worker run invokes the factory exactly
+/// once; behavior is then identical to [`explore_with_plugins`].
 pub fn explore_factory<F>(config: Config, factory: PluginFactory, test: F) -> Stats
 where
     F: Fn() + Send + Sync + 'static,
@@ -495,12 +456,12 @@ where
 /// `fn(Config) -> Stats`, like the benchmark registry), else the root.
 fn initial_shards(config: &Config, checkpoint: &Checkpoint) -> Vec<ShardSpec> {
     if !checkpoint.script.is_empty() || !checkpoint.stats.shard_frontiers.is_empty() {
-        let shards = checkpoint.stats.frontier_shards();
+        let shards = &checkpoint.stats.shard_frontiers;
         // Trust the shard list only when it agrees with the script — they
-        // are always written together; a hand-built checkpoint with a
-        // bare script keeps the PR 1 contract (the script wins).
+        // are always written together; for a hand-built checkpoint with a
+        // bare script, the script wins.
         if shards.first().map(|s| &s.script) == Some(&checkpoint.script) {
-            shards
+            shards.clone()
         } else {
             vec![ShardSpec::from_script(checkpoint.script.clone())]
         }
@@ -517,8 +478,8 @@ fn initial_shards(config: &Config, checkpoint: &Checkpoint) -> Vec<ShardSpec> {
     }
 }
 
-/// Common implementation: resolve the starting shards, pick the engine by
-/// `Config::workers`, and account wall-clock on top of the prior elapsed.
+/// Common implementation: resolve the starting shards, run the engine,
+/// and account wall-clock on top of the prior elapsed.
 fn explore_impl(
     config: Config,
     checkpoint: Checkpoint,
@@ -529,60 +490,9 @@ fn explore_impl(
     let initial = initial_shards(&config, &checkpoint);
     let prior = checkpoint.stats;
     let prior_elapsed = prior.elapsed;
-    let workers = config.effective_workers();
-
-    let mut stats = if workers <= 1 {
-        let owned = match plugins {
-            PluginSource::Direct(v) => v,
-            PluginSource::Factory(f) => f(),
-        };
-        sequential_explore(config, prior, initial, owned, test)
-    } else {
-        crate::parallel::explore_parallel(&config, prior, initial, plugins, test, workers)
-    };
+    let mut stats = crate::parallel::explore_shards(&config, prior, initial, plugins, test);
     stats.elapsed = prior_elapsed + start.elapsed();
     stats
-}
-
-/// The classic sequential engine, generalized to drain a queue of frontier
-/// shards (a single root shard for a fresh run). A stop condition abandons
-/// the current shard *and* every queued one; all of them are recorded in
-/// [`Stats::shard_frontiers`] so nothing is lost across the interruption.
-fn sequential_explore(
-    config: Config,
-    prior: Stats,
-    initial: Vec<ShardSpec>,
-    plugins: Vec<Box<dyn Plugin>>,
-    test: Arc<dyn Fn() + Send + Sync>,
-) -> Stats {
-    let mut plugins = PluginSet::Owned(plugins);
-    let mut explorer = Explorer::new(config, prior, test);
-    explorer.stats.elapsed = std::time::Duration::ZERO; // tracked by explore_impl
-    let mut queue: VecDeque<ShardSpec> = initial.into();
-    let mut remaining: Vec<ShardSpec> = Vec::new();
-    let mut stop = StopReason::Exhausted;
-    while let Some(shard) = queue.pop_front() {
-        match explorer.dfs_shard(&mut plugins, shard) {
-            ShardEnd::Exhausted => {}
-            ShardEnd::Stopped(reason, rem) => {
-                stop = reason;
-                remaining.extend(rem);
-                remaining.extend(queue.drain(..));
-                break;
-            }
-        }
-    }
-    explorer.stats.stop = stop;
-    explorer.stats.set_frontier_shards(remaining);
-    // Deadline degradation only knows how to march a single unfloored
-    // script across the remaining tree.
-    if explorer.stats.stop == StopReason::Deadline
-        && explorer.config.deadline_samples > 0
-        && matches!(explorer.stats.shard_frontiers.as_slice(), [s] if s.floor == 0)
-    {
-        explorer.sample_remaining(&mut plugins);
-    }
-    explorer.stats
 }
 
 /// Compute the replay script for the next DFS leaf, or `None` when the

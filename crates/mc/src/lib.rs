@@ -73,7 +73,7 @@ pub use explore::{
 };
 pub use plugin::{FnPlugin, Plugin, PluginFactory};
 pub use report::{Bug, BugCategory, Checkpoint, FoundBug, ShardSpec, Stats, StopReason};
-pub use worker::in_model;
+pub use worker::{in_model, run_shard_threads};
 
 // Re-export the vocabulary crate so downstream users need one import.
 pub use cdsspec_c11 as c11;

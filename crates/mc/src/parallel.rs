@@ -1,11 +1,13 @@
-//! The parallel frontier-sharded exploration engine.
+//! The frontier-sharded exploration engine, at any worker count.
 //!
 //! `N = Config::workers` independent [`Explorer`] instances (each with its
 //! own modeled-thread pool, its own statistics, and — via
 //! [`crate::explore_factory`] — its own plugins) drain a shared queue of
-//! [`ShardSpec`] frontier shards. The choice tree is deterministic, so any
-//! partition of its leaves yields the same per-leaf outcomes; the engine
-//! only has to guarantee the shards *are* a partition:
+//! [`ShardSpec`] frontier shards. Worker 0 runs on the calling thread, so
+//! a one-worker run spawns no thread; workers `1..N` run on scoped
+//! threads. The choice tree is deterministic, so any partition of its
+//! leaves yields the same per-leaf outcomes; the engine only has to
+//! guarantee the shards *are* a partition:
 //!
 //! 1. **Shard**: exploration starts from the resolved initial shards
 //!    (usually the single root shard `{floor: 0, script: []}`).
@@ -13,19 +15,24 @@
 //!    workers check for hunger between executions and donate by splitting
 //!    their own frontier ([`crate::explore::split_frontier`]) — the
 //!    donated sibling subtrees become fresh shards on the queue, and the
-//!    donor raises its floor so it can never re-enter them.
+//!    donor raises its floor so it can never re-enter them. A lone worker
+//!    is never hungry while busy, so it explores its shards in order: the
+//!    plain DFS.
 //! 3. **Merge**: counters sum, [`StopReason`]s combine worst-of, bugs
-//!    dedup by rendered message (then sort, so the merged order does not
-//!    depend on thread timing), and every abandoned shard — in-flight or
+//!    dedup by rendered message, and every abandoned shard — in-flight or
 //!    still queued — lands in [`Stats::shard_frontiers`] so an
-//!    interrupted parallel run resumes exactly.
+//!    interrupted run resumes exactly. Several workers' bugs and shards
+//!    are sorted, so the merged order does not depend on thread timing;
+//!    one worker's lists keep their DFS order.
 //!
 //! Termination: work only ever enters the queue from a busy worker, so
 //! "every worker idle and the queue empty" is stable and final. A global
 //! halt (first bug, execution cap, deadline, error) wakes all waiters and
 //! makes each busy worker park its current frontier as a leftover shard —
 //! as sibling subtrees along its DFS path when the halt is the
-//! execution cap ([`crate::explore::stop_frontier`]).
+//! execution cap ([`crate::explore::stop_frontier`]). A worker that
+//! panics halts the run with [`StopReason::Errored`] as it unwinds, so
+//! the others never wait for work it can no longer donate.
 //!
 //! The execution cap is enforced via a global atomic counter checked
 //! between executions; concurrent workers may overshoot the cap by up to
@@ -44,10 +51,10 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::config::Config;
 use crate::explore::{
-    next_script_bounded, split_frontier, stop_frontier, Explorer, PluginSet, PluginSource,
-    MAX_BUG_RECORDS,
+    next_script_bounded, push_bugs, split_frontier, stop_frontier, Explorer, PluginSet,
+    PluginSource,
 };
-use crate::report::{FoundBug, ShardSpec, Stats, StopReason};
+use crate::report::{ShardSpec, Stats, StopReason};
 use crate::worker::run_shard_threads;
 
 /// Queue + termination state, guarded by the coordinator's mutex.
@@ -65,12 +72,12 @@ struct CoordState {
     done: bool,
 }
 
-/// Shared coordination for one parallel exploration.
+/// Shared coordination for one exploration.
 struct Coordinator {
     state: Mutex<CoordState>,
     cv: Condvar,
-    /// Executions performed by this run, across all workers (the global
-    /// analog of the sequential engine's `local_executions`).
+    /// Executions performed by this run, across all workers; the cap
+    /// applies to this count, not to a resumed checkpoint's total.
     executions: AtomicU64,
     workers: usize,
     steal_batch: usize,
@@ -111,52 +118,56 @@ impl Coordinator {
         self.cv.notify_all();
     }
 
-    fn halted(&self) -> Option<StopReason> {
-        self.state.lock().halt
-    }
-
-    /// Donate part of the caller's frontier if anyone is hungry and the
+    /// Between executions: the halt reason if the run was stopped, else
+    /// donate part of the caller's frontier if anyone is hungry and the
     /// queue cannot already feed them. Raises `floor` past every donated
     /// depth so the donor never re-explores what it gave away.
-    fn maybe_donate(
+    fn check_in(
         &self,
         frontier: &[usize],
         choices: &[crate::runtime::ChoiceRec],
         floor: &mut usize,
-    ) {
+    ) -> Option<StopReason> {
         let mut st = self.state.lock();
         if st.halt.is_some() || st.hungry == 0 || st.queue.len() >= st.hungry {
-            return;
+            return st.halt;
         }
         let (thieves, new_floor) = split_frontier(frontier, choices, *floor, self.steal_batch);
-        if thieves.is_empty() {
-            return;
+        if !thieves.is_empty() {
+            *floor = new_floor;
+            st.queue.extend(thieves);
+            self.cv.notify_all();
         }
-        *floor = new_floor;
-        st.queue.extend(thieves);
-        self.cv.notify_all();
+        None
+    }
+}
+
+/// Halts the run when the worker holding it unwinds, so a dead worker
+/// cannot leave the others waiting for a donation that never comes.
+struct HaltOnUnwind<'a>(&'a Coordinator);
+
+impl Drop for HaltOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt(StopReason::Errored);
+        }
     }
 }
 
 /// One worker's campaign: drain shards until the run completes or halts.
-/// Returns the worker's statistics plus any shards it had to abandon.
-fn shard_worker(
-    w: usize,
-    coord: &Coordinator,
-    config: &Config,
-    prior_bugs: &[String],
-    plugins: &mut PluginSet,
-    test: &Arc<dyn Fn() + Send + Sync>,
-) -> (Stats, Vec<ShardSpec>) {
-    let mut ex = Explorer::for_worker(config.clone(), prior_bugs, Arc::clone(test), w);
+/// Returns the explorer (its statistics, and its plugins for deadline
+/// sampling) plus any shards it had to abandon.
+fn shard_worker(coord: &Coordinator, mut ex: Explorer) -> (Explorer, Vec<ShardSpec>) {
     let mut leftovers = Vec::new();
     'shards: while let Some(shard) = coord.next_shard() {
         ex.shard_start = shard.script.clone();
         let mut floor = shard.floor;
         let mut script = shard.script;
         loop {
-            let (result, stop) = ex.step(plugins, &script, None);
+            let (result, stop) = ex.step(&script, None);
             let total = coord.executions.fetch_add(1, Ordering::Relaxed) + 1;
+            // Where DFS would go next — recorded before deciding to stop,
+            // so an interrupted run always knows its frontier.
             let frontier = next_script_bounded(&result.choices, floor);
 
             if let Some(reason) = stop {
@@ -165,9 +176,13 @@ fn shard_worker(
                 leftovers.extend(frontier.map(|script| ShardSpec { floor, script }));
                 break 'shards;
             }
+            // Exhaustion outranks the resource limits: a cap or deadline
+            // that fires on the final leaf did not truncate anything.
             let Some(next) = frontier else {
                 continue 'shards; // shard exhausted; fetch the next one
             };
+            // The deadline is only checked between executions: partition
+            // counts stay exact across checkpoint/resume.
             let limit = if total >= coord.max_executions {
                 Some(StopReason::ExecutionCap)
             } else if coord.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -180,32 +195,33 @@ fn shard_worker(
             }
             // This worker's own limit, or someone else stopped the run:
             // park the frontier and go.
-            if let Some(reason) = limit.or_else(|| coord.halted()) {
+            if let Some(reason) =
+                limit.or_else(|| coord.check_in(&next, &result.choices, &mut floor))
+            {
                 ex.stats.stop = ex.stats.stop.worst(reason);
                 leftovers.extend(stop_frontier(reason, next, &result.choices, floor));
                 break 'shards;
             }
-            coord.maybe_donate(&next, &result.choices, &mut floor);
             script = next;
         }
     }
-    (ex.stats, leftovers)
+    (ex, leftovers)
 }
 
-/// Run the parallel engine. `prior` is the checkpointed base the merged
-/// result accumulates onto; `initial` is the starting shard set. The
-/// caller accounts `elapsed`.
-pub(crate) fn explore_parallel(
+/// Run the engine. `prior` is the checkpointed base the merged result
+/// accumulates onto; `initial` is the starting shard set. The caller
+/// accounts `elapsed`.
+pub(crate) fn explore_shards(
     config: &Config,
     prior: Stats,
     initial: Vec<ShardSpec>,
     plugins: PluginSource,
     test: Arc<dyn Fn() + Send + Sync>,
-    workers: usize,
 ) -> Stats {
+    let workers = config.effective_workers();
     let coord = Coordinator {
         state: Mutex::new(CoordState {
-            queue: initial.into_iter().collect(),
+            queue: initial.into(),
             idle: 0,
             hungry: 0,
             halt: None,
@@ -218,74 +234,89 @@ pub(crate) fn explore_parallel(
         max_executions: config.max_executions,
         deadline: config.time_budget.map(|b| Instant::now() + b),
     };
-    let prior_bugs: Vec<String> = prior.bugs.iter().map(|b| b.bug.to_string()).collect();
 
     // One plugin set per worker: factory-made sets are exclusive; a plain
-    // `Vec` is shared behind a mutex (serialized checking — documented on
-    // `explore_with_plugins`).
-    let sets: Vec<Mutex<Option<PluginSet>>> = match plugins {
-        PluginSource::Factory(f) => (0..workers)
-            .map(|_| Mutex::new(Some(PluginSet::Owned(f()))))
-            .collect(),
-        PluginSource::Direct(v) if v.is_empty() => (0..workers)
-            .map(|_| Mutex::new(Some(PluginSet::Owned(Vec::new()))))
-            .collect(),
+    // `Vec` is the only worker's own, or shared behind a mutex by several
+    // (serialized checking — documented on `explore_with_plugins`).
+    let sets: Vec<PluginSet> = match plugins {
+        PluginSource::Factory(f) => (0..workers).map(|_| PluginSet::Owned(f())).collect(),
+        PluginSource::Direct(v) if workers == 1 || v.is_empty() => {
+            let mut sets = vec![PluginSet::Owned(v)];
+            sets.resize_with(workers, PluginSet::default);
+            sets
+        }
         PluginSource::Direct(v) => {
             let shared = Arc::new(Mutex::new(v));
             (0..workers)
-                .map(|_| Mutex::new(Some(PluginSet::Shared(Arc::clone(&shared)))))
+                .map(|_| PluginSet::Shared(Arc::clone(&shared)))
                 .collect()
         }
     };
 
-    let results = run_shard_threads(workers, |w| {
-        let mut set = sets[w].lock().take().expect("plugin set taken once");
-        shard_worker(w, &coord, config, &prior_bugs, &mut set, &test)
+    let mut results = run_shard_threads(sets, |w, plugins| {
+        let _halt = HaltOnUnwind(&coord);
+        let ex = Explorer::new(config.clone(), Arc::clone(&test), plugins, w, &prior);
+        shard_worker(&coord, ex)
     });
 
     let unclaimed = coord.state.into_inner().queue;
-    merge_results(prior, results, unclaimed)
+    let mut merged = merge_results(prior, &mut results, unclaimed);
+    // Deadline degradation only knows how to march a single unfloored
+    // script across the remaining tree.
+    if merged.stop == StopReason::Deadline
+        && config.deadline_samples > 0
+        && matches!(merged.shard_frontiers.as_slice(), [s] if s.floor == 0)
+    {
+        if let Some(Ok((ex, _))) = results.first_mut() {
+            ex.sample_remaining(&mut merged);
+        }
+    }
+    merged
 }
 
 /// Deterministic merge of the workers' results onto the checkpointed base.
 fn merge_results(
     prior: Stats,
-    results: Vec<std::thread::Result<(Stats, Vec<ShardSpec>)>>,
+    results: &mut [std::thread::Result<(Explorer, Vec<ShardSpec>)>],
     unclaimed: VecDeque<ShardSpec>,
 ) -> Stats {
     let mut merged = prior;
     merged.stop = StopReason::Exhausted;
     let mut seen: HashSet<String> = merged.bugs.iter().map(|b| b.bug.to_string()).collect();
-    let mut fresh_bugs: Vec<FoundBug> = Vec::new();
-    let mut leftovers: Vec<ShardSpec> = unclaimed.into_iter().collect();
-    for r in results {
+    let mut fresh_bugs = Vec::new();
+    let mut leftovers = Vec::new();
+    for r in results.iter_mut() {
         match r {
-            Ok((stats, rem)) => {
+            Ok((ex, rem)) => {
+                let mut stats = std::mem::take(&mut ex.stats);
+                // Move the classes: into an empty set (a fresh run's first
+                // worker) that costs no allocation at all.
+                merged.rf_classes.append(&mut stats.rf_classes);
                 merged.add_counters(&stats);
                 merged.stop = merged.stop.worst(stats.stop);
-                for b in stats.bugs {
-                    if seen.insert(b.bug.to_string()) {
-                        fresh_bugs.push(b);
-                    }
-                }
-                leftovers.extend(rem);
+                fresh_bugs.extend(
+                    stats
+                        .bugs
+                        .into_iter()
+                        .filter(|b| seen.insert(b.bug.to_string())),
+                );
+                leftovers.append(rem);
             }
-            // A dead worker thread is an engine failure; its shard is
+            // A dead worker is an engine failure; its shard is
             // unrecoverable, so the run must not claim completeness.
             Err(_) => merged.stop = merged.stop.worst(StopReason::Errored),
         }
     }
-    // Sort new bugs by message so the merged record order is a function of
-    // the bug *set*, not of which worker reported first.
-    fresh_bugs.sort_by_key(|b| b.bug.to_string());
-    for b in fresh_bugs {
-        if merged.bugs.len() >= MAX_BUG_RECORDS {
-            break;
-        }
-        merged.bugs.push(b);
+    leftovers.extend(unclaimed);
+    // Several workers report in an order that depends on thread timing:
+    // sort new bugs by message and leftover shards by script, so the
+    // merged lists are a function of the sets. One worker's lists are
+    // already in DFS order.
+    if results.len() > 1 {
+        fresh_bugs.sort_by_key(|b| b.bug.to_string());
+        leftovers.sort_by(|a, b| a.script.cmp(&b.script).then(a.floor.cmp(&b.floor)));
     }
-    // Sort leftover shards for stable checkpoint text.
-    leftovers.sort_by(|a, b| a.script.cmp(&b.script).then(a.floor.cmp(&b.floor)));
-    merged.set_frontier_shards(leftovers);
+    push_bugs(&mut merged, fresh_bugs);
+    merged.shard_frontiers = leftovers;
     merged
 }

@@ -6,14 +6,20 @@
 //! loads, panics and deadlocks abort an execution before its trace is
 //! complete, and checking a specification against a partial trace would
 //! produce noise.
+//!
+//! A panic inside [`Plugin::check`] is contained: the explorer records it
+//! as a [`Bug::Plugin`] and stops with `StopReason::Errored`. A panic
+//! anywhere else in a plugin (say, in [`Plugin::name`]) kills the worker
+//! that called it, which ends the whole run as `Errored` — the same at
+//! every worker count.
 
 use cdsspec_c11::Trace;
 
 use crate::report::Bug;
 
-/// Builds a fresh plugin list on demand — one list per explorer worker,
-/// so parallel exploration (`Config::workers > 1`) checks each frontier
-/// shard with plugins it owns exclusively and no cross-worker locking.
+/// Builds a fresh plugin list on demand — one list per explorer worker
+/// (`Config::workers` of them), so every worker checks its frontier
+/// shards with plugins it owns exclusively and no cross-worker locking.
 /// See [`crate::explore_factory`].
 pub type PluginFactory = std::sync::Arc<dyn Fn() -> Vec<Box<dyn Plugin>> + Send + Sync>;
 

@@ -206,13 +206,14 @@ impl BugCategory {
 pub struct FoundBug {
     /// What went wrong.
     pub bug: Bug,
-    /// 0-based index of the execution that exhibited it. Sequential runs
-    /// count globally; parallel runs count per worker (the index is only
-    /// meaningful together with [`FoundBug::worker`]).
+    /// 0-based index of the execution that exhibited it: the resumed
+    /// checkpoint's executions, then the finding worker's own in order.
+    /// A one-worker run counts globally; with several workers the index
+    /// is only meaningful together with [`FoundBug::worker`].
     pub execution: u64,
     /// Rendered trace for diagnostics.
     pub trace: String,
-    /// Index of the explorer worker that found the bug (0 in sequential
+    /// Index of the explorer worker that found the bug (0 in one-worker
     /// runs) — printed by `known_bugs` so parallel repros stay debuggable.
     pub worker: usize,
     /// Replay script of the frontier shard the finding worker was
@@ -366,20 +367,17 @@ pub struct Stats {
     pub elapsed: Duration,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// Replay script of the first unexplored DFS leaf, when the run
-    /// stopped before exhausting the tree — the seed of a [`Checkpoint`].
-    /// Equal to the script of the first entry of
-    /// [`Stats::shard_frontiers`] whenever that list is non-empty.
-    pub frontier: Option<Vec<usize>>,
-    /// The complete unexplored frontier as a list of disjoint shards.
+    /// The complete unexplored frontier as a list of disjoint shards;
+    /// empty when the run exhausted the tree.
     ///
-    /// A sequential run stopped by a deadline or a bug leaves exactly one
-    /// floor-0 shard here (mirroring [`Stats::frontier`]); an interrupted
-    /// *parallel* run leaves one shard per in-flight worker plus any
-    /// shards still queued for stealing. A shard cut by the execution cap
-    /// is listed as sibling subtrees along its DFS path, deepest first. Resuming every listed shard visits exactly the leaves the
-    /// interrupted run had left — the partition invariant extended to
-    /// shard sets — and each shard can also be explored on its own.
+    /// A one-worker run stopped by a deadline or a bug leaves exactly one
+    /// floor-0 shard here; an interrupted run of several workers leaves
+    /// one shard per in-flight worker plus any shards still queued for
+    /// stealing. A shard cut by the execution cap is listed as sibling
+    /// subtrees along its DFS path, deepest first. Resuming every listed
+    /// shard visits exactly the leaves the interrupted run had left — the
+    /// partition invariant extended to shard sets — and each shard can
+    /// also be explored on its own.
     pub shard_frontiers: Vec<ShardSpec>,
 }
 
@@ -405,33 +403,18 @@ impl Stats {
         )
     }
 
-    /// Set the unexplored frontier from a shard list, keeping
-    /// [`Stats::frontier`] (the first shard's script) in sync. An empty
-    /// list clears both — the tree is exhausted.
-    pub fn set_frontier_shards(&mut self, shards: Vec<ShardSpec>) {
-        self.frontier = shards.first().map(|s| s.script.clone());
-        self.shard_frontiers = shards;
-    }
-
-    /// The complete frontier as shards: [`Stats::shard_frontiers`] when
-    /// populated, else the single floor-0 shard implied by
-    /// [`Stats::frontier`] (the PR 1 representation).
-    pub fn frontier_shards(&self) -> Vec<ShardSpec> {
-        if !self.shard_frontiers.is_empty() {
-            self.shard_frontiers.clone()
-        } else {
-            self.frontier
-                .as_ref()
-                .map(|s| vec![ShardSpec::from_script(s.clone())])
-                .unwrap_or_default()
-        }
+    /// Replay script of the first unexplored DFS leaf (the first shard's
+    /// script), when the run stopped before exhausting the tree — the
+    /// seed of a [`Checkpoint`].
+    pub fn frontier(&self) -> Option<&[usize]> {
+        self.shard_frontiers.first().map(|s| s.script.as_slice())
     }
 
     /// A checkpoint from which [`crate::explore_from`] can resume, when
     /// the run left part of the tree unexplored.
     pub fn checkpoint(&self) -> Option<Checkpoint> {
-        self.frontier.as_ref().map(|script| Checkpoint {
-            script: script.clone(),
+        self.frontier().map(|script| Checkpoint {
+            script: script.to_vec(),
             stats: self.clone(),
         })
     }
@@ -459,8 +442,7 @@ impl Stats {
         self.add_counters(&other);
         self.elapsed += other.elapsed;
         self.stop = self.stop.worst(other.stop);
-        if other.frontier.is_some() {
-            self.frontier = other.frontier;
+        if !other.shard_frontiers.is_empty() {
             self.shard_frontiers = other.shard_frontiers;
         }
         self.bugs.extend(other.bugs);
@@ -471,13 +453,11 @@ impl Stats {
     /// reason and frontier *replace* the originals: the checkpoint's
     /// `Deadline`/`ExecutionCap` describes the interruption, not the
     /// combined run's fate.
-    pub fn continue_with(&mut self, continuation: Stats) {
+    pub fn continue_with(&mut self, mut continuation: Stats) {
         let stop = continuation.stop;
-        let frontier = continuation.frontier.clone();
-        let shards = continuation.shard_frontiers.clone();
+        let shards = std::mem::take(&mut continuation.shard_frontiers);
         self.merge(continuation);
         self.stop = stop;
-        self.frontier = frontier;
         self.shard_frontiers = shards;
     }
 
@@ -547,7 +527,7 @@ impl Stats {
 /// // The first execution left no untried sibling above the next leaf,
 /// // so the remainder is one floor-0 shard rooted at the script.
 /// assert_eq!(
-///     ckpt.stats.frontier_shards(),
+///     ckpt.stats.shard_frontiers,
 ///     vec![mc::ShardSpec::from_script(ckpt.script.clone())],
 /// );
 /// let resumed = mc::explore_from(seq.clone(), ckpt, test);
@@ -667,7 +647,7 @@ mod tests {
         let mut a = Stats {
             executions: 10,
             stop: StopReason::Deadline,
-            frontier: Some(vec![0, 1]),
+            shard_frontiers: vec![ShardSpec::from_script(vec![0, 1])],
             ..Stats::default()
         };
         let b = Stats {
@@ -679,20 +659,20 @@ mod tests {
         assert_eq!(a.executions, 15);
         assert_eq!(a.stop, StopReason::Deadline);
         assert_eq!(
-            a.frontier,
-            Some(vec![0, 1]),
+            a.frontier(),
+            Some(&[0, 1][..]),
             "no new frontier keeps the old one"
         );
 
         let c = Stats {
             executions: 2,
             stop: StopReason::Errored,
-            frontier: Some(vec![3]),
+            shard_frontiers: vec![ShardSpec::from_script(vec![3])],
             ..Stats::default()
         };
         a.merge(c);
         assert_eq!(a.stop, StopReason::Errored);
-        assert_eq!(a.frontier, Some(vec![3]));
+        assert_eq!(a.frontier(), Some(&[3][..]));
     }
 
     #[test]
@@ -700,7 +680,7 @@ mod tests {
         let mut prior = Stats {
             executions: 10,
             stop: StopReason::Deadline,
-            frontier: Some(vec![0, 1]),
+            shard_frontiers: vec![ShardSpec::from_script(vec![0, 1])],
             ..Stats::default()
         };
         let resumed = Stats {
@@ -711,6 +691,6 @@ mod tests {
         prior.continue_with(resumed);
         assert_eq!(prior.executions, 17);
         assert_eq!(prior.stop, StopReason::Exhausted);
-        assert_eq!(prior.frontier, None);
+        assert_eq!(prior.frontier(), None);
     }
 }

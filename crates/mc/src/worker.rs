@@ -158,31 +158,43 @@ impl Pool {
     pub(crate) const MAX_RESPAWNS: u32 = 8;
 }
 
-/// Run `n` shard-explorer bodies on dedicated OS threads and collect their
-/// results in worker-index order — the spawn half of the parallel engine
-/// (`crate::parallel`), kept here with the rest of the thread plumbing.
+/// Run `body(w, inputs[w])` for every input: worker 0 on the calling
+/// thread, workers `1..` on scoped OS threads; collect the results in
+/// worker order. The fan-out of the exploration engine
+/// (`crate::parallel`) and of injection campaigns. One input spawns no
+/// thread.
 ///
-/// Shard threads are named `cdsspec-shard-N`, deliberately NOT matched by
-/// the quiet panic hook below: a crashing shard explorer is an engine bug
-/// worth printing, unlike the routine unwinds of the modeled-thread pool.
-/// A `Err` join result is surfaced to the caller rather than propagated,
-/// so one dead shard cannot take down its siblings' results.
-pub(crate) fn run_shard_threads<R, F>(n: usize, body: F) -> Vec<std::thread::Result<R>>
+/// Spawned threads are named `cdsspec-shard-N`, deliberately NOT matched
+/// by the quiet panic hook below: a crashing shard explorer is an engine
+/// bug worth printing, unlike the routine unwinds of the modeled-thread
+/// pool. A panic in any body, the caller's included, comes back as an
+/// `Err` result rather than propagating, so one dead body cannot take
+/// down its siblings' results.
+pub fn run_shard_threads<T, R, F>(inputs: Vec<T>, body: F) -> Vec<std::thread::Result<R>>
 where
+    T: Send,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(usize, T) -> R + Sync,
 {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
     std::thread::scope(|s| {
         let body = &body;
-        let handles: Vec<_> = (0..n)
-            .map(|w| {
+        let handles: Vec<_> = (1..)
+            .zip(inputs)
+            .map(|(w, input)| {
                 std::thread::Builder::new()
                     .name(format!("cdsspec-shard-{w}"))
-                    .spawn_scoped(s, move || body(w))
+                    .spawn_scoped(s, move || body(w, input))
                     .expect("failed to spawn shard explorer")
             })
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(0, first)));
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect()
     })
 }
 

@@ -1,5 +1,5 @@
-//! Cross-check: the parallel frontier-sharded engine must produce the
-//! same merged report as the sequential engine.
+//! Cross-check: a run at any worker count must produce the same merged
+//! report as the one-worker run.
 //!
 //! The choice tree is deterministic, so any shard partition visits the
 //! same leaves with the same per-leaf outcomes; these tests enforce the
@@ -10,24 +10,29 @@
 //!   count.
 //! * **Truncation soundness**: a run cut by the execution cap or the
 //!   deadline leaves frontier shards that resume to *exactly* the
-//!   sequential total — no leaf lost, none duplicated — at any worker
-//!   count and any cut point (the partition invariant, extended from
-//!   PR 1's single checkpoint script to shard sets).
+//!   one-worker total — no leaf lost, none duplicated — at any worker
+//!   count and any cut point (the partition invariant, extended from a
+//!   single checkpoint script to shard sets).
+//! * **Failure**: a worker that panics out of its shard loop ends the run
+//!   as `Errored` at any worker count, without stranding the others.
 //!
 //! Plus a property test: any k-way resume of any cap-induced shard split
-//! reproduces the sequential totals, including when the resumed half is
+//! reproduces the one-worker totals, including when the resumed half is
 //! itself interrupted and resumed again.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use cdsspec_mc as mc;
 use mc::MemOrd::*;
-use mc::{mc_assert, Atomic, Config, Stats};
+use mc::{mc_assert, Atomic, Bug, Config, Plugin, PluginFactory, Stats, StopReason};
 use proptest::prelude::*;
 
-/// Baseline: the classic sequential engine, explicitly pinned to one
-/// worker so `CDSSPEC_WORKERS` (the CI parallel job) cannot change the
-/// reference side of the comparison.
+/// Baseline: the one-worker run, explicitly pinned so `CDSSPEC_WORKERS`
+/// (the CI parallel job) cannot change the reference side of the
+/// comparison.
 fn seq_config() -> Config {
     Config {
         workers: 1,
@@ -123,8 +128,8 @@ fn assert_identical(name: &str, workers: usize, seq: &Stats, par: &Stats) {
         "{name} w={workers}: deduplicated bug set"
     );
     assert_eq!(
-        seq.frontier.is_some(),
-        par.frontier.is_some(),
+        seq.frontier().is_some(),
+        par.frontier().is_some(),
         "{name} w={workers}: frontier presence"
     );
 }
@@ -205,7 +210,7 @@ fn buggy_run_with_stop_on_first_bug_agrees_on_bugginess() {
 }
 
 /// Interrupt a parallel run with the execution cap, then resume its shard
-/// frontier to completion: totals must land exactly on the sequential
+/// frontier to completion: totals must land exactly on the one-worker
 /// count.
 #[test]
 fn capped_parallel_run_resumes_to_exact_total() {
@@ -227,7 +232,7 @@ fn capped_parallel_run_resumes_to_exact_total() {
             assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
             assert!(!cut.shard_frontiers.is_empty(), "cap implies a frontier");
             let ck = cut.checkpoint().expect("interrupted run has a checkpoint");
-            // Resume sequentially: prior counts carry, so the resumed
+            // Resume on one worker: prior counts carry, so the resumed
             // total is directly comparable to the uninterrupted run.
             let resumed = mc::explore_from(seq_config(), ck, three_thread_mix);
             assert_eq!(resumed.stop, mc::StopReason::Exhausted);
@@ -272,7 +277,7 @@ fn sequential_cut_resumed_in_parallel_is_exact() {
 
 /// A zero deadline truncates immediately (after at most one execution per
 /// worker); resuming the abandoned shards must still reach the exact
-/// sequential totals.
+/// one-worker totals.
 #[test]
 fn deadline_truncated_parallel_run_resumes_to_exact_total() {
     let seq = mc::explore(seq_config(), three_thread_mix);
@@ -299,12 +304,59 @@ fn deadline_truncated_parallel_run_resumes_to_exact_total() {
     }
 }
 
+/// A plugin whose `name()` panics the first time any instance is asked.
+/// The explorer reads the name outside its containment of `check`, so the
+/// panic escapes the worker's shard loop.
+struct NamePanicsOnce(Arc<AtomicBool>);
+
+impl Plugin for NamePanicsOnce {
+    fn name(&self) -> &'static str {
+        if !self.0.swap(true, Ordering::SeqCst) {
+            panic!("plugin name() panicked");
+        }
+        "name-panics-once"
+    }
+    fn check(&mut self, _trace: &mc::c11::Trace) -> Vec<Bug> {
+        Vec::new()
+    }
+}
+
+/// A worker that dies mid-run errors the run, at one worker as at
+/// several: the panic is caught where the worker runs, and it halts the
+/// others instead of leaving them waiting for work forever. The run is
+/// driven from a helper thread so a hang fails the test instead of
+/// wedging the suite.
+#[test]
+fn a_panicking_worker_errors_the_run_at_any_worker_count() {
+    for workers in [1, 2, 3] {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let fired = Arc::new(AtomicBool::new(false));
+            let factory: PluginFactory = Arc::new(move || {
+                vec![Box::new(NamePanicsOnce(Arc::clone(&fired))) as Box<dyn Plugin>]
+            });
+            let config = Config {
+                workers,
+                ..seq_config()
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                mc::explore_factory(config, factory, three_thread_mix).stop
+            }));
+            let _ = tx.send(run.map_err(|_| "the panic escaped the exploration"));
+        });
+        let stop = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("workers={workers}: the run did not return"));
+        assert_eq!(stop, Ok(StopReason::Errored), "workers={workers}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Any cut point, any worker count on either side of the cut, and
     /// optionally a *second* interruption of the resumed half: the final
-    /// totals always equal the uninterrupted sequential run's.
+    /// totals always equal the uninterrupted one-worker run's.
     #[test]
     fn any_shard_split_resumes_exactly(
         cap in 1u64..60,

@@ -51,7 +51,7 @@ fn truncation_is_reported() {
     assert!(stats.truncated());
     assert_eq!(stats.stop, mc::StopReason::ExecutionCap);
     assert_eq!(stats.executions, 2);
-    assert!(stats.frontier.is_some(), "a capped run must be resumable");
+    assert!(stats.frontier().is_some(), "a capped run must be resumable");
 }
 
 /// `yield_now` is a scheduling point with no memory effect.
@@ -225,7 +225,7 @@ fn watchdog_aborts_wedged_thread() {
 fn deadline_expiry_reports_and_resumes() {
     let full = mc::explore(Config::default(), branchy_workload);
     assert_eq!(full.stop, mc::StopReason::Exhausted);
-    assert!(full.frontier.is_none());
+    assert!(full.frontier().is_none());
     assert!(
         full.executions > 4,
         "workload too small to interrupt: {}",
@@ -266,7 +266,10 @@ fn resume_script_threads_through_config() {
         branchy_workload,
     );
     assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-    let frontier = cut.frontier.clone().expect("capped run leaves a frontier");
+    let frontier = cut
+        .frontier()
+        .expect("capped run leaves a frontier")
+        .to_vec();
     let resumed = mc::explore(
         Config {
             resume_script: Some(frontier),
@@ -322,8 +325,9 @@ fn resume_elapsed_excludes_suspension_gap() {
 /// random-walk probes of the unexplored region — deterministically.
 #[test]
 fn deadline_degrades_to_sampling_deterministically() {
-    // Sampling degradation is a sequential-engine feature (the parallel
-    // engine reports its shard frontiers instead), so pin `workers: 1`.
+    // Sampling needs a single floor-0 frontier shard, which a one-worker
+    // deadline cut leaves (several workers may leave one each), so pin
+    // `workers: 1`.
     let config = Config {
         time_budget: Some(Duration::ZERO),
         deadline_samples: 5,
