@@ -45,8 +45,8 @@
 //! shorter buffer, and `PartialEq` is defined accordingly. No operation may
 //! branch on buffer length, capacity, or inline-vs-heap form, and no caller
 //! can observe whether a fast path or the slow pointwise walk produced a
-//! result — the `cow_equivalence` proptest suite checks exactly this
-//! against the [`naive`] reference implementation.
+//! result — the `proptest_clocks` suite checks exactly this against a
+//! plain `Vec`-backed reference implementation.
 
 use std::sync::Arc;
 
@@ -391,107 +391,6 @@ impl Clock {
         match (self.wmax.get(loc), self.rmax.get(loc)) {
             (None, None) => None,
             (a, b) => Some(a.unwrap_or(0).max(b.unwrap_or(0))),
-        }
-    }
-}
-
-/// The pre-copy-on-write reference implementation: plain `Vec`-backed
-/// tables with the textbook pointwise loops and no sharing, no fast
-/// paths, no observational no-ops.
-///
-/// Retained **only** as the oracle for the `cow_equivalence` proptest
-/// suite, which drives random operation sequences through both
-/// implementations and requires observationally identical answers. Not
-/// used by the checker.
-pub mod naive {
-    use super::{Tid, NO_BOUND};
-    use crate::loc::LocId;
-
-    /// Reference [`super::VecClock`]: an owned, eagerly-resized `Vec`.
-    #[derive(Clone, Debug, Default)]
-    pub struct VecClock {
-        /// Owned counts, one per thread index.
-        pub counts: Vec<u32>,
-    }
-
-    impl VecClock {
-        /// See [`super::VecClock::get`].
-        pub fn get(&self, tid: Tid) -> u32 {
-            self.counts.get(tid.idx()).copied().unwrap_or(0)
-        }
-
-        /// See [`super::VecClock::set`].
-        pub fn set(&mut self, tid: Tid, count: u32) {
-            if self.counts.len() <= tid.idx() {
-                self.counts.resize(tid.idx() + 1, 0);
-            }
-            self.counts[tid.idx()] = count;
-        }
-
-        /// See [`super::VecClock::raise`].
-        pub fn raise(&mut self, tid: Tid, seq: u32) {
-            if self.counts.len() <= tid.idx() {
-                self.counts.resize(tid.idx() + 1, 0);
-            }
-            let slot = &mut self.counts[tid.idx()];
-            *slot = (*slot).max(seq);
-        }
-
-        /// See [`super::VecClock::join`].
-        pub fn join(&mut self, other: &VecClock) {
-            if self.counts.len() < other.counts.len() {
-                self.counts.resize(other.counts.len(), 0);
-            }
-            for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-                *mine = (*mine).max(*theirs);
-            }
-        }
-
-        /// See [`super::VecClock::includes`].
-        pub fn includes(&self, other: &VecClock) -> bool {
-            (0..other.counts.len())
-                .all(|i| other.counts[i] <= self.counts.get(i).copied().unwrap_or(0))
-        }
-
-        /// See [`super::VecClock::knows`].
-        pub fn knows(&self, tid: Tid, seq: u32) -> bool {
-            self.get(tid) >= seq
-        }
-    }
-
-    /// Reference [`super::CoherenceMap`]: an owned, eagerly-resized `Vec`.
-    #[derive(Clone, Debug, Default)]
-    pub struct CoherenceMap {
-        /// Owned bounds, `NO_BOUND` = unconstrained.
-        pub bounds: Vec<i64>,
-    }
-
-    impl CoherenceMap {
-        /// See [`super::CoherenceMap::get`].
-        pub fn get(&self, loc: LocId) -> Option<u32> {
-            match self.bounds.get(loc.idx()).copied().unwrap_or(NO_BOUND) {
-                NO_BOUND => None,
-                b => Some(b as u32),
-            }
-        }
-
-        /// See [`super::CoherenceMap::raise`].
-        pub fn raise(&mut self, loc: LocId, idx: u32) {
-            if self.bounds.len() <= loc.idx() {
-                self.bounds.resize(loc.idx() + 1, NO_BOUND);
-            }
-            let slot = &mut self.bounds[loc.idx()];
-            *slot = (*slot).max(idx as i64);
-        }
-
-        /// See [`super::CoherenceMap::join`].
-        pub fn join(&mut self, other: &CoherenceMap) {
-            if self.bounds.len() < other.bounds.len() {
-                self.bounds.resize(other.bounds.len(), NO_BOUND);
-            }
-            for (mine, theirs) in self.bounds.iter_mut().zip(&other.bounds) {
-                *mine = (*mine).max(*theirs);
-            }
         }
     }
 }

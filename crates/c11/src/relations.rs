@@ -10,9 +10,10 @@
 //!   incremental indexes (clocks for hb, `mo`, reader chains) and checks
 //!   the coherence, RMW-atomicity, and SC axioms with O(1) hb queries —
 //!   no O(n²) matrix, no transitive closure.
-//! * [`validate`] — the differential oracle (kept compiled in, like
-//!   `clock::naive`). It recomputes everything from first principles —
-//!   sb, thread create/join edges, synchronizes-with from reads-from
+//! * [`validate`] — the differential oracle, which the model checker's
+//!   `validate_axioms` setting runs on every feasible execution. It
+//!   recomputes everything from first principles — sb, thread
+//!   create/join edges, synchronizes-with from reads-from
 //!   (including release sequences continued through RMWs and the C11
 //!   fence rules) — closes the relation with Floyd–Warshall, and checks
 //!   the same axioms, optionally cross-checking the stored clocks
@@ -21,9 +22,6 @@
 //! Property tests in `cdsspec-mc` run every explored execution of random
 //! programs through both and require agreement, so a divergence between
 //! the online clocks/indexes and the oracle is caught immediately.
-//! [`check_sw_delta`] additionally replays the commit-time sb∪sw
-//! adjacency delta (recorded when `Trace::record_sw` is set) and requires
-//! its closure to equal the oracle's hb.
 //!
 //! The SC-fence strengthening rules (C++11 29.3 p4–p6) are derived from
 //! first principles (S = the trace's SC order, sb = per-thread sequence)
@@ -757,37 +755,6 @@ pub fn audit(trace: &Trace) -> Vec<AxiomError> {
     errors
 }
 
-/// Cross-check the commit-time sb∪sw adjacency delta against the post-hoc
-/// oracle: closing the recorded edges (plus sb from the per-thread event
-/// ranges) must reproduce the oracle's hb matrix exactly. Only meaningful
-/// on traces recorded with `Trace::record_sw` set. Returns the first
-/// disagreeing ordered pair `(a, b)` on failure.
-pub fn check_sw_delta(trace: &Trace) -> Result<(), (EventId, EventId)> {
-    let n = trace.len();
-    let mut m = HbMatrix::new(n);
-    for t in 0..trace.num_threads {
-        let evs = trace.events_of_thread(Tid(t));
-        for w in evs.windows(2) {
-            m.set(w[0].idx(), w[1].idx());
-        }
-    }
-    for &(a, b) in trace.sw_edges() {
-        if a != b {
-            m.set(a.idx(), b.idx());
-        }
-    }
-    m.close();
-    let hb = compute_hb(trace);
-    for a in 0..n {
-        for b in 0..n {
-            if a != b && m.get(a, b) != hb.get(a, b) {
-                return Err((EventId(a as u32), EventId(b as u32)));
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // rf-signature canonicalization (exploration identity)
 // ---------------------------------------------------------------------
@@ -823,9 +790,9 @@ const NO_RF: u64 = 0x5eed_0000_0000_0001;
 /// that is their only use: counting rf classes and checking that pruned
 /// and unpruned explorations cover the same classes. The values are also
 /// persisted in campaign checkpoints, so the hash must stay bit-for-bit
-/// stable across engine changes; [`posthoc::rf_signature`] keeps the
-/// original full-re-walk derivation compiled in as the reference, and
-/// lockstep tests pin this incremental finalize to it.
+/// stable across engine changes; `cdsspec-mc`'s lockstep tests keep the
+/// original full-re-walk derivation as the reference and pin this
+/// incremental finalize to it.
 ///
 /// This finalize is a single allocation-free O(n) fold over state the
 /// trace maintained at commit time (`SigState`: spawn-path thread names,
@@ -899,132 +866,6 @@ pub fn rf_signature(trace: &Trace) -> u64 {
     fnv(sig, trace.num_threads as u64)
 }
 
-/// The original post-hoc derivations, kept compiled in as the
-/// differential reference for the incremental engine (the same role
-/// `clock::naive` plays for the COW clocks). Nothing on the production
-/// path calls in here; lockstep tests pin the incremental results to
-/// these.
-pub mod posthoc {
-    use super::*;
-
-    /// [`super::rf_signature`] derived the original way: three full
-    /// re-walks of the trace (spawn-tree canonicalization, per-location
-    /// minima, then the chain folds), recomputing every canonical event
-    /// id on demand. Bit-for-bit equal to the incremental finalize by
-    /// construction — the lockstep tests enforce it.
-    pub fn rf_signature(trace: &Trace) -> u64 {
-        let nthreads = trace.num_threads as usize;
-        let n = trace.len();
-
-        // Canonical thread names from the spawn tree.
-        let mut canon = vec![0u64; nthreads];
-        let mut spawn_count = vec![0u64; nthreads];
-        canon[0] = fnv(FNV_OFFSET, 0);
-        for i in 0..n {
-            let id = EventId(i as u32);
-            if let EventKind::ThreadCreate { child } = trace.kind(id) {
-                let p = trace.tid(id).idx();
-                canon[child.idx()] = fnv(fnv(canon[p], 1), spawn_count[p]);
-                spawn_count[p] += 1;
-            }
-        }
-
-        // Canonical event id: (thread name, per-thread sequence number).
-        let ceid = |id: EventId| -> u64 {
-            fnv(
-                fnv(FNV_OFFSET, canon[trace.tid(id).idx()]),
-                trace.seq(id) as u64,
-            )
-        };
-
-        // Canonical location names: the smallest canonical id of any event
-        // touching the location (the touching-event *set* is schedule-
-        // independent, so its minimum is too).
-        let mut loc_min: Vec<u64> = Vec::new();
-        let mut data_min: Vec<u64> = Vec::new();
-        let note = |slot: &mut Vec<u64>, idx: usize, c: u64| {
-            if slot.len() <= idx {
-                slot.resize(idx + 1, u64::MAX);
-            }
-            slot[idx] = slot[idx].min(c);
-        };
-        for i in 0..n {
-            let id = EventId(i as u32);
-            let c = ceid(id);
-            match trace.kind(id) {
-                EventKind::AtomicLoad { loc, .. }
-                | EventKind::AtomicStore { loc, .. }
-                | EventKind::Rmw { loc, .. } => note(&mut loc_min, loc.idx(), c),
-                EventKind::DataWrite { loc } | EventKind::DataRead { loc } => {
-                    note(&mut data_min, loc.idx(), c)
-                }
-                _ => {}
-            }
-        }
-
-        // Per-thread operation chains.
-        let mut thread_hash: Vec<u64> = canon.iter().map(|&c| fnv(FNV_OFFSET, c)).collect();
-        for i in 0..n {
-            let id = EventId(i as u32);
-            let h = &mut thread_hash[trace.tid(id).idx()];
-            *h = match trace.kind(id) {
-                EventKind::AtomicLoad { loc, ord, rf, .. } => {
-                    let rf = rf.map(ceid).unwrap_or(NO_RF);
-                    fnv(fnv(fnv(fnv(*h, 1), loc_min[loc.idx()]), ord as u64), rf)
-                }
-                EventKind::AtomicStore { loc, ord, .. } => {
-                    fnv(fnv(fnv(*h, 2), loc_min[loc.idx()]), ord as u64)
-                }
-                EventKind::Rmw {
-                    loc,
-                    ord,
-                    rf,
-                    written,
-                    ..
-                } => {
-                    let rf = rf.map(ceid).unwrap_or(NO_RF);
-                    let wrote = written.is_some() as u64;
-                    fnv(
-                        fnv(fnv(fnv(fnv(*h, 3), loc_min[loc.idx()]), ord as u64), rf),
-                        wrote,
-                    )
-                }
-                EventKind::Fence { ord } => fnv(fnv(*h, 4), ord as u64),
-                EventKind::ThreadCreate { child } => fnv(fnv(*h, 5), canon[child.idx()]),
-                EventKind::ThreadJoin { target } => fnv(fnv(*h, 6), canon[target.idx()]),
-                EventKind::ThreadFinish => fnv(*h, 7),
-                EventKind::DataWrite { loc } => fnv(fnv(*h, 8), data_min[loc.idx()]),
-                EventKind::DataRead { loc } => fnv(fnv(*h, 9), data_min[loc.idx()]),
-            };
-        }
-        let mut sig = 0u64;
-        for h in thread_hash {
-            sig = sig.wrapping_add(fnv(FNV_OFFSET, h));
-        }
-
-        // Per-location modification orders (commutative across locations).
-        for (li, chain) in trace.mo.iter().enumerate() {
-            if chain.is_empty() {
-                continue;
-            }
-            let mut h = fnv(fnv(FNV_OFFSET, 10), loc_min[li]);
-            for &w in chain {
-                h = fnv(h, ceid(w));
-            }
-            sig = sig.wrapping_add(h);
-        }
-
-        // The SC order (one global chain).
-        let mut h = fnv(FNV_OFFSET, 11);
-        for &s in &trace.sc_order {
-            h = fnv(h, ceid(s));
-        }
-        sig = sig.wrapping_add(h);
-
-        fnv(sig, trace.num_threads as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1047,7 +888,6 @@ mod tests {
         fn new(threads: usize) -> Self {
             let mut t = Trace::default();
             t.num_threads = threads as u32;
-            t.record_sw = true;
             Builder {
                 t,
                 seqs: vec![0; threads],
@@ -1435,47 +1275,12 @@ mod tests {
     }
 
     #[test]
-    fn sw_delta_closure_matches_posthoc_hb() {
-        // The commit-time sb∪sw adjacency delta, closed, must equal the
-        // oracle's hb on scenarios covering rf sync, release sequences
-        // through RMWs, fence-fence sync, and SC fences.
-        let mut b = Builder::new(3);
-        let h = b.store(0, 0, Release, 1);
-        let rmw = b.push(
-            1,
-            EventKind::Rmw {
-                loc: LocId(0),
-                ord: Relaxed,
-                rf: Some(h),
-                read_val: 1,
-                written: Some(2),
-                mo_index: 1,
-            },
-        );
-        b.load(2, 0, Acquire, Some(rmw));
-        assert_eq!(check_sw_delta(&b.finish()), Ok(()));
-
-        let mut b = Builder::new(2);
-        let d = b.store(0, 0, Relaxed, 1);
-        b.push(0, EventKind::Fence { ord: Release });
-        let f = b.store(0, 1, Relaxed, 1);
-        b.load(1, 1, Relaxed, Some(f));
-        b.push(1, EventKind::Fence { ord: Acquire });
-        b.load(1, 0, Relaxed, Some(d));
-        assert_eq!(check_sw_delta(&b.finish()), Ok(()));
-
-        let mut b = Builder::new(2);
-        let _ = b.store(0, 0, Relaxed, 0);
-        let w1 = b.store(0, 0, Relaxed, 1);
-        b.push(0, EventKind::Fence { ord: SeqCst });
-        b.load(1, 0, SeqCst, Some(w1));
-        assert_eq!(check_sw_delta(&b.finish()), Ok(()));
-    }
-
-    #[test]
-    fn incremental_signature_matches_posthoc() {
-        // Spawn-tree canonicalization, per-location minima, rf/mo/SC
-        // chains, and data events all flow through both derivations.
+    fn spawn_join_trace_validates() {
+        // Spawn/join edges, a release/acquire pair, an SC RMW continuing
+        // the release sequence, and data events: the oracle's recomputed
+        // hb agrees with the clocks and finds no violation. (The same
+        // trace pins the incremental rf signature to the post-hoc re-walk
+        // in `cdsspec-mc`'s lockstep tests.)
         let mut b = Builder::new(3);
         b.push(0, EventKind::ThreadCreate { child: Tid(1) });
         b.push(0, EventKind::ThreadCreate { child: Tid(2) });
@@ -1502,73 +1307,6 @@ mod tests {
         b.push(0, EventKind::Fence { ord: SeqCst });
         b.push(0, EventKind::ThreadFinish);
         let t = b.finish();
-        assert_eq!(rf_signature(&t), posthoc::rf_signature(&t));
-        assert_eq!(check_sw_delta(&t), Ok(()));
         assert!(validate(&t, true).is_empty(), "{:?}", validate(&t, true));
-    }
-
-    #[test]
-    fn signature_survives_trace_reuse() {
-        // Reusing a cleared trace must not leak prior sig state in.
-        let build = |t: &mut Trace| {
-            t.num_threads = 2;
-            t.push(
-                Tid(0),
-                1,
-                EventKind::ThreadCreate { child: Tid(1) },
-                VecClock::new(),
-            );
-            let w = t.push(
-                Tid(1),
-                1,
-                EventKind::AtomicStore {
-                    loc: LocId(0),
-                    ord: MemOrd::Release,
-                    val: 7,
-                    mo_index: 0,
-                },
-                VecClock::new(),
-            );
-            t.mo.push(vec![w]);
-            t.push(Tid(1), 2, EventKind::ThreadFinish, VecClock::new());
-            t.push(
-                Tid(0),
-                2,
-                EventKind::ThreadJoin { target: Tid(1) },
-                VecClock::new(),
-            );
-        };
-        let mut fresh = Trace::default();
-        build(&mut fresh);
-        let expect = rf_signature(&fresh);
-        assert_eq!(expect, posthoc::rf_signature(&fresh));
-
-        // Dirty the same trace with a different program, clear, rebuild.
-        let mut reused = Trace::default();
-        reused.num_threads = 2;
-        reused.push(
-            Tid(0),
-            1,
-            EventKind::ThreadCreate { child: Tid(1) },
-            VecClock::new(),
-        );
-        reused.push(
-            Tid(1),
-            1,
-            EventKind::Fence {
-                ord: MemOrd::SeqCst,
-            },
-            VecClock::new(),
-        );
-        reused.push(
-            Tid(1),
-            2,
-            EventKind::DataWrite { loc: DataId(3) },
-            VecClock::new(),
-        );
-        reused.clear();
-        build(&mut reused);
-        assert_eq!(rf_signature(&reused), expect);
-        assert_eq!(posthoc::rf_signature(&reused), expect);
     }
 }

@@ -36,14 +36,9 @@
 //! * **the canonical-signature state** (`SigState`) — thread spawn-path
 //!   names, per-event canonical ids, and per-location minima, folded
 //!   exactly as `relations::rf_signature` historically derived them
-//!   post-hoc (the retained reference is
-//!   `relations::posthoc::rf_signature`), so the finalize step is a
-//!   single O(n) fold instead of three full re-walks;
-//! * **the sb∪sw adjacency delta** (`sw_edges`, behind [`Trace::record_sw`])
-//!   — every synchronizes-with edge (rf release/acquire, release
-//!   sequences through RMW chains, fence rules, create/join) recorded at
-//!   the commit that created it, giving the offline validator's edge set
-//!   without the O(n²) post-hoc scan.
+//!   post-hoc (the reference re-walk lives in `cdsspec-mc`'s lockstep
+//!   tests), so the finalize step is a single O(n) fold instead of three
+//!   full re-walks.
 //!
 //! The maintenance rule for every index is the same: *only* `push` writes
 //! it, appending data derivable from the event being committed plus state
@@ -343,25 +338,6 @@ pub struct Trace {
     readers: Vec<Vec<EventId>>,
     /// Incremental rf-signature state.
     pub(crate) sig: SigState,
-
-    // ---- sb∪sw delta recording (validation support) ------------------
-    /// Record synchronizes-with edges at commit time. Off by default: the
-    /// edges are consumed only by the axiom validator's cross-checks, and
-    /// the release-chain walk is per-read hot-path work. The runtime turns
-    /// it on when the exploration validates axioms.
-    pub record_sw: bool,
-    /// The recorded sw edges (create/join edges included), commit order.
-    sw_edges: Vec<(EventId, EventId)>,
-    /// Per-thread release-fence events (sw sources for later stores).
-    rel_fences: Vec<Vec<EventId>>,
-    /// Per-thread sw sources of earlier reads (targets of later acquire
-    /// fences, C++11 29.8p3-4).
-    read_srcs: Vec<Vec<EventId>>,
-    /// Per-thread pending `ThreadCreate` event, consumed by the thread's
-    /// first own event ([`NONE`] = none pending).
-    pending_create: Vec<u32>,
-    /// Scratch for release-chain source collection (capacity reused).
-    src_scratch: Vec<EventId>,
 }
 
 impl Default for Trace {
@@ -383,12 +359,6 @@ impl Default for Trace {
             thread_events: Vec::new(),
             readers: Vec::new(),
             sig: SigState::default(),
-            record_sw: false,
-            sw_edges: Vec::new(),
-            rel_fences: Vec::new(),
-            read_srcs: Vec::new(),
-            pending_create: Vec::new(),
-            src_scratch: Vec::new(),
         };
         t.sig.reset();
         t
@@ -433,16 +403,6 @@ impl Trace {
             v.clear();
         }
         self.sig.reset();
-        self.sw_edges.clear();
-        for v in &mut self.rel_fences {
-            v.clear();
-        }
-        for v in &mut self.read_srcs {
-            v.clear();
-        }
-        for p in &mut self.pending_create {
-            *p = NONE;
-        }
     }
 
     /// Make the per-thread tables cover `tid`.
@@ -450,9 +410,6 @@ impl Trace {
         let need = tid.idx() + 1;
         if self.thread_events.len() < need {
             self.thread_events.resize_with(need, Vec::new);
-            self.rel_fences.resize_with(need, Vec::new);
-            self.read_srcs.resize_with(need, Vec::new);
-            self.pending_create.resize(need, NONE);
         }
         if self.sig.canon.len() < need {
             self.sig.canon.resize(need, 0);
@@ -468,9 +425,9 @@ impl Trace {
     /// thread's happens-before snapshot (own component implicit). Returns
     /// the new event's id.
     ///
-    /// Invariants assumed (guaranteed by the runtime, required from test
+    /// Invariant assumed (guaranteed by the runtime, required from test
     /// builders): a child's `ThreadCreate` commits before any event of the
-    /// child, and a `ThreadJoin` commits after the target's `ThreadFinish`.
+    /// child.
     pub fn push(&mut self, tid: Tid, seq: u32, kind: EventKind, clock: VecClock) -> EventId {
         let id = EventId(self.len() as u32);
         self.ensure_thread(tid);
@@ -480,7 +437,6 @@ impl Trace {
             let p = tid.idx();
             self.sig.canon[child.idx()] = fnv(fnv(self.sig.canon[p], 1), self.sig.spawn_count[p]);
             self.sig.spawn_count[p] += 1;
-            self.pending_create[child.idx()] = id.0;
         }
 
         // Canonical event id: canon[tid] is final before any event of tid.
@@ -547,10 +503,6 @@ impl Trace {
             _ => {}
         }
 
-        if self.record_sw {
-            self.record_sw_delta(tid, id, kind);
-        }
-
         self.tids.push(tid.0);
         self.seqs.push(seq);
         self.tags.push(kind.tag());
@@ -562,91 +514,6 @@ impl Trace {
         self.arena.push(ord, val, written);
         self.thread_events[tid.idx()].push(id);
         id
-    }
-
-    /// Record the sw edges this commit creates (C++11 release/acquire via
-    /// rf, release sequences through RMW chains, the fence rules 29.8,
-    /// create/join edges). Called before the event's own row is appended;
-    /// every edge source is an already-committed event.
-    fn record_sw_delta(&mut self, tid: Tid, id: EventId, kind: EventKind) {
-        // create → first event of the child.
-        if self.thread_events[tid.idx()].is_empty() {
-            let c = self.pending_create[tid.idx()];
-            if c != NONE {
-                self.sw_edges.push((EventId(c), id));
-            }
-        }
-        match kind {
-            EventKind::ThreadJoin { target } => {
-                // finish(target) → join. The runtime guarantees the target
-                // finished; scan backwards for robustness against
-                // hand-built traces.
-                let fin = self
-                    .thread_events
-                    .get(target.idx())
-                    .and_then(|evs| {
-                        evs.iter()
-                            .rev()
-                            .find(|e| self.tags[e.idx()] == EventTag::Finish)
-                    })
-                    .copied();
-                if let Some(f) = fin {
-                    self.sw_edges.push((f, id));
-                }
-            }
-            EventKind::Fence { ord } => {
-                if ord.is_acquire() {
-                    // 29.8p3-4: the fence synchronizes with every source
-                    // whose store an earlier read of this thread read.
-                    for i in 0..self.read_srcs[tid.idx()].len() {
-                        let s = self.read_srcs[tid.idx()][i];
-                        self.sw_edges.push((s, id));
-                    }
-                }
-                if ord.is_release() {
-                    self.rel_fences[tid.idx()].push(id);
-                }
-            }
-            EventKind::AtomicLoad {
-                ord, rf: Some(w), ..
-            }
-            | EventKind::Rmw {
-                ord, rf: Some(w), ..
-            } => {
-                // Sources: release stores on the release chain of `w`
-                // (the chain of RMWs back to the first plain store), plus
-                // release fences sequenced before each chain element.
-                let mut srcs = std::mem::take(&mut self.src_scratch);
-                srcs.clear();
-                let mut cur = w;
-                loop {
-                    let ci = cur.idx();
-                    if self.arena.ords[ci].is_some_and(|o| o.is_release()) {
-                        srcs.push(cur);
-                    }
-                    let ct = self.tids[ci] as usize;
-                    let cseq = self.seqs[ci];
-                    for &f in &self.rel_fences[ct] {
-                        if self.seqs[f.idx()] < cseq {
-                            srcs.push(f);
-                        }
-                    }
-                    if self.tags[ci] == EventTag::Rmw && self.rfs[ci] != NONE {
-                        cur = EventId(self.rfs[ci]);
-                    } else {
-                        break;
-                    }
-                }
-                if ord.is_acquire() {
-                    for &s in &srcs {
-                        self.sw_edges.push((s, id));
-                    }
-                }
-                self.read_srcs[tid.idx()].extend_from_slice(&srcs);
-                self.src_scratch = srcs;
-            }
-            _ => {}
-        }
     }
 
     // ---- row accessors -----------------------------------------------
@@ -866,13 +733,6 @@ impl Trace {
             .get(tid.idx())
             .map(|v| v.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// The recorded sb∪sw adjacency delta: every synchronizes-with edge
-    /// (create/join edges included) in commit order. Empty unless
-    /// [`Trace::record_sw`] was set while the events were pushed.
-    pub fn sw_edges(&self) -> &[(EventId, EventId)] {
-        &self.sw_edges
     }
 
     /// Number of atomic operations (loads, stores, RMWs, fences).

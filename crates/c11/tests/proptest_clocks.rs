@@ -148,16 +148,116 @@ proptest! {
 // COW vs. naive reference: random operation sequences.
 //
 // The copy-on-write `VecClock`/`CoherenceMap` must be observationally
-// identical to the retained eager implementations in
-// `cdsspec_c11::clock::naive` under *every* interleaving of mutations —
-// including the aliasing the COW representation introduces (clones that
-// share buffers, later diverging on write). Each case drives both
+// identical to the eager implementations in `naive` below under *every*
+// interleaving of mutations — including the aliasing the COW
+// representation introduces (clones that share buffers, later diverging
+// on write). Each case drives both
 // implementations, plus a shared-ancestor clone of the COW value, through
 // the same operation sequence and compares all observations after every
 // step.
 // ---------------------------------------------------------------------
 
-use cdsspec_c11::clock::naive;
+/// The pre-copy-on-write reference implementation: plain `Vec`-backed
+/// tables with the textbook pointwise loops and no sharing, no fast
+/// paths, no observational no-ops.
+///
+/// The oracle for the suites below, which drive random operation
+/// sequences through both implementations and require observationally
+/// identical answers.
+mod naive {
+    use cdsspec_c11::{LocId, Tid};
+
+    /// An absent bound, as the COW table encodes it.
+    const NO_BOUND: i64 = i64::MIN;
+
+    /// Reference [`cdsspec_c11::VecClock`]: an owned, eagerly-resized `Vec`.
+    #[derive(Clone, Debug, Default)]
+    pub struct VecClock {
+        /// Owned counts, one per thread index.
+        pub counts: Vec<u32>,
+    }
+
+    impl VecClock {
+        /// See [`cdsspec_c11::VecClock::get`].
+        pub fn get(&self, tid: Tid) -> u32 {
+            self.counts.get(tid.idx()).copied().unwrap_or(0)
+        }
+
+        /// See [`cdsspec_c11::VecClock::set`].
+        pub fn set(&mut self, tid: Tid, count: u32) {
+            if self.counts.len() <= tid.idx() {
+                self.counts.resize(tid.idx() + 1, 0);
+            }
+            self.counts[tid.idx()] = count;
+        }
+
+        /// See [`cdsspec_c11::VecClock::raise`].
+        pub fn raise(&mut self, tid: Tid, seq: u32) {
+            if self.counts.len() <= tid.idx() {
+                self.counts.resize(tid.idx() + 1, 0);
+            }
+            let slot = &mut self.counts[tid.idx()];
+            *slot = (*slot).max(seq);
+        }
+
+        /// See [`cdsspec_c11::VecClock::join`].
+        pub fn join(&mut self, other: &VecClock) {
+            if self.counts.len() < other.counts.len() {
+                self.counts.resize(other.counts.len(), 0);
+            }
+            for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+                *mine = (*mine).max(*theirs);
+            }
+        }
+
+        /// See [`cdsspec_c11::VecClock::includes`].
+        pub fn includes(&self, other: &VecClock) -> bool {
+            (0..other.counts.len())
+                .all(|i| other.counts[i] <= self.counts.get(i).copied().unwrap_or(0))
+        }
+
+        /// See [`cdsspec_c11::VecClock::knows`].
+        pub fn knows(&self, tid: Tid, seq: u32) -> bool {
+            self.get(tid) >= seq
+        }
+    }
+
+    /// Reference [`cdsspec_c11::clock::CoherenceMap`]: an owned, eagerly-resized `Vec`.
+    #[derive(Clone, Debug, Default)]
+    pub struct CoherenceMap {
+        /// Owned bounds, `NO_BOUND` = unconstrained.
+        pub bounds: Vec<i64>,
+    }
+
+    impl CoherenceMap {
+        /// See [`cdsspec_c11::clock::CoherenceMap::get`].
+        pub fn get(&self, loc: LocId) -> Option<u32> {
+            match self.bounds.get(loc.idx()).copied().unwrap_or(NO_BOUND) {
+                NO_BOUND => None,
+                b => Some(b as u32),
+            }
+        }
+
+        /// See [`cdsspec_c11::clock::CoherenceMap::raise`].
+        pub fn raise(&mut self, loc: LocId, idx: u32) {
+            if self.bounds.len() <= loc.idx() {
+                self.bounds.resize(loc.idx() + 1, NO_BOUND);
+            }
+            let slot = &mut self.bounds[loc.idx()];
+            *slot = (*slot).max(idx as i64);
+        }
+
+        /// See [`cdsspec_c11::clock::CoherenceMap::join`].
+        pub fn join(&mut self, other: &CoherenceMap) {
+            if self.bounds.len() < other.bounds.len() {
+                self.bounds.resize(other.bounds.len(), NO_BOUND);
+            }
+            for (mine, theirs) in self.bounds.iter_mut().zip(&other.bounds) {
+                *mine = (*mine).max(*theirs);
+            }
+        }
+    }
+}
 
 /// One mutation of a vector-clock pair (applied to COW and naive alike).
 #[derive(Clone, Debug)]

@@ -57,8 +57,13 @@ fn parallel_cut_round_trips_through_the_wire_codec() {
     assert_eq!(back.rf_classes, cut.rf_classes);
     assert_eq!(back.elapsed, cut.elapsed);
 
-    let ckpt = back.checkpoint().expect("a cut leaves a frontier");
-    let resumed = mc::explore_from(seq_config(), ckpt, three_thread_mix);
+    assert!(!back.shard_frontiers.is_empty(), "a cut leaves a frontier");
+    let resume = Config {
+        resume_shards: Some(back.shard_frontiers.clone()),
+        ..seq_config()
+    };
+    let mut resumed = back;
+    resumed.continue_with(mc::explore(resume, three_thread_mix));
     assert_eq!(resumed.stop, mc::StopReason::Exhausted);
     assert_eq!(resumed.executions, seq.executions);
     assert_eq!(resumed.feasible, seq.feasible);

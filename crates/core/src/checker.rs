@@ -46,8 +46,8 @@ impl<S> SpecChecker<S> {
         }
     }
 
-    /// Convenience: build the boxed plugin list for
-    /// [`cdsspec_mc::explore_with_plugins`].
+    /// Convenience: the boxed plugin list one explorer worker checks
+    /// with — what [`SpecChecker::factory`] mints per worker.
     pub fn plugins(spec: Arc<Spec<S>>) -> Vec<Box<dyn Plugin>>
     where
         S: Send + 'static,

@@ -15,6 +15,17 @@ use std::sync::{Arc, Mutex};
 /// One execution's probe record: (call name, value) list + `r` edge list.
 type ProbeRecord = (Vec<(&'static str, i64)>, Vec<(usize, usize)>);
 
+/// One plugin named "probe" per explorer worker, each calling `check`.
+fn probe_factory(
+    check: impl Fn(&mc::c11::Trace) -> Vec<mc::Bug> + Send + Sync + 'static,
+) -> mc::PluginFactory {
+    let check = Arc::new(check);
+    Arc::new(move || {
+        let check = Arc::clone(&check);
+        vec![Box::new(mc::FnPlugin::new("probe", move |trace| check(trace))) as Box<dyn mc::Plugin>]
+    })
+}
+
 /// Record (per execution) the extracted calls and their order relation as
 /// an edge list.
 fn probe_orders<F>(test: F) -> Vec<ProbeRecord>
@@ -23,7 +34,7 @@ where
 {
     let acc: Arc<Mutex<Vec<ProbeRecord>>> = Arc::new(Mutex::new(Vec::new()));
     let acc2 = Arc::clone(&acc);
-    let plugin = mc::FnPlugin::new("probe", move |trace| {
+    let probe = probe_factory(move |trace| {
         let calls = extract_calls(trace).expect("well-formed annotations");
         let order = build_call_order(trace, &calls);
         let names: Vec<(&'static str, i64)> = calls
@@ -47,7 +58,7 @@ where
         acc2.lock().unwrap().push((names, edges));
         Vec::new()
     });
-    let stats = mc::explore_with_plugins(Config::default(), vec![Box::new(plugin)], test);
+    let stats = mc::explore_factory(Config::default(), probe, test);
     assert!(!stats.buggy());
     Arc::try_unwrap(acc).unwrap().into_inner().unwrap()
 }
@@ -209,6 +220,65 @@ fn retry_loops_order_by_final_attempt() {
     }
 }
 
+/// Calls `a`, `b` and `c` where only r's transitive closure orders `a`
+/// before `c`. `b` has two ordering points, b2 (a release store to
+/// `relay`) sequenced before b1 (an acquire load of `flag`); `a`'s point
+/// happens-before b1 through `flag` and b2 happens-before `c`'s point
+/// through `relay`. No hb path runs from `a`'s point to `c`'s, so before
+/// closure r is {a→b, b→c}. The spins prune every execution in which a
+/// load misses its store, so each checked execution has both edges.
+fn ordered_only_through_two_point_call() {
+    let obj = mc::new_object_id();
+    let flag = Atomic::new(0i64);
+    let relay = Atomic::new(0i64);
+    let a = mc::thread::spawn(move || {
+        spec::method_begin(obj, "a");
+        flag.store(1, Release);
+        spec::op_define();
+        spec::method_end(());
+    });
+    let c = mc::thread::spawn(move || {
+        spec::method_begin(obj, "c");
+        while relay.load(Acquire) == 0 {
+            mc::spin_loop();
+        }
+        spec::op_define();
+        spec::method_end(());
+    });
+    spec::method_begin(obj, "b");
+    relay.store(1, Release);
+    spec::op_define();
+    while flag.load(Acquire) == 0 {
+        mc::spin_loop();
+    }
+    spec::op_define();
+    spec::method_end(());
+    a.join();
+    c.join();
+}
+
+/// `build_call_order` closes r transitively: `a` and `c`, related only
+/// through `b`'s two ordering points, count as ordered, so a spec that
+/// requires them to be ordered finds every execution admissible.
+#[test]
+fn call_order_is_transitively_closed() {
+    let spec = Spec::new("chain", || ())
+        .method("a", |m| m)
+        .method("b", |m| m)
+        .method("c", |m| m)
+        .admit("a", "c", |_, _| true);
+    let stats = spec::check(Config::default(), spec, ordered_only_through_two_point_call);
+    assert!(!stats.buggy(), "{}", stats.bugs[0].bug);
+    assert!(stats.feasible > 0, "{}", stats.summary());
+    for (names, edges) in probe_orders(ordered_only_through_two_point_call) {
+        let at = |name| names.iter().position(|(n, _)| *n == name).unwrap();
+        let (a, b, c) = (at("a"), at("b"), at("c"));
+        for edge in [(a, b), (b, c), (a, c)] {
+            assert!(edges.contains(&edge), "{edge:?} missing from {edges:?}");
+        }
+    }
+}
+
 /// Three unsynchronized `put`s joined before a `get`: the `get`'s r-prefix
 /// is the three pairwise-concurrent puts, so it has 3! = 6 justifying
 /// subhistories and the execution 6 full histories.
@@ -274,7 +344,7 @@ fn sampled_justification_names_its_sample() {
 fn capped_enumeration_produces_exactly_cap_histories() {
     let counts = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&counts);
-    let plugin = mc::FnPlugin::new("probe", move |trace| {
+    let probe = probe_factory(move |trace| {
         let calls = extract_calls(trace).expect("well-formed annotations");
         let order = build_call_order(trace, &calls);
         let get = calls.iter().position(|c| c.name == "get").expect("one get");
@@ -293,7 +363,7 @@ fn capped_enumeration_produces_exactly_cap_histories() {
         ));
         Vec::new()
     });
-    let stats = mc::explore_with_plugins(Config::default(), vec![Box::new(plugin)], wide_prefix);
+    let stats = mc::explore_factory(Config::default(), probe, wide_prefix);
     assert!(!stats.buggy());
     let counts = counts.lock().unwrap();
     assert!(!counts.is_empty());

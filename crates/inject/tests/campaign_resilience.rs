@@ -131,8 +131,11 @@ static BOMB_SITES: &[SiteSpec] = &[site("bomb.store", MemOrd::SeqCst, SiteKind::
 /// containment (the panic happens *inside* exploration and is caught
 /// there, not by the campaign's `catch_unwind`).
 fn plugin_bomb_check(config: mc::Config, _ords: Ords) -> mc::Stats {
-    let bomb = mc::FnPlugin::new("bomb", |_trace| -> Vec<mc::Bug> { panic!("plugin bomb") });
-    mc::explore_with_plugins(config, vec![Box::new(bomb)], || {
+    let bomb: mc::PluginFactory = std::sync::Arc::new(|| {
+        let bomb = mc::FnPlugin::new("bomb", |_trace| -> Vec<mc::Bug> { panic!("plugin bomb") });
+        vec![Box::new(bomb) as Box<dyn mc::Plugin>]
+    });
+    mc::explore_factory(config, bomb, || {
         let x = mc::Atomic::new(0i64);
         let _ = x.load(mc::MemOrd::Relaxed);
     })

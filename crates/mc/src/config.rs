@@ -23,9 +23,9 @@ pub struct Config {
     /// chains of unannotated spin loops, which would otherwise branch
     /// exponentially until the step bound.
     pub max_futile_reads: u32,
-    /// Safety valve: stop exploring after this many executions. When
-    /// resuming from a checkpoint, the cap bounds the executions of the
-    /// resumed run, not the checkpointed total.
+    /// Safety valve: stop exploring after this many executions. A resumed
+    /// run's cap bounds its own executions, not the interrupted run's
+    /// total.
     pub max_executions: u64,
     /// Wall-clock budget for the whole exploration. Checked between
     /// executions (never mid-execution, so checkpointed partition counts
@@ -44,15 +44,51 @@ pub struct Config {
     pub deadline_samples: u64,
     /// PRNG seed for deadline-degraded sampling.
     pub sample_seed: u64,
-    /// Start DFS from this replay script instead of the tree root —
-    /// the `Checkpoint::script` of an interrupted run. Threads resumption
-    /// through APIs that only accept a `Config` (e.g. the benchmark
-    /// registry's `check` function pointers). `None`/empty = the root.
+    /// Start DFS from this replay script instead of the tree root: a
+    /// floor-0 shard that owns every leaf from the script on, such as
+    /// `Stats::frontier` of an interrupted one-shard run. Ignored when
+    /// `resume_shards` is set. `None`/empty = the root.
     pub resume_script: Option<Vec<usize>>,
-    /// Resume exploration from a *set* of frontier shards instead of a
-    /// single script — the `Stats::shard_frontiers` of an interrupted
-    /// parallel run. Takes precedence over `resume_script` when set.
-    /// `None` = start from the root (or from `resume_script`).
+    /// Resume exploration from a set of frontier shards — the
+    /// `Stats::shard_frontiers` of an interrupted run, at any worker
+    /// count — exploring exactly the leaves they list. This is how every
+    /// caller resumes, including APIs that only accept a `Config` (e.g.
+    /// the benchmark registry's `check` function pointers). A resumed run
+    /// counts only its own executions; fold it onto the interrupted run
+    /// with [`crate::Stats::continue_with`]. The two halves partition the
+    /// choice tree exactly:
+    ///
+    /// ```
+    /// use cdsspec_mc as mc;
+    /// use mc::MemOrd::Relaxed;
+    ///
+    /// fn test() {
+    ///     let x = mc::Atomic::new(0i32);
+    ///     let t = mc::thread::spawn(move || x.store(1, Relaxed));
+    ///     let _ = x.load(Relaxed);
+    ///     t.join();
+    /// }
+    ///
+    /// let seq = mc::Config { workers: 1, ..mc::Config::default() };
+    /// let full = mc::explore(seq.clone(), test);
+    ///
+    /// // Cut the same exploration after one execution…
+    /// let mut total = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
+    /// // The first execution left no untried sibling above the next leaf,
+    /// // so the remainder is one floor-0 shard.
+    /// assert_eq!(total.shard_frontiers.len(), 1);
+    /// assert_eq!(total.shard_frontiers[0].floor, 0);
+    ///
+    /// // …and resume it: the halves partition the tree, so the resumed
+    /// // total equals the uninterrupted run's count exactly.
+    /// let resume = mc::Config { resume_shards: Some(total.shard_frontiers.clone()), ..seq };
+    /// total.continue_with(mc::explore(resume, test));
+    /// assert_eq!(total.executions, full.executions);
+    /// assert!(total.shard_frontiers.is_empty());
+    /// ```
+    ///
+    /// Takes precedence over `resume_script`. `None`/empty = start from
+    /// the root (or from `resume_script`).
     pub resume_shards: Option<Vec<ShardSpec>>,
     /// Number of explorer workers draining the shard queue. Worker 0 runs
     /// on the calling thread and the rest on scoped threads, so `1` is
@@ -77,9 +113,9 @@ pub struct Config {
     /// (the read-then-write order is rf-equivalent to write-then-read
     /// with the same candidate window), and rf candidates that would
     /// immediately trip the futile-read bound are rejected eagerly,
-    /// before scheduling descends under them. Checkpoints and shard
-    /// frontiers are only valid under the same setting they were
-    /// produced with — the same contract `sleep_sets` already has.
+    /// before scheduling descends under them. Shard frontiers are only
+    /// valid under the same setting they were produced with — the same
+    /// contract `sleep_sets` already has.
     /// See ARCHITECTURE.md "Exploration identity and rf-equivalence
     /// pruning" for the soundness and determinism argument.
     pub rf_prune: bool,

@@ -11,10 +11,11 @@
 //! The replay script *is* the explorer's complete state: `next_script`
 //! computes the first unexplored leaf from the last execution's choices,
 //! and a run cut short by the cap or the deadline records its remainder
-//! as [`Stats::shard_frontiers`]. [`explore_from`] restarts DFS at a
-//! [`Checkpoint`]'s frontier and visits exactly the leaves the original
-//! run had left, so execution counts partition:
-//! `executions(full) == executions(to checkpoint) + executions(resumed)`.
+//! as [`Stats::shard_frontiers`]. Exploring those shards again
+//! (`Config::resume_shards`) visits exactly the leaves the original run
+//! had left, and [`Stats::continue_with`] folds the continuation onto the
+//! cut run, so execution counts partition:
+//! `executions(full) == executions(to the cut) + executions(resumed)`.
 //!
 //! ## One engine at any worker count
 //!
@@ -47,7 +48,7 @@ use std::time::Instant;
 
 use crate::config::Config;
 use crate::plugin::{Plugin, PluginFactory};
-use crate::report::{Bug, Checkpoint, FoundBug, ShardSpec, Stats, StopReason};
+use crate::report::{Bug, FoundBug, ShardSpec, Stats, StopReason, MAX_BUG_RECORDS};
 use crate::runtime::{run_once, ChoiceRec, Reuse, RunOutcome, RunResult};
 use crate::worker::{panic_message, Pool};
 use parking_lot::Mutex;
@@ -67,59 +68,18 @@ use rand::SeedableRng;
 /// where a version-1 shard also covered every later suite part.
 pub const TREE_VERSION: u64 = 2;
 
-/// Maximum distinct bug records retained (duplicates across executions are
-/// folded; exploration statistics still count every occurrence).
-pub(crate) const MAX_BUG_RECORDS: usize = 24;
-
-/// The plugins one explorer instance checks feasible executions with.
-///
-/// `Owned` is the fast path: the explorer has exclusive plugins (the only
-/// worker of a one-worker run, or a worker whose plugins came from a
-/// [`PluginFactory`]). `Shared` is the compatibility fallback for a plain
-/// plugin `Vec` handed to several workers: every worker serializes its
-/// checking through one mutex, which is correct but contended — prefer
-/// [`explore_factory`] for parallel specification checking.
-pub(crate) enum PluginSet {
-    Owned(Vec<Box<dyn Plugin>>),
-    Shared(Arc<Mutex<Vec<Box<dyn Plugin>>>>),
-}
-
-impl Default for PluginSet {
-    fn default() -> Self {
-        PluginSet::Owned(Vec::new())
-    }
-}
-
-impl PluginSet {
-    fn with<R>(&mut self, f: impl FnOnce(&mut [Box<dyn Plugin>]) -> R) -> R {
-        match self {
-            PluginSet::Owned(v) => f(v),
-            PluginSet::Shared(m) => f(&mut m.lock()),
-        }
-    }
-}
-
-/// Where an exploration's plugins come from: a one-shot list, or a factory
-/// that can mint an independent list per parallel worker.
-pub(crate) enum PluginSource {
-    Direct(Vec<Box<dyn Plugin>>),
-    Factory(PluginFactory),
-}
-
 /// One explorer worker: a DFS over the shards the coordinator hands it.
 pub(crate) struct Explorer {
     config: Config,
     pool: Arc<Mutex<Pool>>,
     test: Arc<dyn Fn() + Send + Sync>,
-    plugins: PluginSet,
-    /// This worker's own statistics; the checkpointed prior lives once, in
-    /// the merge base.
+    plugins: Vec<Box<dyn Plugin>>,
+    /// This worker's own statistics.
     pub(crate) stats: Stats,
-    /// Rendered messages of every bug seen (the dedup key), seeded with
-    /// the prior run's bugs so resumed bugs stay deduplicated.
+    /// Rendered messages of every bug seen (the dedup key).
     seen_bugs: HashSet<String>,
-    /// Executions before this worker's first one, so found bugs number
-    /// their execution from the checkpoint's prior count.
+    /// Executions before this worker's first one: nonzero only while
+    /// deadline sampling numbers its bugs after the merged run's.
     prior_executions: u64,
     /// Worker index stamped onto found bugs.
     worker: usize,
@@ -132,13 +92,12 @@ pub(crate) struct Explorer {
 }
 
 impl Explorer {
-    /// Worker `worker` of a run resuming on top of `prior`.
+    /// Worker `worker` of a run, checking with `plugins`.
     pub(crate) fn new(
         config: Config,
         test: Arc<dyn Fn() + Send + Sync>,
-        plugins: PluginSet,
+        plugins: Vec<Box<dyn Plugin>>,
         worker: usize,
-        prior: &Stats,
     ) -> Self {
         Explorer {
             config,
@@ -146,8 +105,8 @@ impl Explorer {
             test,
             plugins,
             stats: Stats::default(),
-            seen_bugs: prior.bugs.iter().map(|b| b.bug.to_string()).collect(),
-            prior_executions: prior.executions,
+            seen_bugs: HashSet::new(),
+            prior_executions: 0,
             worker,
             shard_start: Vec::new(),
             reuse: Reuse::default(),
@@ -237,41 +196,37 @@ impl Explorer {
                 let config_stop_on_first = self.config.stop_on_first_bug;
                 // Out of `self` for the loop, so it can record bugs.
                 let mut plugins = std::mem::take(&mut self.plugins);
-                plugins.with(|plugins| {
-                    for plugin in plugins.iter_mut() {
-                        // A buggy checker must not take the campaign down
-                        // with it: contain the panic, report it as a plugin
-                        // bug, and stop with `Errored` so callers see the
-                        // run is incomplete rather than silently clean.
-                        let name = plugin.name();
-                        let checked =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                plugin.check(&result.trace)
-                            }));
-                        let found = match checked {
-                            Ok(found) => found,
-                            Err(payload) => {
-                                let message =
-                                    format!("checker panicked: {}", panic_message(&payload));
-                                self.record_bug(
-                                    Bug::Plugin {
-                                        plugin: name,
-                                        message,
-                                    },
-                                    &result.trace,
-                                );
-                                stop = Some(StopReason::Errored);
-                                continue;
-                            }
-                        };
-                        if !found.is_empty() && config_stop_on_first {
-                            stop = Some(StopReason::FirstBug);
+                for plugin in plugins.iter_mut() {
+                    // A buggy checker must not take the campaign down with
+                    // it: contain the panic, report it as a plugin bug, and
+                    // stop with `Errored` so callers see the run is
+                    // incomplete rather than silently clean.
+                    let name = plugin.name();
+                    let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        plugin.check(&result.trace)
+                    }));
+                    let found = match checked {
+                        Ok(found) => found,
+                        Err(payload) => {
+                            let message = format!("checker panicked: {}", panic_message(&payload));
+                            self.record_bug(
+                                Bug::Plugin {
+                                    plugin: name,
+                                    message,
+                                },
+                                &result.trace,
+                            );
+                            stop = Some(StopReason::Errored);
+                            continue;
                         }
-                        for bug in found {
-                            self.record_bug(bug, &result.trace);
-                        }
+                    };
+                    if !found.is_empty() && config_stop_on_first {
+                        stop = Some(StopReason::FirstBug);
                     }
-                });
+                    for bug in found {
+                        self.record_bug(bug, &result.trace);
+                    }
+                }
                 self.plugins = plugins;
             }
             RunOutcome::BugFound(bug) => {
@@ -339,159 +294,49 @@ impl Explorer {
             frontier = next_script(replayed);
         }
         merged.add_counters(&self.stats);
-        push_bugs(merged, std::mem::take(&mut self.stats.bugs));
+        merged.push_bugs(std::mem::take(&mut self.stats.bugs));
         merged.shard_frontiers = frontier.map(ShardSpec::from_script).into_iter().collect();
     }
 }
 
-/// Append fresh bug records to `stats`, up to [`MAX_BUG_RECORDS`].
-pub(crate) fn push_bugs(stats: &mut Stats, bugs: Vec<FoundBug>) {
-    let room = MAX_BUG_RECORDS.saturating_sub(stats.bugs.len());
-    stats.bugs.extend(bugs.into_iter().take(room));
-}
-
-/// Exhaustively explore `test` under `config`, invoking `plugins` on every
-/// feasible execution.
-///
-/// With `Config::workers > 1` and a non-empty plugin list, checking is
-/// serialized through a mutex shared by all workers; use
-/// [`explore_factory`] to give each worker independent plugins instead.
-pub fn explore_with_plugins<F>(config: Config, plugins: Vec<Box<dyn Plugin>>, test: F) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_from_with_plugins(config, Checkpoint::root(), plugins, test)
-}
-
-/// Resume an interrupted exploration from `checkpoint` (see
-/// [`Stats::checkpoint`]): statistics continue accumulating on top of
-/// the checkpointed counts, previously reported bugs stay deduplicated,
-/// and DFS restarts at the checkpointed frontier
-/// — every frontier shard of it, when the checkpoint came from an
-/// interrupted parallel run.
-///
-/// The two halves of an interrupted run partition the choice tree exactly:
-///
-/// ```
-/// use cdsspec_mc as mc;
-/// use mc::MemOrd::Relaxed;
-///
-/// fn test() {
-///     let x = mc::Atomic::new(0i32);
-///     let t = mc::thread::spawn(move || x.store(1, Relaxed));
-///     let _ = x.load(Relaxed);
-///     t.join();
-/// }
-///
-/// let seq = mc::Config { workers: 1, ..mc::Config::default() };
-/// let full = mc::explore(seq.clone(), test);
-///
-/// // Cut the same exploration after one execution…
-/// let cut = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
-/// let ck = cut.checkpoint().expect("interrupted run leaves a frontier");
-///
-/// // …and resume it: the halves partition the tree, so the resumed
-/// // total equals the uninterrupted run's count exactly.
-/// let resumed = mc::explore_from(seq, ck, test);
-/// assert_eq!(resumed.executions, full.executions);
-/// ```
-pub fn explore_from<F>(config: Config, checkpoint: Checkpoint, test: F) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_from_with_plugins(config, checkpoint, Vec::new(), test)
-}
-
-/// [`explore_from`] with plugins.
-pub fn explore_from_with_plugins<F>(
-    config: Config,
-    checkpoint: Checkpoint,
-    plugins: Vec<Box<dyn Plugin>>,
-    test: F,
-) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_impl(
-        config,
-        checkpoint,
-        PluginSource::Direct(plugins),
-        Arc::new(test),
-    )
-}
-
 /// Explore with per-worker plugin construction: `factory` is invoked once
-/// per explorer worker, so each worker checks its shard with plugins it
+/// per explorer worker, so each worker checks its shards with plugins it
 /// owns exclusively — specification checking stays race-free without any
 /// cross-worker locking. A one-worker run invokes the factory exactly
-/// once; behavior is then identical to [`explore_with_plugins`].
+/// once. Plugins that must see every execution of a multi-worker run
+/// share their state through an `Arc` the factory clones into each list.
+///
+/// The run starts at `Config::resume_shards` (or `Config::resume_script`)
+/// when set; see there for resuming a cut run.
 pub fn explore_factory<F>(config: Config, factory: PluginFactory, test: F) -> Stats
 where
     F: Fn() + Send + Sync + 'static,
 {
-    explore_from_factory(config, Checkpoint::root(), factory, test)
+    explore_impl(config, &*factory, Arc::new(test))
 }
 
-/// [`explore_factory`] resuming from a checkpoint (see [`explore_from`]).
-pub fn explore_from_factory<F>(
-    config: Config,
-    checkpoint: Checkpoint,
-    factory: PluginFactory,
-    test: F,
-) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_impl(
-        config,
-        checkpoint,
-        PluginSource::Factory(factory),
-        Arc::new(test),
-    )
-}
-
-/// Resolve where exploration starts: the checkpoint's shard set when the
-/// checkpoint has content, else shards/script smuggled through the config
-/// (the only channel available to callers holding a plain
-/// `fn(Config) -> Stats`, like the benchmark registry), else the root.
-fn initial_shards(config: &Config, checkpoint: &Checkpoint) -> Vec<ShardSpec> {
-    if !checkpoint.script.is_empty() || !checkpoint.stats.shard_frontiers.is_empty() {
-        let shards = &checkpoint.stats.shard_frontiers;
-        // Trust the shard list only when it agrees with the script — they
-        // are always written together; for a hand-built checkpoint with a
-        // bare script, the script wins.
-        if shards.first().map(|s| &s.script) == Some(&checkpoint.script) {
-            shards.clone()
-        } else {
-            vec![ShardSpec::from_script(checkpoint.script.clone())]
-        }
-    } else if let Some(shards) = &config.resume_shards {
-        if shards.is_empty() {
-            vec![ShardSpec::root()]
-        } else {
-            shards.clone()
-        }
-    } else if let Some(script) = &config.resume_script {
-        vec![ShardSpec::from_script(script.clone())]
-    } else {
-        vec![ShardSpec::root()]
+/// Where exploration starts: the shard set or script resumed through the
+/// config, else the root.
+fn initial_shards(config: &Config) -> Vec<ShardSpec> {
+    match (&config.resume_shards, &config.resume_script) {
+        (Some(shards), _) if !shards.is_empty() => shards.clone(),
+        (None, Some(script)) => vec![ShardSpec::from_script(script.clone())],
+        _ => vec![ShardSpec::root()],
     }
 }
 
-/// Common implementation: resolve the starting shards, run the engine,
-/// and account wall-clock on top of the prior elapsed.
+/// Common implementation: build one plugin list per worker, run the
+/// engine from the initial shards, and account wall-clock.
 fn explore_impl(
     config: Config,
-    checkpoint: Checkpoint,
-    plugins: PluginSource,
+    factory: &dyn Fn() -> Vec<Box<dyn Plugin>>,
     test: Arc<dyn Fn() + Send + Sync>,
 ) -> Stats {
     let start = Instant::now();
-    let initial = initial_shards(&config, &checkpoint);
-    let prior = checkpoint.stats;
-    let prior_elapsed = prior.elapsed;
-    let mut stats = crate::parallel::explore_shards(&config, prior, initial, plugins, test);
-    stats.elapsed = prior_elapsed + start.elapsed();
+    let initial = initial_shards(&config);
+    let plugins = (0..config.effective_workers()).map(|_| factory()).collect();
+    let mut stats = crate::parallel::explore_shards(&config, initial, plugins, test);
+    stats.elapsed = start.elapsed();
     stats
 }
 
@@ -610,7 +455,7 @@ pub fn model<F>(test: F) -> Stats
 where
     F: Fn() + Send + Sync + 'static,
 {
-    let stats = explore_with_plugins(Config::default(), Vec::new(), test);
+    let stats = explore(Config::default(), test);
     if stats.buggy() {
         let b = &stats.bugs[0];
         panic!("model checking found a bug: {}\ntrace:\n{}", b.bug, b.trace);
@@ -624,7 +469,7 @@ pub fn explore<F>(config: Config, test: F) -> Stats
 where
     F: Fn() + Send + Sync + 'static,
 {
-    explore_with_plugins(config, Vec::new(), test)
+    explore_impl(config, &Vec::new, Arc::new(test))
 }
 
 #[cfg(test)]

@@ -67,12 +67,9 @@ pub use api::{alloc, annotate, fence, new_object_id, progress_hint, spin_loop, t
 pub use atomic::{Atomic, AtomicPtr};
 pub use config::Config;
 pub use data::Data;
-pub use explore::{
-    explore, explore_factory, explore_from, explore_from_factory, explore_from_with_plugins,
-    explore_with_plugins, model,
-};
+pub use explore::{explore, explore_factory, model};
 pub use plugin::{FnPlugin, Plugin, PluginFactory};
-pub use report::{Bug, BugCategory, Checkpoint, FoundBug, ShardSpec, Stats, StopReason};
+pub use report::{Bug, BugCategory, FoundBug, ShardSpec, Stats, StopReason};
 pub use worker::{in_model, run_shard_threads};
 
 // Re-export the vocabulary crate so downstream users need one import.

@@ -155,7 +155,7 @@ impl MemState {
             v
         }));
         // Clears every column and incremental index while keeping their
-        // capacity (and the `record_sw` setting).
+        // capacity.
         recycle.clear();
         self.trace = recycle;
         self.threads.clear();

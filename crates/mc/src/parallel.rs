@@ -50,10 +50,8 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::Config;
-use crate::explore::{
-    next_script_bounded, push_bugs, split_frontier, stop_frontier, Explorer, PluginSet,
-    PluginSource,
-};
+use crate::explore::{next_script_bounded, split_frontier, stop_frontier, Explorer};
+use crate::plugin::Plugin;
 use crate::report::{ShardSpec, Stats, StopReason};
 use crate::worker::run_shard_threads;
 
@@ -77,7 +75,7 @@ struct Coordinator {
     state: Mutex<CoordState>,
     cv: Condvar,
     /// Executions performed by this run, across all workers; the cap
-    /// applies to this count, not to a resumed checkpoint's total.
+    /// applies to this count, not to a resumed run's total.
     executions: AtomicU64,
     workers: usize,
     steal_batch: usize,
@@ -208,14 +206,12 @@ fn shard_worker(coord: &Coordinator, mut ex: Explorer) -> (Explorer, Vec<ShardSp
     (ex, leftovers)
 }
 
-/// Run the engine. `prior` is the checkpointed base the merged result
-/// accumulates onto; `initial` is the starting shard set. The caller
-/// accounts `elapsed`.
+/// Run the engine from the `initial` shard set, worker `w` checking with
+/// `plugins[w]` (one list per worker). The caller accounts `elapsed`.
 pub(crate) fn explore_shards(
     config: &Config,
-    prior: Stats,
     initial: Vec<ShardSpec>,
-    plugins: PluginSource,
+    plugins: Vec<Vec<Box<dyn Plugin>>>,
     test: Arc<dyn Fn() + Send + Sync>,
 ) -> Stats {
     let workers = config.effective_workers();
@@ -235,32 +231,14 @@ pub(crate) fn explore_shards(
         deadline: config.time_budget.map(|b| Instant::now() + b),
     };
 
-    // One plugin set per worker: factory-made sets are exclusive; a plain
-    // `Vec` is the only worker's own, or shared behind a mutex by several
-    // (serialized checking — documented on `explore_with_plugins`).
-    let sets: Vec<PluginSet> = match plugins {
-        PluginSource::Factory(f) => (0..workers).map(|_| PluginSet::Owned(f())).collect(),
-        PluginSource::Direct(v) if workers == 1 || v.is_empty() => {
-            let mut sets = vec![PluginSet::Owned(v)];
-            sets.resize_with(workers, PluginSet::default);
-            sets
-        }
-        PluginSource::Direct(v) => {
-            let shared = Arc::new(Mutex::new(v));
-            (0..workers)
-                .map(|_| PluginSet::Shared(Arc::clone(&shared)))
-                .collect()
-        }
-    };
-
-    let mut results = run_shard_threads(sets, |w, plugins| {
+    let mut results = run_shard_threads(plugins, |w, plugins| {
         let _halt = HaltOnUnwind(&coord);
-        let ex = Explorer::new(config.clone(), Arc::clone(&test), plugins, w, &prior);
+        let ex = Explorer::new(config.clone(), Arc::clone(&test), plugins, w);
         shard_worker(&coord, ex)
     });
 
     let unclaimed = coord.state.into_inner().queue;
-    let mut merged = merge_results(prior, &mut results, unclaimed);
+    let mut merged = merge_results(&mut results, unclaimed);
     // Deadline degradation only knows how to march a single unfloored
     // script across the remaining tree.
     if merged.stop == StopReason::Deadline
@@ -274,15 +252,13 @@ pub(crate) fn explore_shards(
     merged
 }
 
-/// Deterministic merge of the workers' results onto the checkpointed base.
+/// Deterministic merge of the workers' results.
 fn merge_results(
-    prior: Stats,
     results: &mut [std::thread::Result<(Explorer, Vec<ShardSpec>)>],
     unclaimed: VecDeque<ShardSpec>,
 ) -> Stats {
-    let mut merged = prior;
-    merged.stop = StopReason::Exhausted;
-    let mut seen: HashSet<String> = merged.bugs.iter().map(|b| b.bug.to_string()).collect();
+    let mut merged = Stats::default();
+    let mut seen = HashSet::new();
     let mut fresh_bugs = Vec::new();
     let mut leftovers = Vec::new();
     for r in results.iter_mut() {
@@ -316,7 +292,7 @@ fn merge_results(
         fresh_bugs.sort_by_key(|b| b.bug.to_string());
         leftovers.sort_by(|a, b| a.script.cmp(&b.script).then(a.floor.cmp(&b.floor)));
     }
-    push_bugs(&mut merged, fresh_bugs);
+    merged.push_bugs(fresh_bugs);
     merged.shard_frontiers = leftovers;
     merged
 }

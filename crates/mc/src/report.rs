@@ -1,9 +1,13 @@
 //! Exploration outcomes: bug kinds, found-bug records, aggregate stats,
-//! stop reasons, and in-memory checkpoints for resumable explorations.
+//! stop reasons, and the frontier shards a cut run resumes from.
 
 use cdsspec_c11::{DataId, LocId, Tid};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::time::Duration;
+
+/// Maximum distinct bug records retained (duplicates across executions are
+/// folded; exploration statistics still count every occurrence).
+pub(crate) const MAX_BUG_RECORDS: usize = 24;
 
 /// A defect detected during exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,8 +90,8 @@ pub enum Bug {
         /// What the engine could not do.
         message: String,
     },
-    /// A bug deserialized from a [`Checkpoint`]: only its category and
-    /// rendered message survive the round trip.
+    /// A bug deserialized from a resume journal or the campaign wire: only
+    /// its category and rendered message survive the round trip.
     Restored {
         /// The original bug's category.
         category: BugCategory,
@@ -206,10 +210,11 @@ impl BugCategory {
 pub struct FoundBug {
     /// What went wrong.
     pub bug: Bug,
-    /// 0-based index of the execution that exhibited it: the resumed
-    /// checkpoint's executions, then the finding worker's own in order.
-    /// A one-worker run counts globally; with several workers the index
-    /// is only meaningful together with [`FoundBug::worker`].
+    /// 0-based index of the execution that exhibited it: the finding
+    /// worker's own executions in order, after those of every run folded
+    /// in before it by [`Stats::continue_with`]. A one-worker run counts
+    /// globally; with several workers the index is only meaningful
+    /// together with [`FoundBug::worker`].
     pub execution: u64,
     /// Rendered trace for diagnostics.
     pub trace: String,
@@ -294,10 +299,10 @@ impl std::fmt::Display for StopReason {
 /// One shard of the DFS frontier: a subtree of the choice tree owned by
 /// exactly one explorer.
 ///
-/// `script` is the replay script of the shard's next unexplored leaf
-/// (PR 1's checkpoint representation, reused verbatim). `floor` is the
-/// *depth floor*: the shard owns only the backtrack points at depths
-/// `>= floor`, so its DFS never climbs above the subtree it was handed.
+/// `script` is the replay script of the shard's next unexplored leaf.
+/// `floor` is the *depth floor*: the shard owns only the backtrack points
+/// at depths `>= floor`, so its DFS never climbs above the subtree it was
+/// handed.
 /// A plain (unsharded) exploration is the single shard
 /// `{ floor: 0, script: [] }` — the whole tree.
 ///
@@ -318,8 +323,8 @@ impl ShardSpec {
         ShardSpec::default()
     }
 
-    /// A floor-0 shard starting at `script` (the shape of every PR 1
-    /// checkpoint, which always owned the whole remaining tree).
+    /// A floor-0 shard starting at `script`: it owns the whole tree from
+    /// that leaf on.
     pub fn from_script(script: Vec<usize>) -> Self {
         ShardSpec { floor: 0, script }
     }
@@ -404,19 +409,9 @@ impl Stats {
     }
 
     /// Replay script of the first unexplored DFS leaf (the first shard's
-    /// script), when the run stopped before exhausting the tree — the
-    /// seed of a [`Checkpoint`].
+    /// script), when the run stopped before exhausting the tree.
     pub fn frontier(&self) -> Option<&[usize]> {
         self.shard_frontiers.first().map(|s| s.script.as_slice())
-    }
-
-    /// A checkpoint from which [`crate::explore_from`] can resume, when
-    /// the run left part of the tree unexplored.
-    pub fn checkpoint(&self) -> Option<Checkpoint> {
-        self.frontier().map(|script| Checkpoint {
-            script: script.to_vec(),
-            stats: self.clone(),
-        })
     }
 
     /// Fold another run's counters into these: the execution counters
@@ -448,17 +443,37 @@ impl Stats {
         self.bugs.extend(other.bugs);
     }
 
-    /// Fold a resumed run's statistics into checkpointed ones. Counters
-    /// accumulate like [`Stats::merge`], but the continuation's stop
-    /// reason and frontier *replace* the originals: the checkpoint's
-    /// `Deadline`/`ExecutionCap` describes the interruption, not the
-    /// combined run's fate.
+    /// Fold a resumed run's statistics into the interrupted run's, so the
+    /// pair reads as one straight run. Counters accumulate like
+    /// [`Stats::merge`], but the continuation's stop reason and frontier
+    /// *replace* the originals: the cut's `Deadline`/`ExecutionCap`
+    /// describes the interruption, not the combined run's fate. The
+    /// continuation's bugs number their execution after these
+    /// executions, a bug already reported here is dropped, and the list
+    /// keeps its cap of distinct records.
     pub fn continue_with(&mut self, mut continuation: Stats) {
+        let offset = self.executions;
+        let mut seen: HashSet<String> = self.bugs.iter().map(|b| b.bug.to_string()).collect();
+        let fresh = std::mem::take(&mut continuation.bugs)
+            .into_iter()
+            .filter(|b| seen.insert(b.bug.to_string()))
+            .map(|b| FoundBug {
+                execution: b.execution + offset,
+                ..b
+            })
+            .collect();
         let stop = continuation.stop;
         let shards = std::mem::take(&mut continuation.shard_frontiers);
         self.merge(continuation);
+        self.push_bugs(fresh);
         self.stop = stop;
         self.shard_frontiers = shards;
+    }
+
+    /// Append fresh bug records, up to [`MAX_BUG_RECORDS`] in all.
+    pub(crate) fn push_bugs(&mut self, bugs: Vec<FoundBug>) {
+        let room = MAX_BUG_RECORDS.saturating_sub(self.bugs.len());
+        self.bugs.extend(bugs.into_iter().take(room));
     }
 
     /// Executions per wall-clock second (`0.0` when no time was recorded,
@@ -489,63 +504,6 @@ impl Stats {
             self.peak_depth,
             self.stop
         )
-    }
-}
-
-/// A resumable exploration position: the replay script of the first
-/// unexplored DFS leaf plus the statistics accumulated so far.
-///
-/// The DFS explorer's replay script *is* its complete state — re-running
-/// from `script` visits exactly the leaves a straight-through run would
-/// have visited after the interruption point, so
-/// `executions(full) == executions(to checkpoint) + executions(resumed)`.
-/// The statistics also carry the remainder as disjoint [`ShardSpec`]
-/// subtrees: one per abandoned shard of a *parallel* run, and, when the
-/// execution cap cut the run, sibling subtrees along each cut DFS path,
-/// the first of them rooted at `script`. Together the shards
-/// partition the unexplored remainder, so the same identity holds at any
-/// worker count, and each shard can be explored on its own.
-///
-/// Resuming happens in memory, through [`crate::explore_from`]. Across
-/// process restarts the checkpoint's [`Stats`] travel as a campaign
-/// journal record (see `ARCHITECTURE.md`, *Resume files are journals*).
-///
-/// ```
-/// use cdsspec_mc as mc;
-/// use mc::MemOrd::Relaxed;
-///
-/// fn test() {
-///     let x = mc::Atomic::new(0i32);
-///     let t = mc::thread::spawn(move || x.store(1, Relaxed));
-///     let _ = x.load(Relaxed);
-///     t.join();
-/// }
-///
-/// let seq = mc::Config { workers: 1, ..mc::Config::default() };
-/// let cut = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
-/// let ckpt = cut.checkpoint().expect("the cap leaves a frontier");
-/// // The first execution left no untried sibling above the next leaf,
-/// // so the remainder is one floor-0 shard rooted at the script.
-/// assert_eq!(
-///     ckpt.stats.shard_frontiers,
-///     vec![mc::ShardSpec::from_script(ckpt.script.clone())],
-/// );
-/// let resumed = mc::explore_from(seq.clone(), ckpt, test);
-/// assert_eq!(resumed.executions, mc::explore(seq, test).executions);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Checkpoint {
-    /// Replay script of the next unexplored leaf.
-    pub script: Vec<usize>,
-    /// Statistics accumulated before the interruption.
-    pub stats: Stats,
-}
-
-impl Checkpoint {
-    /// The checkpoint at the root of the tree: resuming from it explores
-    /// everything from scratch.
-    pub fn root() -> Self {
-        Checkpoint::default()
     }
 }
 
@@ -692,5 +650,49 @@ mod tests {
         assert_eq!(prior.executions, 17);
         assert_eq!(prior.stop, StopReason::Exhausted);
         assert_eq!(prior.frontier(), None);
+    }
+
+    #[test]
+    fn continue_with_numbers_dedups_and_caps_bugs() {
+        let bug = |message: String, execution| FoundBug {
+            bug: Bug::UserPanic {
+                tid: Tid(0),
+                message,
+            },
+            execution,
+            trace: String::new(),
+            worker: 0,
+            shard: Vec::new(),
+        };
+        let mut prior = Stats {
+            executions: 10,
+            bugs: vec![bug("seen".into(), 3)],
+            ..Stats::default()
+        };
+        let fresh = (0..MAX_BUG_RECORDS as u64).map(|i| bug(format!("new {i}"), i));
+        prior.continue_with(Stats {
+            executions: 40,
+            bugs: std::iter::once(bug("seen".into(), 0))
+                .chain(fresh)
+                .collect(),
+            ..Stats::default()
+        });
+        let got: Vec<(String, u64)> = prior
+            .bugs
+            .iter()
+            .map(|b| (b.bug.to_string(), b.execution))
+            .collect();
+        assert_eq!(got.len(), MAX_BUG_RECORDS, "{got:?}");
+        assert_eq!(
+            got[0],
+            ("panic in T0: seen".into(), 3),
+            "the cut's record stays"
+        );
+        assert_eq!(
+            got[1],
+            ("panic in T0: new 0".into(), 10),
+            "numbered after the cut"
+        );
+        assert_eq!(got.iter().filter(|(m, _)| m.ends_with("seen")).count(), 1);
     }
 }

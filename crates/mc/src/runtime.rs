@@ -1005,11 +1005,7 @@ pub(crate) fn run_once(
     sampler: Option<StdRng>,
     reuse: &mut Reuse,
 ) -> RunResult {
-    let mut recycle = reuse.trace.take().unwrap_or_default();
-    // sw-edge recording feeds the post-hoc oracle's delta cross-check; it
-    // is only consumed by the validating test suites, so tie it to the
-    // same flag. `Trace::clear` preserves the setting across reuse.
-    recycle.record_sw = config.validate_axioms;
+    let recycle = reuse.trace.take().unwrap_or_default();
     let shared = match reuse.shared.take() {
         Some(shared) => {
             shared.inner.lock().reset(script, sampler, recycle);
@@ -1024,11 +1020,7 @@ pub(crate) fn run_once(
         }
         None => Arc::new(Shared {
             inner: Mutex::new(ExecState {
-                mem: {
-                    let mut mem = MemState::new();
-                    mem.trace.record_sw = config.validate_axioms;
-                    mem
-                },
+                mem: MemState::new(),
                 config: config.clone(),
                 script: script.to_vec(),
                 cursor: 0,

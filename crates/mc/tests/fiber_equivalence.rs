@@ -168,11 +168,10 @@ fn run(
     prog: Arc<Program>,
 ) -> ((u64, u64, u64, u64, u64, u64), Vec<String>, Vec<u64>) {
     let sigs = Arc::new(Mutex::new(Vec::new()));
-    let stats = mc::explore_with_plugins(
-        config,
-        vec![Box::new(SigLog(Arc::clone(&sigs)))],
-        modeled_closure(prog, 2),
-    );
+    let sink = Arc::clone(&sigs);
+    let factory: mc::PluginFactory =
+        Arc::new(move || vec![Box::new(SigLog(Arc::clone(&sink))) as Box<dyn Plugin>]);
+    let stats = mc::explore_factory(config, factory, modeled_closure(prog, 2));
     let bugs: Vec<String> = stats.bugs.iter().map(|b| b.bug.to_string()).collect();
     let sigs = Arc::try_unwrap(sigs).unwrap().into_inner().unwrap();
     (

@@ -18,7 +18,9 @@
 //!
 //! Plus a property test: any k-way resume of any cap-induced shard split
 //! reproduces the one-worker totals, including when the resumed half is
-//! itself interrupted and resumed again.
+//! itself interrupted and resumed again. Every resume goes through
+//! `Config::resume_shards` and `Stats::continue_with`, the way the
+//! figure binaries and `check_suite` resume.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,6 +106,18 @@ const WORKLOADS: &[(&str, fn())] = &[
     ("mp_release_acquire", mp_release_acquire),
     ("three_thread_mix", three_thread_mix),
 ];
+
+/// Explore the frontier `cut` left under `config` and fold the
+/// continuation onto `cut`.
+fn resume(config: Config, cut: &Stats, test: fn()) -> Stats {
+    let mut total = cut.clone();
+    let config = Config {
+        resume_shards: Some(cut.shard_frontiers.clone()),
+        ..config
+    };
+    total.continue_with(mc::explore(config, test));
+    total
+}
 
 fn bug_set(stats: &Stats) -> BTreeSet<String> {
     stats.bugs.iter().map(|b| b.bug.to_string()).collect()
@@ -231,10 +245,9 @@ fn capped_parallel_run_resumes_to_exact_total() {
             }
             assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
             assert!(!cut.shard_frontiers.is_empty(), "cap implies a frontier");
-            let ck = cut.checkpoint().expect("interrupted run has a checkpoint");
-            // Resume on one worker: prior counts carry, so the resumed
+            // Resume on one worker: the cut's counts carry, so the resumed
             // total is directly comparable to the uninterrupted run.
-            let resumed = mc::explore_from(seq_config(), ck, three_thread_mix);
+            let resumed = resume(seq_config(), &cut, three_thread_mix);
             assert_eq!(resumed.stop, mc::StopReason::Exhausted);
             assert_eq!(
                 resumed.executions, seq.executions,
@@ -260,13 +273,13 @@ fn sequential_cut_resumed_in_parallel_is_exact() {
             three_thread_mix,
         );
         assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-        let ck = cut.checkpoint().unwrap();
-        let resumed = mc::explore_from(
+        assert!(!cut.shard_frontiers.is_empty());
+        let resumed = resume(
             Config {
                 workers: 4,
                 ..seq_config()
             },
-            ck,
+            &cut,
             three_thread_mix,
         );
         assert_eq!(resumed.stop, mc::StopReason::Exhausted);
@@ -294,13 +307,95 @@ fn deadline_truncated_parallel_run_resumes_to_exact_total() {
             continue; // tree finished inside the first poll window
         }
         assert_eq!(cut.stop, mc::StopReason::Deadline, "workers={workers}");
-        let ck = cut.checkpoint().expect("deadline leaves a frontier");
-        let resumed = mc::explore_from(seq_config(), ck, three_thread_mix);
+        assert!(
+            !cut.shard_frontiers.is_empty(),
+            "deadline leaves a frontier"
+        );
+        let resumed = resume(seq_config(), &cut, three_thread_mix);
         assert_eq!(resumed.stop, mc::StopReason::Exhausted);
         assert_eq!(resumed.executions, seq.executions, "workers={workers}");
         assert_eq!(resumed.feasible, seq.feasible);
         assert_eq!(resumed.diverged, seq.diverged);
         assert_eq!(resumed.sleep_pruned, seq.sleep_pruned);
+    }
+}
+
+/// Three threads checked by a plugin that flags every execution: with
+/// `stop_on_first_bug: false` the same bug turns up on both sides of any
+/// cut.
+fn flag_every_execution(config: Config) -> Stats {
+    let factory: PluginFactory = Arc::new(|| {
+        vec![Box::new(mc::FnPlugin::new("every", |_trace| {
+            vec![Bug::Plugin {
+                plugin: "every",
+                message: "flagged".into(),
+            }]
+        })) as Box<dyn Plugin>]
+    });
+    // Without sleep sets every execution completes and meets the plugin.
+    let config = Config {
+        stop_on_first_bug: false,
+        sleep_sets: false,
+        ..config
+    };
+    mc::explore_factory(config, factory, three_thread_mix)
+}
+
+/// A cut run resumed through `Config::resume_shards` and folded back with
+/// `Stats::continue_with` reads as the straight run: the same counters and
+/// rf classes, each bug reported once, and — at one worker — each bug
+/// numbered by the execution the straight run found it in.
+#[test]
+fn resumed_bugs_dedup_and_number_like_the_straight_run() {
+    let straight = flag_every_execution(seq_config());
+    let numbered = |s: &Stats| -> Vec<(String, u64)> {
+        s.bugs
+            .iter()
+            .map(|b| (b.bug.to_string(), b.execution))
+            .collect()
+    };
+    let sorted = |s: &Stats| {
+        let mut bugs: Vec<String> = s.bugs.iter().map(|b| b.bug.to_string()).collect();
+        bugs.sort();
+        bugs
+    };
+    assert_eq!(straight.stop, StopReason::Exhausted);
+    assert_eq!(straight.bugs.len(), 1, "{}", straight.summary());
+    for workers in [1, 2] {
+        for cap in 1..straight.executions {
+            let config = Config {
+                workers,
+                ..seq_config()
+            };
+            let cut = flag_every_execution(Config {
+                max_executions: cap,
+                ..config.clone()
+            });
+            if cut.shard_frontiers.is_empty() {
+                continue; // a second worker's overshoot finished the tree
+            }
+            let rest = flag_every_execution(Config {
+                resume_shards: Some(cut.shard_frontiers.clone()),
+                ..config
+            });
+            let flagged = |s: &Stats| {
+                s.bugs
+                    .iter()
+                    .any(|b| b.bug.to_string() == "[every] flagged")
+            };
+            assert!(flagged(&cut) && flagged(&rest), "w={workers} cap={cap}");
+            let mut total = cut;
+            total.continue_with(rest);
+            let at = format!("w={workers} cap={cap}");
+            assert_eq!(total.stop, StopReason::Exhausted, "{at}");
+            assert_eq!(total.executions, straight.executions, "{at}");
+            assert_eq!(total.feasible, straight.feasible, "{at}");
+            assert_eq!(total.rf_classes, straight.rf_classes, "{at}");
+            assert_eq!(sorted(&total), sorted(&straight), "{at}");
+            if workers == 1 {
+                assert_eq!(numbered(&total), numbered(&straight), "{at}");
+            }
+        }
     }
 }
 
@@ -370,38 +465,32 @@ proptest! {
             three_thread_mix,
         );
         prop_assert!(cut.executions >= cap.min(seq.executions));
-        let Some(ck) = cut.checkpoint() else {
+        if cut.shard_frontiers.is_empty() {
             // Exhausted under the cap: the counters must already agree.
             prop_assert_eq!(cut.executions, seq.executions);
             return;
-        };
+        }
 
         // Optionally interrupt the resumed half too, then finish it.
-        let (ck, resume_base) = match second_cap {
+        let cut = match second_cap {
             Some(cap2) => {
-                let mid = mc::explore_from(
+                let mid = resume(
                     Config { workers: resume_workers, max_executions: cap2, ..seq_config() },
-                    ck,
+                    &cut,
                     three_thread_mix,
                 );
-                match mid.checkpoint() {
-                    Some(ck2) => (ck2, mid),
-                    None => {
-                        prop_assert_eq!(mid.executions, seq.executions);
-                        return;
-                    }
+                if mid.shard_frontiers.is_empty() {
+                    prop_assert_eq!(mid.executions, seq.executions);
+                    return;
                 }
+                mid
             }
-            None => {
-                let base = cut.clone();
-                (ck, base)
-            }
+            None => cut,
         };
-        let _ = resume_base;
 
-        let fin = mc::explore_from(
+        let fin = resume(
             Config { workers: resume_workers, ..seq_config() },
-            ck,
+            &cut,
             three_thread_mix,
         );
         prop_assert_eq!(fin.stop, mc::StopReason::Exhausted);

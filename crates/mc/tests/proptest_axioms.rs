@@ -312,23 +312,22 @@ proptest! {
         let full = mc::explore(base.clone(), modeled_closure(Arc::clone(&prog), 2));
         let capped = Config { max_executions: cap, ..base.clone() };
         let cut = mc::explore(capped, modeled_closure(Arc::clone(&prog), 2));
-        match cut.checkpoint() {
-            Some(ckpt) => {
+        if !cut.shard_frontiers.is_empty() {
                 prop_assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-                let resumed = mc::explore_from(base, ckpt, modeled_closure(prog, 2));
-                // Resumed stats accumulate on top of the checkpoint, so
-                // totals must land exactly on the straight-through run.
+                let mut resumed = cut.clone();
+                let resume = Config { resume_shards: Some(cut.shard_frontiers.clone()), ..base };
+                resumed.continue_with(mc::explore(resume, modeled_closure(prog, 2)));
+                // The fold accumulates on top of the cut, so totals must
+                // land exactly on the straight-through run.
                 prop_assert_eq!(resumed.executions, full.executions);
                 prop_assert_eq!(resumed.feasible, full.feasible);
                 prop_assert_eq!(resumed.diverged, full.diverged);
                 prop_assert_eq!(resumed.sleep_pruned, full.sleep_pruned);
                 prop_assert_eq!(resumed.stop, mc::StopReason::Exhausted);
-            }
-            None => {
+        } else {
                 // The cap never fired: the tree fit inside it.
                 prop_assert_eq!(cut.executions, full.executions);
                 prop_assert_eq!(cut.stop, mc::StopReason::Exhausted);
-            }
         }
     }
 }

@@ -1,20 +1,18 @@
 //! Lockstep property tests for the incremental trace indexes.
 //!
 //! The SoA [`Trace`] maintains its derived relations — per-thread event
-//! ranges, per-location rf/mo chains, the running rf-signature state, and
-//! (when enabled) the sb∪sw adjacency delta — *as events are committed*.
-//! The post-hoc derivations they replaced are kept compiled in as
-//! reference implementations; these tests pin the two to each other on
-//! every feasible execution of random weakly-ordered programs:
+//! ranges, per-location rf/mo chains and the running rf-signature state —
+//! *as events are committed*. These tests pin them to from-scratch
+//! derivations on every feasible execution of random weakly-ordered
+//! programs:
 //!
 //! 1. `relations::rf_signature` (O(n) fold over the incremental state)
-//!    must equal `relations::posthoc::rf_signature` (full re-walk);
+//!    must equal [`posthoc::rf_signature`], the full re-walk it replaced,
+//!    kept in this file as the reference;
 //! 2. the fast auditor `relations::audit` (trusts clocks and indexes)
 //!    must report nothing the full oracle `relations::validate` does not
-//!    — and vice versa for the checks both perform;
-//! 3. with sw recording on, the committed sb∪sw delta must close to
-//!    exactly the happens-before the oracle recomputes from scratch
-//!    (`relations::check_sw_delta`).
+//!    — and vice versa for the checks both perform. The oracle also
+//!    cross-checks every stored clock against the hb it recomputes.
 //!
 //! The lockstep plugin rides along a capped-then-resumed exploration and
 //! a two-worker (shard-stealing) exploration too: recycled trace buffers
@@ -23,7 +21,7 @@
 //!
 //! A second group pins the two signatures to each other on hand-built
 //! traces, whose thread, location and seq values reach past anything an
-//! explored trace does.
+//! explored trace does, and on traces reused after `Trace::clear`.
 
 use std::sync::Arc;
 
@@ -31,8 +29,144 @@ use cdsspec_c11::relations;
 use cdsspec_c11::{DataId, EventId, EventKind, LocId, Tid, Trace, VecClock};
 use cdsspec_mc as mc;
 use mc::MemOrd::{self, *};
-use mc::{Atomic, Bug, Config, Plugin};
+use mc::{Atomic, Bug, Config, Plugin, PluginFactory};
 use proptest::prelude::*;
+
+/// The post-hoc derivation the incremental signature replaced.
+mod posthoc {
+    use cdsspec_c11::{EventId, EventKind, Trace};
+
+    /// `relations`' sentinel for "reads the initial (uninitialized) value".
+    const NO_RF: u64 = 0x5eed_0000_0000_0001;
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// FNV-1a over the little-endian bytes of `v`, chained from `h` (the
+    /// step `cdsspec_c11` folds signatures with).
+    fn fnv(mut h: u64, v: u64) -> u64 {
+        for b in v.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// `relations::rf_signature` derived the original way: three full
+    /// re-walks of the trace (spawn-tree canonicalization, per-location
+    /// minima, then the chain folds), recomputing every canonical event
+    /// id on demand. Bit-for-bit equal to the incremental finalize by
+    /// construction — the lockstep tests enforce it.
+    pub fn rf_signature(trace: &Trace) -> u64 {
+        let nthreads = trace.num_threads as usize;
+        let n = trace.len();
+
+        // Canonical thread names from the spawn tree.
+        let mut canon = vec![0u64; nthreads];
+        let mut spawn_count = vec![0u64; nthreads];
+        canon[0] = fnv(FNV_OFFSET, 0);
+        for i in 0..n {
+            let id = EventId(i as u32);
+            if let EventKind::ThreadCreate { child } = trace.kind(id) {
+                let p = trace.tid(id).idx();
+                canon[child.idx()] = fnv(fnv(canon[p], 1), spawn_count[p]);
+                spawn_count[p] += 1;
+            }
+        }
+
+        // Canonical event id: (thread name, per-thread sequence number).
+        let ceid = |id: EventId| -> u64 {
+            fnv(
+                fnv(FNV_OFFSET, canon[trace.tid(id).idx()]),
+                trace.seq(id) as u64,
+            )
+        };
+
+        // Canonical location names: the smallest canonical id of any event
+        // touching the location (the touching-event *set* is schedule-
+        // independent, so its minimum is too).
+        let mut loc_min: Vec<u64> = Vec::new();
+        let mut data_min: Vec<u64> = Vec::new();
+        let note = |slot: &mut Vec<u64>, idx: usize, c: u64| {
+            if slot.len() <= idx {
+                slot.resize(idx + 1, u64::MAX);
+            }
+            slot[idx] = slot[idx].min(c);
+        };
+        for i in 0..n {
+            let id = EventId(i as u32);
+            let c = ceid(id);
+            match trace.kind(id) {
+                EventKind::AtomicLoad { loc, .. }
+                | EventKind::AtomicStore { loc, .. }
+                | EventKind::Rmw { loc, .. } => note(&mut loc_min, loc.idx(), c),
+                EventKind::DataWrite { loc } | EventKind::DataRead { loc } => {
+                    note(&mut data_min, loc.idx(), c)
+                }
+                _ => {}
+            }
+        }
+
+        // Per-thread operation chains.
+        let mut thread_hash: Vec<u64> = canon.iter().map(|&c| fnv(FNV_OFFSET, c)).collect();
+        for i in 0..n {
+            let id = EventId(i as u32);
+            let h = &mut thread_hash[trace.tid(id).idx()];
+            *h = match trace.kind(id) {
+                EventKind::AtomicLoad { loc, ord, rf, .. } => {
+                    let rf = rf.map(ceid).unwrap_or(NO_RF);
+                    fnv(fnv(fnv(fnv(*h, 1), loc_min[loc.idx()]), ord as u64), rf)
+                }
+                EventKind::AtomicStore { loc, ord, .. } => {
+                    fnv(fnv(fnv(*h, 2), loc_min[loc.idx()]), ord as u64)
+                }
+                EventKind::Rmw {
+                    loc,
+                    ord,
+                    rf,
+                    written,
+                    ..
+                } => {
+                    let rf = rf.map(ceid).unwrap_or(NO_RF);
+                    let wrote = written.is_some() as u64;
+                    fnv(
+                        fnv(fnv(fnv(fnv(*h, 3), loc_min[loc.idx()]), ord as u64), rf),
+                        wrote,
+                    )
+                }
+                EventKind::Fence { ord } => fnv(fnv(*h, 4), ord as u64),
+                EventKind::ThreadCreate { child } => fnv(fnv(*h, 5), canon[child.idx()]),
+                EventKind::ThreadJoin { target } => fnv(fnv(*h, 6), canon[target.idx()]),
+                EventKind::ThreadFinish => fnv(*h, 7),
+                EventKind::DataWrite { loc } => fnv(fnv(*h, 8), data_min[loc.idx()]),
+                EventKind::DataRead { loc } => fnv(fnv(*h, 9), data_min[loc.idx()]),
+            };
+        }
+        let mut sig = 0u64;
+        for h in thread_hash {
+            sig = sig.wrapping_add(fnv(FNV_OFFSET, h));
+        }
+
+        // Per-location modification orders (commutative across locations).
+        for (li, chain) in trace.mo.iter().enumerate() {
+            if chain.is_empty() {
+                continue;
+            }
+            let mut h = fnv(fnv(FNV_OFFSET, 10), loc_min[li]);
+            for &w in chain {
+                h = fnv(h, ceid(w));
+            }
+            sig = sig.wrapping_add(h);
+        }
+
+        // The SC order (one global chain).
+        let mut h = fnv(FNV_OFFSET, 11);
+        for &s in &trace.sc_order {
+            h = fnv(h, ceid(s));
+        }
+        sig = sig.wrapping_add(h);
+
+        fnv(sig, trace.num_threads as u64)
+    }
+}
 
 /// A step of a random program.
 #[derive(Clone, Copy, Debug)]
@@ -144,7 +278,7 @@ impl Plugin for Lockstep {
         };
 
         let inc = relations::rf_signature(trace);
-        let post = relations::posthoc::rf_signature(trace);
+        let post = posthoc::rf_signature(trace);
         if inc != post {
             bugs.push(bug(format!(
                 "rf_signature diverged: incremental {inc:#x} vs post-hoc {post:#x}"
@@ -169,27 +303,21 @@ impl Plugin for Lockstep {
                 "audit/oracle diverged:\n  audit:  {audit:?}\n  oracle: {oracle:?}"
             )));
         }
-
-        // `Config::validating` arms sw recording in the runtime; a false
-        // flag here means that wiring broke and the delta check silently
-        // stopped running — fail loudly instead.
-        if !trace.record_sw {
-            bugs.push(bug("sw recording off under a validating config".into()));
-        } else if let Err((a, b)) = relations::check_sw_delta(trace) {
-            bugs.push(bug(format!(
-                "sb∪sw delta closure missed hb edge {a:?} -> {b:?}"
-            )));
-        }
         bugs
     }
+}
+
+/// One [`Lockstep`] checker per explorer worker.
+fn lockstep() -> PluginFactory {
+    Arc::new(|| vec![Box::new(Lockstep) as Box<dyn Plugin>])
 }
 
 fn lockstep_config() -> Config {
     Config {
         max_executions: 300_000,
         stop_on_first_bug: false,
-        // Turns on clock cross-checking *and* sw-edge recording in the
-        // runtime, arming the delta-closure comparison above.
+        // Runs the oracle with clock cross-checking on every feasible
+        // execution, besides the comparisons above.
         ..Config::validating()
     }
 }
@@ -214,11 +342,7 @@ proptest! {
     #[test]
     fn incremental_indexes_agree_with_posthoc(prog in program_strategy(3, 3, 2)) {
         let prog = Arc::new(prog);
-        let stats = mc::explore_with_plugins(
-            lockstep_config(),
-            vec![Box::new(Lockstep)],
-            modeled_closure(prog, 2),
-        );
+        let stats = mc::explore_factory(lockstep_config(), lockstep(), modeled_closure(prog, 2));
         assert_clean(&stats);
     }
 
@@ -228,20 +352,15 @@ proptest! {
     fn indexes_agree_across_checkpoint_resume(prog in program_strategy(2, 3, 2), cap in 1u64..8) {
         let prog = Arc::new(prog);
         let capped = Config { max_executions: cap, ..lockstep_config() };
-        let cut = mc::explore_with_plugins(
-            capped,
-            vec![Box::new(Lockstep)],
-            modeled_closure(Arc::clone(&prog), 2),
-        );
+        let mut cut = mc::explore_factory(capped, lockstep(), modeled_closure(Arc::clone(&prog), 2));
         prop_assert!(!cut.buggy(), "lockstep divergence before the cap: {:?}", cut.bugs);
-        if let Some(ckpt) = cut.checkpoint() {
-            let resumed = mc::explore_from_with_plugins(
-                lockstep_config(),
-                ckpt,
-                vec![Box::new(Lockstep)],
-                modeled_closure(prog, 2),
-            );
-            assert_clean(&resumed);
+        if !cut.shard_frontiers.is_empty() {
+            let resume = Config {
+                resume_shards: Some(cut.shard_frontiers.clone()),
+                ..lockstep_config()
+            };
+            cut.continue_with(mc::explore_factory(resume, lockstep(), modeled_closure(prog, 2)));
+            assert_clean(&cut);
         }
     }
 }
@@ -255,11 +374,7 @@ proptest! {
     fn indexes_agree_under_shard_stealing(prog in program_strategy(3, 3, 2)) {
         let prog = Arc::new(prog);
         let config = Config { workers: 2, ..lockstep_config() };
-        let stats = mc::explore_factory(
-            config,
-            Arc::new(|| vec![Box::new(Lockstep) as Box<dyn Plugin>]),
-            modeled_closure(prog, 2),
-        );
+        let stats = mc::explore_factory(config, lockstep(), modeled_closure(prog, 2));
         assert_clean(&stats);
     }
 }
@@ -349,7 +464,7 @@ proptest! {
     #[test]
     fn signatures_agree_on_hand_built_traces(events in prop::collection::vec(raw_event(), 1..12)) {
         let t = hand_built(&events);
-        prop_assert_eq!(relations::rf_signature(&t), relations::posthoc::rf_signature(&t));
+        prop_assert_eq!(relations::rf_signature(&t), posthoc::rf_signature(&t));
     }
 }
 
@@ -372,11 +487,140 @@ fn signature_follows_the_trace() {
     );
     let second = relations::rf_signature(&t);
     assert_ne!(first, second);
-    assert_eq!(second, relations::posthoc::rf_signature(&t));
+    assert_eq!(second, posthoc::rf_signature(&t));
     assert_eq!(second, relations::rf_signature(&hand_built(&events)));
     t.clear();
-    assert_eq!(
-        relations::rf_signature(&t),
-        relations::posthoc::rf_signature(&t)
+    assert_eq!(relations::rf_signature(&t), posthoc::rf_signature(&t));
+}
+
+/// Spawn-tree canonicalization, per-location minima, rf/mo/SC chains and
+/// data events all flow through both derivations.
+#[test]
+fn incremental_signature_matches_posthoc() {
+    let mut t = Trace::default();
+    t.num_threads = 3;
+    let mut seqs = [0u32; 3];
+    let mut push = |t: &mut Trace, tid: u32, kind: EventKind| {
+        seqs[tid as usize] += 1;
+        let id = t.push(Tid(tid), seqs[tid as usize], kind, VecClock::new());
+        if let Some(loc) = kind.atomic_loc().filter(|_| kind.is_write()) {
+            if t.mo.len() <= loc.idx() {
+                t.mo.resize_with(loc.idx() + 1, Vec::new);
+            }
+            t.mo[loc.idx()].push(id);
+        }
+        id
+    };
+    push(&mut t, 0, EventKind::ThreadCreate { child: Tid(1) });
+    push(&mut t, 0, EventKind::ThreadCreate { child: Tid(2) });
+    let w = push(
+        &mut t,
+        1,
+        EventKind::AtomicStore {
+            loc: LocId(0),
+            ord: Release,
+            val: 1,
+            mo_index: 0,
+        },
     );
+    push(&mut t, 1, EventKind::DataWrite { loc: DataId(0) });
+    push(&mut t, 1, EventKind::ThreadFinish);
+    let acquire = EventKind::AtomicLoad {
+        loc: LocId(0),
+        ord: Acquire,
+        rf: Some(w),
+        val: 1,
+    };
+    push(&mut t, 2, acquire);
+    let rmw = push(
+        &mut t,
+        2,
+        EventKind::Rmw {
+            loc: LocId(0),
+            ord: SeqCst,
+            rf: Some(w),
+            read_val: 1,
+            written: Some(2),
+            mo_index: 1,
+        },
+    );
+    let sc_load = EventKind::AtomicLoad {
+        loc: LocId(0),
+        ord: SeqCst,
+        rf: Some(rmw),
+        val: 2,
+    };
+    push(&mut t, 2, sc_load);
+    push(&mut t, 2, EventKind::DataRead { loc: DataId(0) });
+    push(&mut t, 2, EventKind::ThreadFinish);
+    push(&mut t, 0, EventKind::ThreadJoin { target: Tid(1) });
+    push(&mut t, 0, EventKind::ThreadJoin { target: Tid(2) });
+    push(&mut t, 0, EventKind::Fence { ord: SeqCst });
+    push(&mut t, 0, EventKind::ThreadFinish);
+    assert_eq!(relations::rf_signature(&t), posthoc::rf_signature(&t));
+}
+
+#[test]
+fn signature_survives_trace_reuse() {
+    // Reusing a cleared trace must not leak prior sig state in.
+    let build = |t: &mut Trace| {
+        t.num_threads = 2;
+        t.push(
+            Tid(0),
+            1,
+            EventKind::ThreadCreate { child: Tid(1) },
+            VecClock::new(),
+        );
+        let w = t.push(
+            Tid(1),
+            1,
+            EventKind::AtomicStore {
+                loc: LocId(0),
+                ord: MemOrd::Release,
+                val: 7,
+                mo_index: 0,
+            },
+            VecClock::new(),
+        );
+        t.mo.push(vec![w]);
+        t.push(Tid(1), 2, EventKind::ThreadFinish, VecClock::new());
+        t.push(
+            Tid(0),
+            2,
+            EventKind::ThreadJoin { target: Tid(1) },
+            VecClock::new(),
+        );
+    };
+    let mut fresh = Trace::default();
+    build(&mut fresh);
+    let expect = relations::rf_signature(&fresh);
+    assert_eq!(expect, posthoc::rf_signature(&fresh));
+
+    // Dirty the same trace with a different program, clear, rebuild.
+    let mut reused = Trace::default();
+    reused.num_threads = 2;
+    reused.push(
+        Tid(0),
+        1,
+        EventKind::ThreadCreate { child: Tid(1) },
+        VecClock::new(),
+    );
+    reused.push(
+        Tid(1),
+        1,
+        EventKind::Fence {
+            ord: MemOrd::SeqCst,
+        },
+        VecClock::new(),
+    );
+    reused.push(
+        Tid(1),
+        2,
+        EventKind::DataWrite { loc: DataId(3) },
+        VecClock::new(),
+    );
+    reused.clear();
+    build(&mut reused);
+    assert_eq!(relations::rf_signature(&reused), expect);
+    assert_eq!(posthoc::rf_signature(&reused), expect);
 }

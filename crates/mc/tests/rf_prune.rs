@@ -39,6 +39,21 @@ fn bug_set(stats: &mc::Stats) -> Vec<String> {
     msgs
 }
 
+/// Explore the frontier `cut` left under `config` and fold the
+/// continuation onto `cut`.
+fn resume<F>(config: Config, cut: &mc::Stats, test: F) -> mc::Stats
+where
+    F: Fn() + Send + Sync + 'static,
+{
+    let mut total = cut.clone();
+    let config = Config {
+        resume_shards: Some(cut.shard_frontiers.clone()),
+        ..config
+    };
+    total.continue_with(mc::explore(config, test));
+    total
+}
+
 /// Run `test` pruned and unpruned at `workers` and require identical bug
 /// sets and rf-class sets. Returns (pruned, unpruned) stats for extra
 /// workload-specific assertions.
@@ -194,8 +209,11 @@ fn pruned_counter_partitions_across_checkpoint() {
         read_heavy,
     );
     assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-    let ckpt = cut.checkpoint().expect("capped run leaves a frontier");
-    let resumed = mc::explore_from(base, ckpt, read_heavy);
+    assert!(
+        !cut.shard_frontiers.is_empty(),
+        "capped run leaves a frontier"
+    );
+    let resumed = resume(base, &cut, read_heavy);
     assert_eq!(resumed.executions, full.executions);
     assert_eq!(resumed.executions_pruned, full.executions_pruned);
     assert_eq!(resumed.rf_classes, full.rf_classes);
@@ -412,8 +430,11 @@ fn capped_frontier_fans_out_exactly(prog: &Program) {
             },
             test(true),
         );
-        let ck = cut.checkpoint().expect("a cut before the first bug");
-        let drained = mc::explore_from(base.clone(), ck, test(true));
+        assert!(
+            !cut.shard_frontiers.is_empty(),
+            "a cut before the first bug"
+        );
+        let drained = resume(base.clone(), &cut, test(true));
         assert_eq!(first_bug(&drained), first_bug(&straight), "cap {cap}");
         assert_eq!(drained.executions, straight.executions, "cap {cap}");
     }

@@ -218,6 +218,18 @@ fn watchdog_aborts_wedged_thread() {
     assert_eq!(stats.stop, mc::StopReason::FirstBug);
 }
 
+/// Explore `branchy_workload` from the frontier `cut` left and fold the
+/// continuation onto `cut`.
+fn resume(cut: &mc::Stats) -> mc::Stats {
+    let mut total = cut.clone();
+    let config = Config {
+        resume_shards: Some(cut.shard_frontiers.clone()),
+        ..Config::default()
+    };
+    total.continue_with(mc::explore(config, branchy_workload));
+    total
+}
+
 /// Deadline expiry stops between executions with a resumable frontier,
 /// and resuming reproduces the straight-through run's aggregate counts
 /// exactly.
@@ -239,9 +251,12 @@ fn deadline_expiry_reports_and_resumes() {
     let cut = mc::explore(config, branchy_workload);
     assert_eq!(cut.stop, mc::StopReason::Deadline);
     assert!(cut.executions < full.executions);
-    let ckpt = cut.checkpoint().expect("deadline leaves a frontier");
+    assert!(
+        !cut.shard_frontiers.is_empty(),
+        "deadline leaves a frontier"
+    );
 
-    let resumed = mc::explore_from(Config::default(), ckpt, branchy_workload);
+    let resumed = resume(&cut);
     assert_eq!(resumed.stop, mc::StopReason::Exhausted);
     assert_eq!(resumed.executions, full.executions);
     assert_eq!(resumed.feasible, full.feasible);
@@ -287,9 +302,9 @@ fn resume_script_threads_through_config() {
     );
 }
 
-/// Resumed elapsed time accumulates the checkpoint's *active*
-/// exploration time plus the resumed run's own — never the wall-clock
-/// age of the checkpoint. A checkpoint written an hour before resumption
+/// Resumed elapsed time accumulates the cut run's *active* exploration
+/// time plus the resumed run's own — never the wall-clock age of the cut.
+/// A cut journaled an hour before resumption
 /// must not inflate `Stats::elapsed` (and through it the figure7/figure8
 /// exec/s summaries) by that hour.
 #[test]
@@ -302,17 +317,21 @@ fn resume_elapsed_excludes_suspension_gap() {
         },
         branchy_workload,
     );
-    let mut ckpt = cut.checkpoint().expect("capped run leaves a frontier");
-    assert_eq!(
-        ckpt.stats.elapsed, cut.elapsed,
-        "the checkpoint keeps elapsed"
+    assert!(
+        !cut.shard_frontiers.is_empty(),
+        "capped run leaves a frontier"
+    );
+    assert!(
+        resume(&cut).elapsed >= cut.elapsed,
+        "the resumed total keeps the cut's elapsed"
     );
     // Simulate a long suspension by aging the stored active time: the
     // resumed total must sit just above it, proving the engine adds only
-    // its own active time on top of what the checkpoint recorded.
+    // its own active time on top of what the cut recorded.
     let hour = Duration::from_secs(3600);
-    ckpt.stats.elapsed = hour;
-    let resumed = mc::explore_from(Config::default(), ckpt, branchy_workload);
+    let mut aged = cut.clone();
+    aged.elapsed = hour;
+    let resumed = resume(&aged);
     assert!(resumed.elapsed >= hour, "{:?}", resumed.elapsed);
     assert!(
         resumed.elapsed < hour + Duration::from_secs(60),

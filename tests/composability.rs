@@ -42,11 +42,13 @@ fn two_queues_compose() {
 fn register_and_queue_compose_via_two_plugins() {
     let reg_spec = Arc::new(cdsspec::structures::register::make_spec());
     let q_spec = Arc::new(cdsspec::structures::blocking_queue::make_spec());
-    let plugins: Vec<Box<dyn mc::Plugin>> = vec![
-        Box::new(spec::SpecChecker::new(reg_spec)),
-        Box::new(spec::SpecChecker::new(q_spec)),
-    ];
-    let stats = mc::explore_with_plugins(Config::default(), plugins, || {
+    let plugins: mc::PluginFactory = Arc::new(move || {
+        vec![
+            Box::new(spec::SpecChecker::new(Arc::clone(&reg_spec))) as Box<dyn mc::Plugin>,
+            Box::new(spec::SpecChecker::new(Arc::clone(&q_spec))),
+        ]
+    });
+    let stats = mc::explore_factory(Config::default(), plugins, || {
         let r = Register::new();
         let q = BlockingQueue::new();
         let (r1, q1) = (r.clone(), q.clone());

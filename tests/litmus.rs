@@ -112,6 +112,33 @@ fn coherence_never_reads_backwards() {
     });
 }
 
+/// A relaxed reader that saw the last store to `y` may still read any
+/// store to `x` its writer made before it, back to the initial value:
+/// nothing orders them, so every one of them is a load candidate.
+#[test]
+fn relaxed_reads_reach_every_older_store() {
+    let seen: Arc<Mutex<BTreeSet<i64>>> = Arc::new(Mutex::new(BTreeSet::new()));
+    let sink = Arc::clone(&seen);
+    let stats = mc::explore(Config::validating(), move || {
+        let x = Atomic::new(0i64);
+        let y = Atomic::new(0i64);
+        let t = mc::thread::spawn(move || {
+            x.store(1, Relaxed);
+            x.store(2, Relaxed);
+            x.store(3, Relaxed);
+            y.store(1, Relaxed);
+        });
+        if y.load(Relaxed) == 1 {
+            let v = x.load(Relaxed);
+            sink.lock().unwrap().insert(v);
+        }
+        t.join();
+    });
+    assert!(!stats.buggy());
+    let seen = seen.lock().unwrap();
+    assert_eq!(*seen, BTreeSet::from([0, 1, 2, 3]));
+}
+
 /// Weak CAS spurious failure is observable; strong CAS reading the
 /// expected latest value is not allowed to fail.
 #[test]

@@ -282,22 +282,29 @@ fn fenced_store_buffering() {
 #[test]
 fn every_execution_replays() {
     let replays = Arc::new(AtomicUsize::new(0));
-    let mut checker = SpecChecker::new(Arc::new(counting_spec(&replays)));
+    let spec = Arc::new(counting_spec(&replays));
     let log = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&log);
-    let plugin = mc::FnPlugin::new("cdsspec", move |trace| {
-        let before = replays.load(Ordering::Relaxed);
-        let bugs = checker.check(trace);
-        let replayed = replays.load(Ordering::Relaxed) - before;
-        sink.lock().unwrap().push((rf_signature(trace), replayed));
-        bugs
+    // One worker, so the factory runs once: a single checker lives for
+    // the whole exploration.
+    let factory: mc::PluginFactory = Arc::new(move || {
+        let (replays, sink) = (Arc::clone(&replays), Arc::clone(&sink));
+        let mut checker = SpecChecker::new(Arc::clone(&spec));
+        let plugin = mc::FnPlugin::new("cdsspec", move |trace| {
+            let before = replays.load(Ordering::Relaxed);
+            let bugs = checker.check(trace);
+            let replayed = replays.load(Ordering::Relaxed) - before;
+            sink.lock().unwrap().push((rf_signature(trace), replayed));
+            bugs
+        });
+        vec![Box::new(plugin) as Box<dyn Plugin>]
     });
     let config = Config {
         workers: 1,
         stop_on_first_bug: false,
         ..Config::default()
     };
-    let stats = mc::explore_with_plugins(config, vec![Box::new(plugin)], fenced_store_buffering);
+    let stats = mc::explore_factory(config, factory, fenced_store_buffering);
     assert!(stats.bugs.is_empty(), "the register is correct");
     // Replays and sightings of each rf class, by signature.
     let mut classes: HashMap<u64, (usize, usize)> = HashMap::new();
