@@ -38,7 +38,7 @@ use crate::worker::{execute_run, WorkerOpts};
 use crate::{EXIT_BUG, EXIT_CLEAN, EXIT_RESUMABLE};
 use cdsspec_mc::{Config, ShardSpec, Stats, StopReason};
 use cdsspec_structures::registry::{benchmarks, Benchmark};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -645,9 +645,10 @@ fn run_tasks(
     }
 }
 
-/// Fold task outcomes (in frontier order) into the probe's stats. Quarantined
-/// and abandoned shards stay on the frontier — the row is resumable — and
-/// force `StopReason::Errored`.
+/// Fold task outcomes (in frontier order) into the probe's stats with
+/// [`Stats::merge`]: each task's bugs number after the executions folded
+/// before it. Quarantined and abandoned shards stay on the frontier — the
+/// row is resumable — and force `StopReason::Errored`.
 ///
 /// Frontier order is DFS order, so the first shard that stopped on its
 /// first bug is where one explorer draining the frontier would have
@@ -669,13 +670,11 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
             continue;
         }
         match outcome {
-            Outcome::Done(s) => {
+            Outcome::Done(mut s) => {
                 first_bug = s.stop == StopReason::FirstBug;
                 stop = stop.worst(s.stop);
-                merged.add_counters(&s);
-                merged.elapsed += s.elapsed;
-                leftover.extend(s.shard_frontiers);
-                merged.bugs.extend(s.bugs);
+                leftover.append(&mut s.shard_frontiers);
+                merged.merge(s);
             }
             Outcome::Quarantined { .. } => {
                 suspects += 1;
@@ -689,12 +688,6 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
             }
         }
     }
-    // Dedup bugs by (category, rendered message), keeping the first
-    // occurrence in task order — same policy as the in-process merge.
-    let mut seen = HashSet::new();
-    merged
-        .bugs
-        .retain(|b| seen.insert((b.bug.category(), b.bug.to_string())));
     merged.stop = stop;
     merged.shard_frontiers = leftover;
     (merged, suspects, abandoned)
@@ -761,6 +754,19 @@ mod tests {
         }
     }
 
+    fn assertion(message: String, execution: u64) -> cdsspec_mc::FoundBug {
+        cdsspec_mc::FoundBug {
+            bug: cdsspec_mc::Bug::Restored {
+                category: cdsspec_mc::BugCategory::Assertion,
+                message,
+            },
+            execution,
+            trace: String::new(),
+            worker: 0,
+            shard: vec![],
+        }
+    }
+
     #[test]
     fn merge_is_order_of_tasks_not_completion() {
         let probe = Stats {
@@ -801,26 +807,14 @@ mod tests {
         assert!(m1.frontier().is_none());
     }
 
-    /// A split row keeps every counter of its tasks, not only the
-    /// probe's: pruned branches sum and rf classes union.
     #[test]
     fn merge_stops_counting_after_the_first_first_bug_shard() {
-        use cdsspec_mc::{Bug, BugCategory, FoundBug};
         let probe = Stats {
             executions: 5,
             stop: StopReason::ExecutionCap,
             ..Stats::default()
         };
-        let bug = |message: &str| FoundBug {
-            bug: Bug::Restored {
-                category: BugCategory::Assertion,
-                message: message.into(),
-            },
-            execution: 1,
-            trace: String::new(),
-            worker: 0,
-            shard: Vec::new(),
-        };
+        let bug = |message: &str| assertion(message.into(), 1);
         let clean = Stats {
             executions: 10,
             stop: StopReason::Exhausted,
@@ -860,6 +854,8 @@ mod tests {
         assert_eq!(left[1], specs[2].shard);
     }
 
+    /// A split row keeps every counter of its tasks, not only the
+    /// probe's: pruned branches sum and rf classes union.
     #[test]
     fn merge_keeps_task_pruning_and_rf_classes() {
         let probe = Stats {
@@ -907,25 +903,15 @@ mod tests {
     }
 
     #[test]
-    fn merged_bugs_dedup_by_category_and_message() {
-        use cdsspec_mc::{Bug, BugCategory, FoundBug};
-        let mk = |msg: &str, execution| FoundBug {
-            bug: Bug::Restored {
-                category: BugCategory::Assertion,
-                message: msg.into(),
-            },
-            execution,
-            trace: String::new(),
-            worker: 0,
-            shard: vec![],
-        };
+    fn merged_bugs_dedup_and_number_after_the_probe() {
         let probe = Stats {
-            bugs: vec![mk("dup", 1)],
+            executions: 5,
+            bugs: vec![assertion("dup".into(), 1)],
             stop: StopReason::ExecutionCap,
             ..Stats::default()
         };
         let task = Stats {
-            bugs: vec![mk("dup", 9), mk("other", 2)],
+            bugs: vec![assertion("dup".into(), 9), assertion("other".into(), 2)],
             stop: StopReason::Exhausted,
             ..Stats::default()
         };
@@ -933,6 +919,30 @@ mod tests {
         let (m, _, _) = merge(probe, &specs, vec![Outcome::Done(task)]);
         assert_eq!(m.bugs.len(), 2);
         assert_eq!(m.bugs[0].execution, 1, "first occurrence wins");
+        assert_eq!(m.bugs[1].execution, 7, "numbered after the probe");
+    }
+
+    #[test]
+    fn merged_bugs_keep_the_record_cap() {
+        let probe = Stats {
+            stop: StopReason::ExecutionCap,
+            ..Stats::default()
+        };
+        let task = |name: &str| Stats {
+            bugs: (0..20)
+                .map(|i| assertion(format!("{name} {i}"), i))
+                .collect(),
+            stop: StopReason::Exhausted,
+            ..Stats::default()
+        };
+        let specs = [spec("X"), spec("X")];
+        let (m, _, _) = merge(
+            probe,
+            &specs,
+            vec![Outcome::Done(task("a")), Outcome::Done(task("b"))],
+        );
+        assert_eq!(m.bugs.len(), 24);
+        assert_eq!(m.bugs[23].bug.to_string(), "b 3", "earlier tasks first");
     }
 
     /// A cached row comes back without its rf-class hashes and with

@@ -31,9 +31,9 @@ fn panicking_check(_config: mc::Config, _ords: Ords) -> mc::Stats {
     panic!("stub: simulated checker crash");
 }
 
-/// The ISSUE acceptance criterion: `run_campaign` over all registry
-/// benchmarks completes and reports every row even when one benchmark's
-/// `check` closure is replaced by a panicking stub.
+/// `run_campaign` over all registry benchmarks completes and reports
+/// every row even when one benchmark's `check` closure is replaced by a
+/// panicking stub.
 #[test]
 fn campaign_completes_every_row_with_panicking_stub() {
     let mut benches = benchmarks();

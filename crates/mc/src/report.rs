@@ -212,7 +212,7 @@ pub struct FoundBug {
     pub bug: Bug,
     /// 0-based index of the execution that exhibited it: the finding
     /// worker's own executions in order, after those of every run folded
-    /// in before it by [`Stats::continue_with`]. A one-worker run counts
+    /// in before it by [`Stats::merge`]. A one-worker run counts
     /// globally; with several workers the index is only meaningful
     /// together with [`FoundBug::worker`].
     pub execution: u64,
@@ -228,9 +228,10 @@ pub struct FoundBug {
 
 /// Why an exploration run returned.
 ///
-/// Ordered by "badness": [`Stats::merge`] keeps the worst reason of the
-/// two runs, so a suite of sub-runs reports `Deadline` if any sub-run was
-/// cut short by the clock, and `Errored` if any sub-run crashed.
+/// Ordered by "badness" ([`StopReason::worst`]): a run of several
+/// workers, or a campaign row split into shard tasks, reports `Deadline`
+/// if any part was cut short by the clock, and `Errored` if any part
+/// crashed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum StopReason {
     /// The whole choice tree was explored.
@@ -418,7 +419,7 @@ impl Stats {
     /// sum, the rf-class sets union and `peak_depth` keeps the maximum.
     /// Elapsed time, stop reason, bugs and frontier are left to the
     /// caller, because every merge has its own rule for them.
-    pub fn add_counters(&mut self, other: &Stats) {
+    pub(crate) fn add_counters(&mut self, other: &Stats) {
         self.executions += other.executions;
         self.feasible += other.feasible;
         self.diverged += other.diverged;
@@ -429,32 +430,17 @@ impl Stats {
         self.peak_depth = self.peak_depth.max(other.peak_depth);
     }
 
-    /// Merge another run's statistics into this one (used when a
-    /// benchmark's standard check is a *suite* of unit tests, as the
-    /// paper's §6.4 corner-case tests are). Keeps the worst stop reason
-    /// and the other run's frontier, if any.
-    pub fn merge(&mut self, other: Stats) {
-        self.add_counters(&other);
-        self.elapsed += other.elapsed;
-        self.stop = self.stop.worst(other.stop);
-        if !other.shard_frontiers.is_empty() {
-            self.shard_frontiers = other.shard_frontiers;
-        }
-        self.bugs.extend(other.bugs);
-    }
-
-    /// Fold a resumed run's statistics into the interrupted run's, so the
-    /// pair reads as one straight run. Counters accumulate like
-    /// [`Stats::merge`], but the continuation's stop reason and frontier
-    /// *replace* the originals: the cut's `Deadline`/`ExecutionCap`
-    /// describes the interruption, not the combined run's fate. The
-    /// continuation's bugs number their execution after these
-    /// executions, a bug already reported here is dropped, and the list
-    /// keeps its cap of distinct records.
-    pub fn continue_with(&mut self, mut continuation: Stats) {
+    /// Fold a later run into this one in DFS order, so the pair reads as
+    /// one run: the execution counters sum, the rf-class sets union,
+    /// `peak_depth` keeps the maximum and elapsed times add. The later
+    /// run's bugs number their execution after these executions; a bug
+    /// already reported here is dropped and the list keeps its cap of
+    /// distinct records. The stop reason and the frontier are left to the
+    /// caller, because every fold has its own rule for them.
+    pub fn merge(&mut self, mut later: Stats) {
         let offset = self.executions;
         let mut seen: HashSet<String> = self.bugs.iter().map(|b| b.bug.to_string()).collect();
-        let fresh = std::mem::take(&mut continuation.bugs)
+        let fresh = std::mem::take(&mut later.bugs)
             .into_iter()
             .filter(|b| seen.insert(b.bug.to_string()))
             .map(|b| FoundBug {
@@ -462,12 +448,20 @@ impl Stats {
                 ..b
             })
             .collect();
-        let stop = continuation.stop;
-        let shards = std::mem::take(&mut continuation.shard_frontiers);
-        self.merge(continuation);
+        self.add_counters(&later);
+        self.elapsed += later.elapsed;
         self.push_bugs(fresh);
-        self.stop = stop;
-        self.shard_frontiers = shards;
+    }
+
+    /// Fold a resumed run's statistics into the interrupted run's, so the
+    /// pair reads as one straight run: [`Stats::merge`], then the
+    /// continuation's stop reason and frontier *replace* the originals,
+    /// because the cut's `Deadline`/`ExecutionCap` describes the
+    /// interruption, not the combined run's fate.
+    pub fn continue_with(&mut self, mut continuation: Stats) {
+        self.stop = continuation.stop;
+        self.shard_frontiers = std::mem::take(&mut continuation.shard_frontiers);
+        self.merge(continuation);
     }
 
     /// Append fresh bug records, up to [`MAX_BUG_RECORDS`] in all.
@@ -601,36 +595,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_worst_stop_and_latest_frontier() {
+    fn merge_leaves_stop_and_frontier_to_the_caller() {
         let mut a = Stats {
             executions: 10,
+            elapsed: Duration::from_millis(3),
             stop: StopReason::Deadline,
             shard_frontiers: vec![ShardSpec::from_script(vec![0, 1])],
             ..Stats::default()
         };
-        let b = Stats {
+        a.merge(Stats {
             executions: 5,
-            stop: StopReason::FirstBug,
-            ..Stats::default()
-        };
-        a.merge(b);
-        assert_eq!(a.executions, 15);
-        assert_eq!(a.stop, StopReason::Deadline);
-        assert_eq!(
-            a.frontier(),
-            Some(&[0, 1][..]),
-            "no new frontier keeps the old one"
-        );
-
-        let c = Stats {
-            executions: 2,
+            elapsed: Duration::from_millis(4),
             stop: StopReason::Errored,
             shard_frontiers: vec![ShardSpec::from_script(vec![3])],
             ..Stats::default()
-        };
-        a.merge(c);
-        assert_eq!(a.stop, StopReason::Errored);
-        assert_eq!(a.frontier(), Some(&[3][..]));
+        });
+        assert_eq!(a.executions, 15);
+        assert_eq!(a.elapsed, Duration::from_millis(7));
+        assert_eq!(a.stop, StopReason::Deadline);
+        assert_eq!(a.frontier(), Some(&[0, 1][..]));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Scheduling itself lives in [`crate::runtime`] (token-passing: the
 //! worker that parks last decides who runs next). Pool threads are reused
 //! across executions — thread spawn cost would otherwise dominate
-//! exploration time (see `benches/exploration.rs`).
+//! exploration time (EXPERIMENTS.md records the visible-op round trip).
 
 use std::any::Any;
 use std::cell::RefCell;
