@@ -11,6 +11,7 @@ use std::marker::PhantomData;
 
 use cdsspec_c11::{DataId, PrimVal};
 
+use crate::runtime;
 use crate::worker::with_ctx;
 
 /// A modeled non-atomic cell holding a `T`.
@@ -43,14 +44,13 @@ impl<T: PrimVal> Data<T> {
 
     /// Non-atomic read; a race with an unordered write is reported as a
     /// built-in bug and aborts the execution at the next scheduling step.
+    /// Each access counts toward `Config::max_steps_per_thread`: a thread
+    /// past it ends the execution as diverged, as at a visible op.
     pub fn read(&self) -> T {
         with_ctx(|ctx| {
             let mut st = ctx.shared.inner.lock();
             let (val, bug) = st.mem.apply_data_read(ctx.tid, self.id);
-            drop(st);
-            if let Some(bug) = bug {
-                ctx.shared.post_bug(bug);
-            }
+            runtime::data_access_done(&ctx.shared, st, ctx.tid, bug);
             T::from_bits(val)
         })
     }
@@ -60,10 +60,7 @@ impl<T: PrimVal> Data<T> {
         with_ctx(|ctx| {
             let mut st = ctx.shared.inner.lock();
             let bug = st.mem.apply_data_write(ctx.tid, self.id, v.to_bits());
-            drop(st);
-            if let Some(bug) = bug {
-                ctx.shared.post_bug(bug);
-            }
+            runtime::data_access_done(&ctx.shared, st, ctx.tid, bug);
         })
     }
 

@@ -85,9 +85,10 @@
 //! # Safety notes
 //!
 //! * Panics never unwind across a stack switch: each fiber's unwinds
-//!   (including the routine [`crate::worker::DieMarker`] aborts) are
-//!   caught by `catch_unwind` at the fiber's own root frame
-//!   ([`crate::worker::run_job`]), above the assembly trampoline.
+//!   (including the [`crate::worker::DieMarker`] aborts of diverged and
+//!   buggy executions) are caught by `catch_unwind` at the fiber's own
+//!   root frame ([`crate::worker::run_job`]), above the assembly
+//!   trampoline.
 //! * The per-thread context used by the modeled-code primitives is
 //!   re-installed on every switch, so `with_ctx` always sees the fiber
 //!   that is actually running.

@@ -192,7 +192,11 @@ pub enum Reply {
     Spawned(Tid),
     /// Plain acknowledgement (stores, fences, joins, spins).
     Ok,
-    /// The execution is being abandoned: unwind immediately.
+    /// The execution is being abandoned: unwind immediately (with
+    /// `DieMarker`). Deposited by the runtime's `abort` for diverged,
+    /// buggy and engine-failed executions; a sleep-blocked execution is
+    /// run out to its threads' normal return instead, and gets `Die` only
+    /// if its run-out trips a bound or a bug.
     Die,
 }
 

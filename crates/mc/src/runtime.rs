@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdsspec_c11::{EventId, LocId, Tid, Trace};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -51,7 +51,10 @@ pub(crate) enum RunOutcome {
     BugFound(Bug),
     /// Step/spin/futile-read bound exceeded — pruned, counted infeasible.
     Diverged,
-    /// Every runnable thread was asleep — a redundant interleaving.
+    /// Every runnable thread was asleep — a redundant interleaving. The
+    /// verdict is fixed at that decision; the threads are then run out to
+    /// their normal return (see [`ExecState::running_out`]) rather than
+    /// unwound.
     SleepPruned,
     /// The engine itself failed (e.g. the OS thread pool exhausted its
     /// bounded respawn budget). The execution is void and the campaign
@@ -111,8 +114,21 @@ pub(crate) struct ExecState {
     last_sched: Tid,
     /// Execution verdict; set exactly once.
     outcome: Option<RunOutcome>,
-    /// Abort in progress: remaining workers unwind on wakeup.
+    /// Abort in progress: every live thread has a `Reply::Die` deposited
+    /// and unwinds with [`DieMarker`] when it picks it up (or at its next
+    /// visible op).
     dying: bool,
+    /// Sleep-blocked run-out in progress: the outcome is already
+    /// `SleepPruned`, and instead of unwinding every live thread the
+    /// scheduler keeps going until they all return normally. Sleep sets
+    /// and wake floors are ignored, every choice takes option 0 without
+    /// being recorded (the explored tree and the pruning counters never
+    /// see the run-out), and plugins never see the trace. Whatever would
+    /// cut an ordinary execution short (a bound, a race, an uninitialised
+    /// load, a deadlock, a user panic, a watchdog rescue, `max_threads`)
+    /// goes through [`abort`], which clears this flag and keeps the
+    /// outcome `SleepPruned`.
+    running_out: bool,
     /// When set, choice points past the replay script are resolved by
     /// this PRNG instead of depth-first (deadline-degraded sampling).
     sampler: Option<StdRng>,
@@ -197,6 +213,21 @@ impl Shared {
             .store(true, std::sync::atomic::Ordering::Release);
     }
 
+    /// Take the worker-side bug posted since the last decision, if any.
+    /// Atomic fast path: the mutex is only touched when a bug was
+    /// actually posted.
+    fn take_pending_bug(&self) -> Option<Bug> {
+        if !self
+            .pending_bug_flag
+            .load(std::sync::atomic::Ordering::Acquire)
+        {
+            return None;
+        }
+        self.pending_bug_flag
+            .store(false, std::sync::atomic::Ordering::Relaxed);
+        self.pending_bug.lock().take()
+    }
+
     /// Feed the watchdogs (see the `progress` field).
     pub(crate) fn heartbeat(&self) {
         self.progress
@@ -206,7 +237,7 @@ impl Shared {
 
 impl ExecState {
     fn choose(&mut self, n: usize) -> usize {
-        if n <= 1 {
+        if n <= 1 || self.running_out {
             return 0;
         }
         let picked = if self.cursor < self.script.len() {
@@ -273,6 +304,7 @@ impl ExecState {
         self.last_sched = Tid::MAIN;
         self.outcome = None;
         self.dying = false;
+        self.running_out = false;
         self.sampler = sampler;
         self.pruned = 0;
     }
@@ -300,9 +332,10 @@ impl ExecState {
     /// always end in an incremented entry, so for every decision-point
     /// prefix exactly one executed script satisfies this — pruning
     /// counters bumped under this guard count each suppressed branch once,
-    /// regardless of worker count or checkpoint partitioning.
+    /// regardless of worker count or checkpoint partitioning. A run-out
+    /// is never a decision point of the tree.
     fn at_fresh_node(&self) -> bool {
-        self.sampler.is_none() && self.cursor >= self.script.len()
+        !self.running_out && self.sampler.is_none() && self.cursor >= self.script.len()
     }
 
     /// Eager futile-read rejection (`Config::rf_prune`): when `(t, loc)`
@@ -498,34 +531,27 @@ impl ExecState {
 }
 
 /// Run the scheduler: called under the lock whenever `running` drops to 0
-/// and the execution has not ended. Deposits exactly one reply (possibly
-/// `Die` for everyone on abort). `caller` is the thread running this call
-/// inline — when it schedules itself (the common case under the
-/// continue-last-thread default), the wakeup notify is skipped: the caller
-/// finds its reply on the way out of `visible_op` without ever parking.
+/// and the execution has not ended (or is running out). Deposits exactly
+/// one reply (possibly `Die` for everyone on abort). `caller` is the
+/// thread running this call inline — when it schedules itself (the common
+/// case under the continue-last-thread default), the wakeup notify is
+/// skipped: the caller finds its reply on the way out of `visible_op`
+/// without ever parking.
 fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
     debug_assert_eq!(st.running, 0);
-    if st.outcome.is_some() {
+    if st.outcome.is_some() && !st.running_out {
         return;
     }
     shared.heartbeat();
 
-    // Worker-side race found since the last decision? (Atomic fast path:
-    // the mutex is only touched when a bug was actually posted.)
-    if shared
-        .pending_bug_flag
-        .load(std::sync::atomic::Ordering::Acquire)
-    {
-        shared
-            .pending_bug_flag
-            .store(false, std::sync::atomic::Ordering::Relaxed);
-        if let Some(bug) = shared.pending_bug.lock().take() {
-            return abort(shared, st, RunOutcome::BugFound(bug));
-        }
+    // Worker-side race found since the last decision?
+    if let Some(bug) = shared.take_pending_bug() {
+        return abort(shared, st, RunOutcome::BugFound(bug));
     }
 
     if st.alive.iter().all(|a| !a) {
-        st.outcome = Some(RunOutcome::Completed);
+        // A finished run-out keeps its `SleepPruned`.
+        st.outcome.get_or_insert(RunOutcome::Completed);
         return;
     }
 
@@ -555,13 +581,18 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
         return abort(shared, st, RunOutcome::BugFound(Bug::Deadlock { blocked }));
     }
 
-    if st.config.sleep_sets {
+    if st.config.sleep_sets && !st.running_out {
         let sleep = &st.sleep;
-        runnable.retain(|t| !sleep[t.idx()]);
-    }
-    if runnable.is_empty() {
-        st.sched_buf = runnable;
-        return abort(shared, st, RunOutcome::SleepPruned);
+        if runnable.iter().all(|t| sleep[t.idx()]) {
+            // Sleep-blocked: the verdict is decided, but the live threads
+            // are run out to their return instead of unwound (an unwind
+            // per live thread was most of the cost of these executions).
+            st.outcome = Some(RunOutcome::SleepPruned);
+            st.running_out = true;
+            st.wake_floor.fill(None);
+        } else {
+            runnable.retain(|t| !sleep[t.idx()]);
+        }
     }
     // Prefer continuing the last-scheduled thread: fewer context switches
     // and more natural default executions.
@@ -627,7 +658,7 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
                 },
                 _ => op.clone(),
             };
-            if st.config.sleep_sets {
+            if st.config.sleep_sets && !st.running_out {
                 // If the op committed a write, sleeping non-SC loads of
                 // that location wake with an rf floor: everything mo-older
                 // than this write was already explored in the subtree that
@@ -684,11 +715,13 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
 
 /// Abandon the execution: record the outcome and hand every live thread a
 /// `Die` reply (they unwind on wakeup; job-exit accounting signals the
-/// explorer once all are gone).
+/// explorer once all are gone). An outcome decided earlier wins: a
+/// run-out cut short by a bound, a bug or a rescue stays `SleepPruned`.
 fn abort(shared: &Shared, st: &mut ExecState, outcome: RunOutcome) {
     if st.outcome.is_none() {
         st.outcome = Some(outcome);
     }
+    st.running_out = false;
     st.dying = true;
     let fiber_mode = crate::fiber::active();
     for i in 0..st.alive.len() {
@@ -747,7 +780,7 @@ pub(crate) fn fiber_rescued(
         *r = None;
     }
     st.active_jobs = st.active_jobs.saturating_sub(1);
-    if st.outcome.is_none() {
+    if st.outcome.is_none() || st.running_out {
         let bug = if overflow {
             Bug::StackOverflow { tid: wedged }
         } else {
@@ -907,6 +940,41 @@ pub(crate) fn spawn_thread(
     child
 }
 
+/// Finish a `Data` access by `me`, which appended one trace event and
+/// counted it in `steps` without a scheduling decision: post the race it
+/// found, if any, and enforce `max_steps_per_thread`, which `schedule`
+/// checks only after visible ops. Over the bound, the execution ends as
+/// diverged (or with a race already posted, which the next decision would
+/// have reported first) and `me` unwinds, like `spawn_thread`'s
+/// `max_threads` path. A thread spinning on `Data` accesses alone thus
+/// stops after the bound instead of growing the trace until the watchdog
+/// fires. A dying execution or an unwinding thread is left to end as it
+/// is: a second panic would abort the process.
+pub(crate) fn data_access_done(
+    shared: &Shared,
+    mut st: MutexGuard<'_, ExecState>,
+    me: Tid,
+    race: Option<Bug>,
+) {
+    if st.mem.threads[me.idx()].steps <= st.config.max_steps_per_thread
+        || st.dying
+        || std::thread::panicking()
+    {
+        drop(st);
+        if let Some(bug) = race {
+            shared.post_bug(bug);
+        }
+        return;
+    }
+    let outcome = match race.or_else(|| shared.take_pending_bug()) {
+        Some(bug) => RunOutcome::BugFound(bug),
+        None => RunOutcome::Diverged,
+    };
+    abort(shared, &mut st, outcome);
+    drop(st);
+    std::panic::panic_any(DieMarker);
+}
+
 /// Called by the job wrapper when the closure returns normally.
 pub(crate) fn thread_finished(shared: &Shared, me: Tid) {
     let _gate = crate::fiber::engine_section();
@@ -1036,6 +1104,7 @@ pub(crate) fn run_once(
                 last_sched: Tid::MAIN,
                 outcome: None,
                 dying: false,
+                running_out: false,
                 sampler,
                 cand_buf: Vec::new(),
                 rmw_buf: Vec::new(),
@@ -1139,7 +1208,7 @@ pub(crate) fn run_once(
                     if stalled < limit {
                         continue;
                     }
-                    if st.outcome.is_none() {
+                    if st.outcome.is_none() || st.running_out {
                         let wedged = st.last_sched;
                         let bug = st.hang_bug(limit, wedged);
                         abort(&shared, &mut st, RunOutcome::BugFound(bug));

@@ -15,8 +15,11 @@ use cdsspec_c11::Tid;
 
 use crate::runtime::{self, Shared};
 
-/// Marker panic payload used to unwind a worker when the runtime abandons
-/// an execution.
+/// Marker panic payload used to unwind a modeled thread when the runtime
+/// abandons an execution (`Reply::Die`): a diverged, buggy or
+/// engine-failed one, or a sleep-blocked run-out that tripped a bound or
+/// a bug. Sleep-blocked executions, most of the abandoned ones, run out
+/// to a normal return and unwind nothing.
 pub(crate) struct DieMarker;
 
 /// Per-modeled-thread context installed in the worker's thread-local while
@@ -198,10 +201,11 @@ where
     })
 }
 
-/// Worker threads unwind constantly (every abandoned execution panics with
-/// [`DieMarker`], and `mc_assert!` failures are caught and reported through
-/// the bug machinery), so the default panic hook's stderr output — possibly
-/// with full backtraces — would dominate exploration time. Silence panics
+/// Worker threads unwind constantly (every diverged or buggy execution
+/// panics with [`DieMarker`], and `mc_assert!` failures are caught and
+/// reported through the bug machinery), so the default panic hook's stderr
+/// output — possibly with full backtraces — would dominate exploration
+/// time. Silence panics
 /// on pool threads and inside any modeled-thread context (fibers host
 /// modeled threads on the explorer thread); everything else keeps the
 /// default hook.

@@ -8,8 +8,9 @@
 //! explorations leave the number of live heap blocks unchanged.
 //!
 //! The explorations cover every way a fiber ends: completed executions,
-//! sleep-pruned, diverged and buggy ones (whose threads drain through
-//! `DieMarker` unwinds), and a fiber that is aborted before it ever ran.
+//! sleep-pruned ones (run out to their threads' normal return), diverged
+//! and buggy ones (whose threads drain through `DieMarker` unwinds), and a
+//! fiber that is aborted before it ever ran.
 //! Blocks are counted per OS thread: a fiber-hosted exploration runs
 //! every modeled thread on the exploring thread, while the watchdog
 //! monitor and the test harness allocate on their own schedule.

@@ -285,30 +285,32 @@ fn os_host_stack_overflow_aborts_cleanly() {
 }
 
 /// Regression for a rescue-vs-engine-lock deadlock. Invisible operations
-/// (`Data` accesses, `Atomic::new`, `mc::alloc`, …) lock `Shared::inner`
-/// through `with_ctx` without posting a visible op, so a thread wedged in
-/// a pure `Data::read` spin loop holds the engine lock for a large
-/// fraction of every iteration while never feeding the heartbeat — the
-/// exact workload the watchdog exists for. The preemption gate must cover
-/// those acquisitions: a rescue landing inside one would abandon the
-/// fiber with `inner` locked, and the explorer's own relock in
-/// `fiber_rescued` would deadlock permanently. With the gate held across
-/// the whole `with_ctx` body, the retried rescue signal can only land in
-/// the gate-open window between iterations, and this exploration
-/// terminates.
+/// (`mc::new_object_id`, `Data` accesses, `Atomic::new`, `mc::alloc`, …)
+/// lock `Shared::inner` through `with_ctx` without posting a visible op,
+/// so a thread wedged in a pure `mc::new_object_id` loop holds the engine
+/// lock for a large fraction of every iteration while never feeding the
+/// heartbeat — the exact workload the watchdog exists for. The preemption
+/// gate must cover those acquisitions: a rescue landing inside one would
+/// abandon the fiber with `inner` locked, and the explorer's own relock
+/// in `fiber_rescued` would deadlock permanently. With the gate held
+/// across the whole `with_ctx` body, the retried rescue signal can only
+/// land in the gate-open window between iterations, and this exploration
+/// terminates. The loop appends no trace events, so memory stays flat
+/// until the rescue; a `Data::read` spin no longer reaches the watchdog
+/// (it diverges at `max_steps_per_thread`, see `runtime_edges.rs`).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn invisible_op_spin_wedge_is_rescued_without_deadlock() {
     let body = || {
-        let d = mc::Data::new(0u32);
         let flag = Atomic::new(0i32);
         let t = mc::thread::spawn(move || {
             flag.store(1, Release);
         });
         if flag.load(Acquire) == 1 {
             // Wedge entirely in invisible ops: every iteration locks the
-            // engine, none posts a visible op or feeds the heartbeat.
-            while d.read() == 0 {}
+            // engine, none posts a visible op, appends an event or feeds
+            // the heartbeat.
+            while mc::new_object_id() != 0 {}
         }
         t.join();
     };

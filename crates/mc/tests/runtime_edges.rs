@@ -1,8 +1,11 @@
 //! Edge-case tests for the token-passing runtime: thread limits,
 //! truncation, yields, deep nesting, pool reuse across explorations, the
-//! verbose/validating config paths, and the resilience layer (watchdog,
-//! deadlines, checkpoint/resume, sampling degradation).
+//! verbose/validating config paths, the resilience layer (watchdog,
+//! deadlines, checkpoint/resume, sampling degradation), how sleep-blocked
+//! executions end, and the step bound on `Data` accesses.
 
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cdsspec_mc as mc;
@@ -390,4 +393,212 @@ fn stats_partition_executions() {
         "{}",
         stats.summary()
     );
+}
+
+/// `std`'s sequentially consistent ordering, for the run-out tests' side
+/// channel (`SeqCst` here is the model's `MemOrd`).
+const STD_SEQ_CST: std::sync::atomic::Ordering = std::sync::atomic::Ordering::SeqCst;
+
+/// Per-exploration tallies of the run-out tests' drop guards and their
+/// side channel. The side channel is plain `std` state, invisible to the
+/// model, so it can tell a sleep-blocked schedule from the explored ones.
+#[derive(Default)]
+struct Tally {
+    started: AtomicU64,
+    dropped: AtomicU64,
+    dropped_panicking: AtomicU64,
+    /// Executions in which `a` saw `b` store first.
+    b_first_seen: AtomicU64,
+    a_stored: AtomicBool,
+    b_first: AtomicBool,
+}
+
+/// Owned by each modeled thread from its first line to its end.
+struct Guard(Arc<Tally>);
+
+impl Guard {
+    fn new(tally: &Arc<Tally>) -> Self {
+        tally.started.fetch_add(1, STD_SEQ_CST);
+        Guard(Arc::clone(tally))
+    }
+}
+
+impl Drop for Guard {
+    fn drop(&mut self) {
+        self.0.dropped.fetch_add(1, STD_SEQ_CST);
+        if std::thread::panicking() {
+            self.0.dropped_panicking.fetch_add(1, STD_SEQ_CST);
+        }
+    }
+}
+
+/// What thread `a` does when `b`'s store ran before its own, which only
+/// a sleep-blocked execution's run-out does: the explored executions
+/// order the two independent stores `a` first.
+#[derive(Clone, Copy, Debug)]
+enum RunOutEnd {
+    /// Return normally.
+    Finish,
+    /// Fail an `mc_assert!`.
+    Assert,
+    /// Spin on a load that never changes, past `max_spins`.
+    Spin,
+}
+
+/// `a` and `b` store to different locations, so every schedule that runs
+/// `b`'s store first is sleep-blocked before `a` stores; `c` reads `y`,
+/// which gives the tree a few more leaves without touching `x`, and
+/// `main` joins all three.
+fn run_out_program(tally: Arc<Tally>, end: RunOutEnd) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let _g = Guard::new(&tally);
+        tally.a_stored.store(false, STD_SEQ_CST);
+        tally.b_first.store(false, STD_SEQ_CST);
+        let x = Atomic::new(0i32);
+        let y = Atomic::new(0i32);
+        let ta = Arc::clone(&tally);
+        let a = mc::thread::spawn(move || {
+            let _g = Guard::new(&ta);
+            x.store(1, Relaxed);
+            ta.a_stored.store(true, STD_SEQ_CST);
+            if ta.b_first.load(STD_SEQ_CST) {
+                ta.b_first_seen.fetch_add(1, STD_SEQ_CST);
+                match end {
+                    RunOutEnd::Finish => {}
+                    RunOutEnd::Assert => mc_assert!(false, "b stored first"),
+                    RunOutEnd::Spin => {
+                        while x.load(Relaxed) != 2 {
+                            mc::spin_loop();
+                        }
+                    }
+                }
+            }
+        });
+        let tb = Arc::clone(&tally);
+        let b = mc::thread::spawn(move || {
+            let _g = Guard::new(&tb);
+            y.store(1, Relaxed);
+            if !tb.a_stored.load(STD_SEQ_CST) {
+                tb.b_first.store(true, STD_SEQ_CST);
+            }
+        });
+        let tc = Arc::clone(&tally);
+        let c = mc::thread::spawn(move || {
+            let _g = Guard::new(&tc);
+            let _ = y.load(Relaxed);
+        });
+        a.join();
+        b.join();
+        c.join();
+    }
+}
+
+/// The counters of an exploration the run-out must leave untouched:
+/// executions, feasible, diverged, sleep-pruned, rf-pruned branches, rf
+/// classes and peak depth. Measured while sleep-blocked executions were
+/// still unwound at once, for every `RunOutEnd`.
+const RUN_OUT_TREE: [u64; 7] = [7, 2, 0, 5, 3, 2, 3];
+
+fn tree_counts(stats: &mc::Stats) -> [u64; 7] {
+    [
+        stats.executions,
+        stats.feasible,
+        stats.diverged,
+        stats.sleep_pruned,
+        stats.executions_pruned,
+        stats.rf_classes.len() as u64,
+        stats.peak_depth,
+    ]
+}
+
+/// Explore `run_out_program` on one worker, on fibers or on the OS-thread
+/// pool, and check what holds for every run-out end: no bug, the pinned
+/// tree, and exactly one guard drop per started thread.
+fn explore_run_out(end: RunOutEnd, fiber_hosting: bool) -> Arc<Tally> {
+    let tally = Arc::new(Tally::default());
+    let config = Config {
+        fiber_hosting,
+        workers: 1,
+        stop_on_first_bug: false,
+        ..Config::default()
+    };
+    let stats = mc::explore(config, run_out_program(Arc::clone(&tally), end));
+    let what = format!(
+        "{end:?}, fiber_hosting {fiber_hosting}: {}",
+        stats.summary()
+    );
+    assert!(!stats.buggy(), "{what}");
+    assert_eq!(tree_counts(&stats), RUN_OUT_TREE, "{what}");
+    let started = tally.started.load(STD_SEQ_CST);
+    assert_eq!(started, 4 * stats.executions, "{what}");
+    assert_eq!(tally.dropped.load(STD_SEQ_CST), started, "{what}");
+    assert!(
+        tally.b_first_seen.load(STD_SEQ_CST) > 0,
+        "{what}: no run-out reached `a`"
+    );
+    tally
+}
+
+/// A sleep-blocked execution runs its threads out to their normal return:
+/// every started thread's guard drops exactly once, and none during an
+/// unwind. (Were the execution abandoned with `Reply::Die`, the guards of
+/// the threads parked at that point would drop while panicking, and `a`
+/// would never see `b` store first.)
+#[test]
+fn sleep_blocked_threads_run_to_their_end() {
+    for fiber_hosting in [true, false] {
+        let tally = explore_run_out(RunOutEnd::Finish, fiber_hosting);
+        assert_eq!(
+            tally.dropped_panicking.load(STD_SEQ_CST),
+            0,
+            "fiber_hosting {fiber_hosting}: a guard dropped during an unwind"
+        );
+    }
+}
+
+/// A run-out that fails an `mc_assert!` or trips the spin bound falls back
+/// to unwinding the threads still live: it leaks no guard, reports no bug
+/// and stays sleep-pruned, with every counter as pinned.
+#[test]
+fn run_out_cut_short_unwinds_and_stays_sleep_pruned() {
+    for end in [RunOutEnd::Assert, RunOutEnd::Spin] {
+        for fiber_hosting in [true, false] {
+            let tally = explore_run_out(end, fiber_hosting);
+            assert!(
+                tally.dropped_panicking.load(STD_SEQ_CST) > 0,
+                "{end:?}, fiber_hosting {fiber_hosting}: no run-out unwound"
+            );
+        }
+    }
+}
+
+/// `Data` accesses append trace events without a scheduling point, and
+/// each counts toward `max_steps_per_thread`: a thread spinning on
+/// `Data::read` alone ends its execution as diverged at the bound instead
+/// of growing the trace until the watchdog fires.
+#[test]
+fn data_read_spin_diverges_at_the_step_bound() {
+    for fiber_hosting in [true, false] {
+        let stats = mc::explore(
+            Config {
+                fiber_hosting,
+                max_steps_per_thread: 50,
+                ..Config::default()
+            },
+            || {
+                let d = mc::Data::new(0u32);
+                let flag = Atomic::new(0i32);
+                let t = mc::thread::spawn(move || flag.store(1, Release));
+                if flag.load(Acquire) == 1 {
+                    while d.read() == 0 {}
+                }
+                t.join();
+            },
+        );
+        let what = format!("fiber_hosting {fiber_hosting}: {}", stats.summary());
+        assert!(!stats.buggy(), "{what}");
+        assert!(stats.diverged > 0, "{what}");
+        assert!(stats.feasible > 0, "{what}");
+        assert_eq!(stats.stop, mc::StopReason::Exhausted, "{what}");
+    }
 }
