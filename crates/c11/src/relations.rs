@@ -28,9 +28,10 @@
 //! and checked as mo lower bounds on every read; the walk is linear and
 //! shared by both checkers.
 
+use crate::clock::CoherenceMap;
 use crate::event::{EventId, EventKind, EventTag, Tid};
 use crate::ordering::MemOrd;
-use crate::trace::{fnv, Trace, FNV_OFFSET};
+use crate::trace::{mix, Trace, MIX_SEED};
 
 /// A violation of the C/C++11 axioms found by [`validate`] or [`audit`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -326,18 +327,50 @@ fn compute_hb(trace: &Trace) -> HbMatrix {
     hb
 }
 
+thread_local! {
+    /// [`sc_fence_check`]'s per-thread tables, kept across calls so an
+    /// audited exploration allocates them once per OS thread.
+    static SC_FENCE_TABLES: std::cell::RefCell<Vec<(CoherenceMap, CoherenceMap)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// The SC-fence rules (29.3 p4–p6), checked by a single commit-order walk
 /// maintaining (a) the mo index of the last SC store per location, (b)
 /// per-thread "own stores" tables, and (c) the global fence-published
 /// floor; per-thread floors are snapshotted at each SC fence. Linear and
 /// matrix-free, so [`validate`] and [`audit`] share it verbatim.
 fn sc_fence_check(trace: &Trace, errors: &mut Vec<AxiomError>) {
-    use crate::clock::CoherenceMap;
-    let nthreads = trace.num_threads as usize;
+    // Only an SC fence raises a floor or publishes stores, so without one
+    // no read can break p4–p6.
+    if !trace
+        .sc_order
+        .iter()
+        .any(|&e| trace.tag(e) == EventTag::Fence)
+    {
+        return;
+    }
+    SC_FENCE_TABLES.with(|tables| {
+        let mut tables = tables.borrow_mut();
+        let nthreads = trace.num_threads as usize;
+        if tables.len() < nthreads {
+            tables.resize_with(nthreads, Default::default);
+        }
+        for t in &mut tables[..nthreads] {
+            *t = Default::default();
+        }
+        sc_fence_walk(trace, &mut tables[..nthreads], errors);
+    });
+}
+
+/// [`sc_fence_check`]'s walk; `threads[t]` holds thread `t`'s own-stores
+/// table and SC-fence floor, both empty on entry.
+fn sc_fence_walk(
+    trace: &Trace,
+    threads: &mut [(CoherenceMap, CoherenceMap)],
+    errors: &mut Vec<AxiomError>,
+) {
     let mut sc_last_store = CoherenceMap::new();
     let mut published = CoherenceMap::new();
-    let mut own_stores: Vec<CoherenceMap> = (0..nthreads).map(|_| CoherenceMap::new()).collect();
-    let mut fence_floor: Vec<CoherenceMap> = (0..nthreads).map(|_| CoherenceMap::new()).collect();
 
     for i in 0..trace.len() {
         let id = EventId(i as u32);
@@ -346,7 +379,7 @@ fn sc_fence_check(trace: &Trace, errors: &mut Vec<AxiomError>) {
             EventKind::AtomicStore {
                 loc, ord, mo_index, ..
             } => {
-                own_stores[tid.idx()].raise(loc, mo_index);
+                threads[tid.idx()].0.raise(loc, mo_index);
                 if ord.is_seq_cst() {
                     sc_last_store.raise(loc, mo_index);
                 }
@@ -358,17 +391,16 @@ fn sc_fence_check(trace: &Trace, errors: &mut Vec<AxiomError>) {
                 mo_index,
                 ..
             } => {
-                own_stores[tid.idx()].raise(loc, mo_index);
+                threads[tid.idx()].0.raise(loc, mo_index);
                 if ord.is_seq_cst() {
                     sc_last_store.raise(loc, mo_index);
                 }
             }
             EventKind::Fence { ord } if ord.is_seq_cst() => {
-                let t = tid.idx();
-                fence_floor[t].join(&sc_last_store); // p4
-                fence_floor[t].join(&published); // p6
-                let own = own_stores[t].clone();
-                published.join(&own); // p5 (and later p6)
+                let (own, floor) = &mut threads[tid.idx()];
+                floor.join(&sc_last_store); // p4
+                floor.join(&published); // p6
+                published.join(own); // p5 (and later p6)
             }
             EventKind::AtomicLoad {
                 loc,
@@ -383,7 +415,7 @@ fn sc_fence_check(trace: &Trace, errors: &mut Vec<AxiomError>) {
                 ..
             } => {
                 let got = trace.mo_index(w).unwrap_or(0);
-                if let Some(fl) = fence_floor[tid.idx()].get(loc) {
+                if let Some(fl) = threads[tid.idx()].1.get(loc) {
                     if got < fl {
                         errors.push(AxiomError::ScFence {
                             read: id,
@@ -587,15 +619,15 @@ fn sc_read_check(
 ) {
     for i in 0..trace.len() {
         let id = EventId(i as u32);
-        let (loc, rf, ord) = match trace.kind(id) {
-            EventKind::AtomicLoad { loc, rf, ord, .. } => (loc, rf, ord),
-            EventKind::Rmw { loc, rf, ord, .. } => (loc, rf, ord),
-            _ => continue,
-        };
+        if !trace.is_read(id) {
+            continue;
+        }
+        let ord = trace.ord(id).expect("reads have an ordering");
         if !ord.is_seq_cst() {
             continue;
         }
-        let Some(w) = rf else { continue };
+        let loc = trace.atomic_loc(id).expect("reads have a location");
+        let Some(w) = trace.rf(id) else { continue };
         let r_sc = trace.sc_index(id).expect("SC event must have an S index");
         // B = last SC write to loc preceding the read in S.
         let b = trace
@@ -789,10 +821,11 @@ const NO_RF: u64 = 0x5eed_0000_0000_0001;
 /// Signatures are comparable within one test closure's exploration —
 /// that is their only use: counting rf classes and checking that pruned
 /// and unpruned explorations cover the same classes. The values are also
-/// persisted in campaign checkpoints, so the hash must stay bit-for-bit
-/// stable across engine changes; `cdsspec-mc`'s lockstep tests keep the
-/// original full-re-walk derivation as the reference and pin this
-/// incremental finalize to it.
+/// persisted in campaign journals, so the hash is stable within a
+/// `TREE_VERSION` (`cdsspec_mc::explore::TREE_VERSION`), which journals
+/// and caches key on: a change to the hash bumps it. `cdsspec-mc`'s
+/// lockstep tests keep the original full-re-walk derivation as the
+/// reference and pin this incremental finalize to it.
 ///
 /// This finalize is a single allocation-free O(n) fold over state the
 /// trace maintained at commit time (`SigState`: spawn-path thread names,
@@ -809,15 +842,15 @@ pub fn rf_signature(trace: &Trace) -> u64 {
     // across threads).
     let mut sig = 0u64;
     for t in 0..nthreads {
-        let mut h = fnv(FNV_OFFSET, canon(t));
+        let mut h = mix(MIX_SEED, canon(t));
         for &id in trace.events_of_thread(Tid(t as u32)) {
             h = match trace.kind(id) {
                 EventKind::AtomicLoad { loc, ord, rf, .. } => {
                     let rf = rf.map(&ceid).unwrap_or(NO_RF);
-                    fnv(fnv(fnv(fnv(h, 1), st.loc_min[loc.idx()]), ord as u64), rf)
+                    mix(mix(mix(mix(h, 1), st.loc_min[loc.idx()]), ord as u64), rf)
                 }
                 EventKind::AtomicStore { loc, ord, .. } => {
-                    fnv(fnv(fnv(h, 2), st.loc_min[loc.idx()]), ord as u64)
+                    mix(mix(mix(h, 2), st.loc_min[loc.idx()]), ord as u64)
                 }
                 EventKind::Rmw {
                     loc,
@@ -828,20 +861,20 @@ pub fn rf_signature(trace: &Trace) -> u64 {
                 } => {
                     let rf = rf.map(&ceid).unwrap_or(NO_RF);
                     let wrote = written.is_some() as u64;
-                    fnv(
-                        fnv(fnv(fnv(fnv(h, 3), st.loc_min[loc.idx()]), ord as u64), rf),
+                    mix(
+                        mix(mix(mix(mix(h, 3), st.loc_min[loc.idx()]), ord as u64), rf),
                         wrote,
                     )
                 }
-                EventKind::Fence { ord } => fnv(fnv(h, 4), ord as u64),
-                EventKind::ThreadCreate { child } => fnv(fnv(h, 5), canon(child.idx())),
-                EventKind::ThreadJoin { target } => fnv(fnv(h, 6), canon(target.idx())),
-                EventKind::ThreadFinish => fnv(h, 7),
-                EventKind::DataWrite { loc } => fnv(fnv(h, 8), st.data_min[loc.idx()]),
-                EventKind::DataRead { loc } => fnv(fnv(h, 9), st.data_min[loc.idx()]),
+                EventKind::Fence { ord } => mix(mix(h, 4), ord as u64),
+                EventKind::ThreadCreate { child } => mix(mix(h, 5), canon(child.idx())),
+                EventKind::ThreadJoin { target } => mix(mix(h, 6), canon(target.idx())),
+                EventKind::ThreadFinish => mix(h, 7),
+                EventKind::DataWrite { loc } => mix(mix(h, 8), st.data_min[loc.idx()]),
+                EventKind::DataRead { loc } => mix(mix(h, 9), st.data_min[loc.idx()]),
             };
         }
-        sig = sig.wrapping_add(fnv(FNV_OFFSET, h));
+        sig = sig.wrapping_add(mix(MIX_SEED, h));
     }
 
     // Per-location modification orders (commutative across locations).
@@ -849,21 +882,21 @@ pub fn rf_signature(trace: &Trace) -> u64 {
         if chain.is_empty() {
             continue;
         }
-        let mut h = fnv(fnv(FNV_OFFSET, 10), st.loc_min[li]);
+        let mut h = mix(mix(MIX_SEED, 10), st.loc_min[li]);
         for &w in chain {
-            h = fnv(h, ceid(w));
+            h = mix(h, ceid(w));
         }
         sig = sig.wrapping_add(h);
     }
 
     // The SC order (one global chain).
-    let mut h = fnv(FNV_OFFSET, 11);
+    let mut h = mix(MIX_SEED, 11);
     for &s in &trace.sc_order {
-        h = fnv(h, ceid(s));
+        h = mix(h, ceid(s));
     }
     sig = sig.wrapping_add(h);
 
-    fnv(sig, trace.num_threads as u64)
+    mix(sig, trace.num_threads as u64)
 }
 
 #[cfg(test)]

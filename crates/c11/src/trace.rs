@@ -57,15 +57,16 @@ use crate::value::Val;
 /// Column sentinel: "no rf" / "not a successful write" / "not SC".
 pub(crate) const NONE: u32 = u32::MAX;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Seed of the canonical-signature hash chains.
+pub(crate) const MIX_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a over the little-endian bytes of `v`, chained from `h`.
-pub(crate) fn fnv(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Chain the word `v` into the hash `h` with one multiply: the multiply
+/// by an odd 64-bit constant (2^64 over the golden ratio) carries every
+/// input bit into the high half, and the xor-shift folds the high half
+/// back down, so the next step's multiply sees it too.
+pub(crate) fn mix(h: u64, v: u64) -> u64 {
+    let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 29)
 }
 
 /// A dynamic value crossing the concurrent/sequential boundary (method
@@ -271,7 +272,7 @@ impl SigState {
         if self.canon.is_empty() {
             self.canon.push(0);
         }
-        self.canon[0] = fnv(FNV_OFFSET, 0);
+        self.canon[0] = mix(MIX_SEED, 0);
         for s in &mut self.spawn_count {
             *s = 0;
         }
@@ -435,12 +436,12 @@ impl Trace {
         if let EventKind::ThreadCreate { child } = kind {
             self.ensure_thread(child);
             let p = tid.idx();
-            self.sig.canon[child.idx()] = fnv(fnv(self.sig.canon[p], 1), self.sig.spawn_count[p]);
+            self.sig.canon[child.idx()] = mix(mix(self.sig.canon[p], 1), self.sig.spawn_count[p]);
             self.sig.spawn_count[p] += 1;
         }
 
         // Canonical event id: canon[tid] is final before any event of tid.
-        let ceid = fnv(fnv(FNV_OFFSET, self.sig.canon[tid.idx()]), seq as u64);
+        let ceid = mix(mix(MIX_SEED, self.sig.canon[tid.idx()]), seq as u64);
         self.sig.ceids.push(ceid);
 
         // Decompose the kind into columns.
@@ -1019,7 +1020,7 @@ mod tests {
         assert!(t.events_of_thread(Tid(0)).is_empty());
         assert!(t.readers_of(LocId(0)).is_empty());
         assert_eq!(t.tags.capacity(), cap);
-        assert_eq!(t.sig.canon[0], fnv(FNV_OFFSET, 0));
+        assert_eq!(t.sig.canon[0], mix(MIX_SEED, 0));
         // Reusable: pushing after clear starts from id 0 again.
         let id = t.push(Tid(0), 1, EventKind::ThreadFinish, VecClock::new());
         assert_eq!(id, EventId(0));

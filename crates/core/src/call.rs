@@ -25,7 +25,7 @@ impl CallId {
 }
 
 /// One completed API method call.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MethodCall {
     /// Position in extraction order (per-thread program order preserved).
     pub id: CallId,
@@ -48,6 +48,56 @@ impl MethodCall {
     #[inline]
     pub fn arg(&self, i: usize) -> SpecVal {
         self.args[i]
+    }
+}
+
+impl Clone for MethodCall {
+    fn clone(&self) -> Self {
+        MethodCall {
+            id: self.id,
+            tid: self.tid,
+            obj: self.obj,
+            name: self.name,
+            args: self.args.clone(),
+            ret: self.ret,
+            ordering_points: self.ordering_points.clone(),
+        }
+    }
+
+    /// Copies into `self`'s own buffers, which the checker's
+    /// [`CallPool`] relies on to copy calls without allocating.
+    fn clone_from(&mut self, src: &Self) {
+        self.id = src.id;
+        self.tid = src.tid;
+        self.obj = src.obj;
+        self.name = src.name;
+        self.args.clone_from(&src.args);
+        self.ret = src.ret;
+        self.ordering_points.clone_from(&src.ordering_points);
+    }
+}
+
+/// Retired [`MethodCall`]s whose buffers the checker reuses, so that
+/// copying calls from one execution to the next stops allocating once
+/// the pool and the buffers reach their high-water marks.
+#[derive(Default)]
+pub(crate) struct CallPool(Vec<MethodCall>);
+
+impl CallPool {
+    /// A copy of `src`, built in a retired call's buffers when one is left.
+    pub(crate) fn copy(&mut self, src: &MethodCall) -> MethodCall {
+        match self.0.pop() {
+            Some(mut c) => {
+                c.clone_from(src);
+                c
+            }
+            None => src.clone(),
+        }
+    }
+
+    /// Retire every call in `calls`, leaving it empty.
+    pub(crate) fn retire(&mut self, calls: &mut Vec<MethodCall>) {
+        self.0.append(calls);
     }
 }
 
@@ -119,8 +169,11 @@ impl std::fmt::Display for ExtractError {
     }
 }
 
-/// Per-thread in-progress call state.
+/// Per-thread in-progress call state; the buffers outlive the call.
+#[derive(Default)]
 struct OpenCall {
+    /// A call is open (the other fields describe it).
+    active: bool,
     obj: u64,
     name: &'static str,
     args: Vec<SpecVal>,
@@ -131,111 +184,147 @@ struct OpenCall {
 
 /// Extract the method calls of an execution from its annotation stream.
 pub fn extract_calls(trace: &Trace) -> Result<Vec<MethodCall>, ExtractError> {
-    let mut open: Vec<Option<OpenCall>> = (0..trace.num_threads).map(|_| None).collect();
-    let mut calls: Vec<MethodCall> = Vec::new();
+    let mut extractor = Extractor::default();
+    extractor.extract(trace, &mut CallPool::default())?;
+    Ok(std::mem::take(&mut extractor.calls))
+}
 
-    for ann in &trace.annotations {
-        let slot = &mut open[ann.tid.idx()];
-        match &ann.note {
-            SpecNote::MethodBegin { obj, name } => match slot {
-                Some(oc) => oc.depth += 1, // nested: ignored
-                None => {
-                    *slot = Some(OpenCall {
-                        obj: *obj,
-                        name,
-                        args: Vec::new(),
-                        confirmed: Vec::new(),
-                        potential: Vec::new(),
-                        depth: 0,
-                    })
-                }
-            },
-            SpecNote::MethodArg { val } => {
-                let oc = slot
-                    .as_mut()
-                    .ok_or(ExtractError::NoteOutsideMethod { tid: ann.tid })?;
-                if oc.depth == 0 {
-                    oc.args.push(*val);
-                }
-            }
-            SpecNote::MethodEnd { ret } => {
-                let oc = slot
-                    .as_mut()
-                    .ok_or(ExtractError::EndWithoutBegin { tid: ann.tid })?;
-                if oc.depth > 0 {
-                    oc.depth -= 1;
-                    continue;
-                }
-                let oc = slot.take().expect("checked above");
-                if oc.confirmed.is_empty() {
-                    return Err(ExtractError::NoOrderingPoints {
-                        tid: ann.tid,
-                        method: oc.name,
-                    });
-                }
-                calls.push(MethodCall {
-                    id: CallId(calls.len() as u32),
-                    tid: ann.tid,
-                    obj: oc.obj,
-                    name: oc.name,
-                    args: oc.args,
-                    ret: *ret,
-                    ordering_points: oc.confirmed,
-                });
-            }
-            SpecNote::OpDefine => {
-                let oc = slot
-                    .as_mut()
-                    .ok_or(ExtractError::NoteOutsideMethod { tid: ann.tid })?;
-                let ev = ann.after.ok_or(ExtractError::OpWithoutOperation {
-                    tid: ann.tid,
-                    method: oc.name,
-                })?;
-                oc.confirmed.push(ev);
-            }
-            SpecNote::OpClear => {
-                let oc = slot
-                    .as_mut()
-                    .ok_or(ExtractError::NoteOutsideMethod { tid: ann.tid })?;
-                oc.confirmed.clear();
-                oc.potential.clear();
-            }
-            SpecNote::PotentialOp { label } => {
-                let oc = slot
-                    .as_mut()
-                    .ok_or(ExtractError::NoteOutsideMethod { tid: ann.tid })?;
-                let ev = ann.after.ok_or(ExtractError::OpWithoutOperation {
-                    tid: ann.tid,
-                    method: oc.name,
-                })?;
-                oc.potential.push((label, ev));
-            }
-            SpecNote::OpCheck { label } => {
-                let oc = slot
-                    .as_mut()
-                    .ok_or(ExtractError::NoteOutsideMethod { tid: ann.tid })?;
-                let mut kept = Vec::new();
-                for (l, ev) in oc.potential.drain(..) {
-                    if l == *label {
-                        oc.confirmed.push(ev);
+/// [`extract_calls`] with buffers kept across executions: the per-thread
+/// open-call state, and the call list, whose retired calls go back to a
+/// [`CallPool`] at the next extraction.
+#[derive(Default)]
+pub(crate) struct Extractor {
+    open: Vec<OpenCall>,
+    /// The calls of the last successful extraction.
+    pub(crate) calls: Vec<MethodCall>,
+}
+
+impl Extractor {
+    /// Extract `trace`'s calls into `self.calls`, retiring the previous
+    /// ones to `pool` and building the new ones in its buffers.
+    pub(crate) fn extract(
+        &mut self,
+        trace: &Trace,
+        pool: &mut CallPool,
+    ) -> Result<(), ExtractError> {
+        pool.retire(&mut self.calls);
+        let threads = trace.num_threads as usize;
+        if self.open.len() < threads {
+            self.open.resize_with(threads, OpenCall::default);
+        }
+        for oc in &mut self.open[..threads] {
+            oc.active = false;
+        }
+
+        for ann in &trace.annotations {
+            let tid = ann.tid;
+            let oc = &mut self.open[..threads][tid.idx()];
+            let outside = ExtractError::NoteOutsideMethod { tid };
+            match &ann.note {
+                SpecNote::MethodBegin { obj, name } => {
+                    if oc.active {
+                        oc.depth += 1; // nested: ignored
                     } else {
-                        kept.push((l, ev));
+                        oc.active = true;
+                        oc.obj = *obj;
+                        oc.name = name;
+                        oc.args.clear();
+                        oc.confirmed.clear();
+                        oc.potential.clear();
+                        oc.depth = 0;
                     }
                 }
-                oc.potential = kept;
+                SpecNote::MethodArg { val } => {
+                    if !oc.active {
+                        return Err(outside);
+                    }
+                    if oc.depth == 0 {
+                        oc.args.push(*val);
+                    }
+                }
+                SpecNote::MethodEnd { ret } => {
+                    if !oc.active {
+                        return Err(ExtractError::EndWithoutBegin { tid });
+                    }
+                    if oc.depth > 0 {
+                        oc.depth -= 1;
+                        continue;
+                    }
+                    oc.active = false;
+                    if oc.confirmed.is_empty() {
+                        return Err(ExtractError::NoOrderingPoints {
+                            tid,
+                            method: oc.name,
+                        });
+                    }
+                    let mut call = pool.0.pop().unwrap_or_else(|| MethodCall {
+                        id: CallId(0),
+                        tid,
+                        obj: 0,
+                        name: "",
+                        args: Vec::new(),
+                        ret: SpecVal::Unit,
+                        ordering_points: Vec::new(),
+                    });
+                    call.id = CallId(self.calls.len() as u32);
+                    call.tid = tid;
+                    call.obj = oc.obj;
+                    call.name = oc.name;
+                    call.args.clone_from(&oc.args);
+                    call.ret = *ret;
+                    call.ordering_points.clone_from(&oc.confirmed);
+                    self.calls.push(call);
+                }
+                SpecNote::OpDefine => {
+                    if !oc.active {
+                        return Err(outside);
+                    }
+                    let ev = ann.after.ok_or(ExtractError::OpWithoutOperation {
+                        tid,
+                        method: oc.name,
+                    })?;
+                    oc.confirmed.push(ev);
+                }
+                SpecNote::OpClear => {
+                    if !oc.active {
+                        return Err(outside);
+                    }
+                    oc.confirmed.clear();
+                    oc.potential.clear();
+                }
+                SpecNote::PotentialOp { label } => {
+                    if !oc.active {
+                        return Err(outside);
+                    }
+                    let ev = ann.after.ok_or(ExtractError::OpWithoutOperation {
+                        tid,
+                        method: oc.name,
+                    })?;
+                    oc.potential.push((label, ev));
+                }
+                SpecNote::OpCheck { label } => {
+                    if !oc.active {
+                        return Err(outside);
+                    }
+                    let confirmed = &mut oc.confirmed;
+                    oc.potential.retain(|&(l, ev)| {
+                        if l == *label {
+                            confirmed.push(ev);
+                        }
+                        l != *label
+                    });
+                }
             }
         }
-    }
 
-    for (i, slot) in open.iter().enumerate() {
-        if let Some(oc) = slot {
-            return Err(ExtractError::UnclosedMethod {
+        match self.open[..threads].iter().position(|oc| oc.active) {
+            Some(i) => Err(ExtractError::UnclosedMethod {
                 tid: Tid(i as u32),
-                method: oc.name,
-            });
+                method: self.open[i].name,
+            }),
+            None => Ok(()),
         }
     }
-    Ok(calls)
 }
 
 #[cfg(test)]

@@ -22,19 +22,34 @@ use std::sync::Arc;
 use cdsspec_c11::Trace;
 use cdsspec_mc::{Bug, Plugin};
 
-use crate::call::{extract_calls, MethodCall};
+use crate::call::{CallPool, Extractor, MethodCall};
 use crate::history::{CallOrder, HistoryPolicy, Replay, Walker};
-use crate::spec::{CallEval, MethodSpec, Spec};
+use crate::spec::{CallEval, Spec};
 
 #[cfg(test)]
 mod differential;
 
 /// The plugin. Cheap to construct per exploration; the spec itself is
-/// shared via `Arc`.
+/// shared via `Arc`. Every buffer below is reused across executions, so a
+/// warm checker allocates nothing on an execution whose calls fit them.
 pub struct SpecChecker<S> {
     spec: Arc<Spec<S>>,
-    /// Enumeration buffers, reused across executions.
+    /// Enumeration buffers.
     walker: Walker,
+    /// Call extraction.
+    extractor: Extractor,
+    /// The ordering relation `r` of the object being checked.
+    order: CallOrder,
+    /// Per call of that object: its method's index in the spec, and its
+    /// evaluation context (only the first `calls.len()` are live).
+    meths: Vec<usize>,
+    evals: Vec<CallEval>,
+    /// The execution's object ids, and one object's calls when there are
+    /// several.
+    objs: Vec<u64>,
+    projection: Vec<MethodCall>,
+    /// Retired calls, whose buffers the copies above are built in.
+    pool: CallPool,
 }
 
 impl<S> SpecChecker<S> {
@@ -43,6 +58,13 @@ impl<S> SpecChecker<S> {
         SpecChecker {
             spec,
             walker: Walker::default(),
+            extractor: Extractor::default(),
+            order: CallOrder::default(),
+            meths: Vec::new(),
+            evals: Vec::new(),
+            objs: Vec::new(),
+            projection: Vec::new(),
+            pool: CallPool::default(),
         }
     }
 
@@ -76,10 +98,6 @@ fn plugin_bug(message: String) -> Bug {
     }
 }
 
-/// One call's method spec, resolved once per checked object, and its
-/// evaluation context.
-type Step<'a, S> = (&'a MethodSpec<S>, CallEval);
-
 /// Render a history as `name(args)=ret -> …` for diagnostics.
 fn render_history(calls: &[MethodCall], h: &[usize]) -> String {
     h.iter()
@@ -100,7 +118,14 @@ fn render_history(calls: &[MethodCall], h: &[usize]) -> String {
 /// Build `r` from ordering points: `m1 → m2` iff some ordering point of
 /// `m1` is `hb`- or SC-ordered before one of `m2` (paper §5.2).
 pub fn build_call_order(trace: &Trace, calls: &[MethodCall]) -> CallOrder {
-    let mut order = CallOrder::new(calls.len());
+    let mut order = CallOrder::default();
+    build_call_order_into(trace, calls, &mut order);
+    order
+}
+
+/// [`build_call_order`] into a reused buffer.
+fn build_call_order_into(trace: &Trace, calls: &[MethodCall], order: &mut CallOrder) {
+    order.reset(calls.len());
     for (i, a) in calls.iter().enumerate() {
         for (j, b) in calls.iter().enumerate() {
             if i == j {
@@ -117,7 +142,6 @@ pub fn build_call_order(trace: &Trace, calls: &[MethodCall]) -> CallOrder {
         }
     }
     order.close();
-    order
 }
 
 impl<S: Send + 'static> SpecChecker<S> {
@@ -131,8 +155,11 @@ impl<S: Send + 'static> SpecChecker<S> {
                 ))];
             }
         }
-        let order = build_call_order(trace, calls);
-        self.check_order(calls, &order).0
+        let mut order = std::mem::take(&mut self.order);
+        build_call_order_into(trace, calls, &mut order);
+        let bugs = self.check_order(calls, &order).0;
+        self.order = order;
+        bugs
     }
 
     /// Steps 3–5 over `calls` (each with a method spec) ordered by
@@ -171,28 +198,39 @@ impl<S: Send + 'static> SpecChecker<S> {
         }
 
         // 4. Sequential histories (Definitions 2/5/6). Each call's method
-        // spec and `CallEval` are built once and reused across every
+        // index and `CallEval` are built once and reused across every
         // replayed history — a name lookup or the deep `MethodCall`/
         // `CONCURRENT` clones per history step dominated checking time on
         // history-heavy traces. Only `s_ret` varies between replays; it
-        // is re-armed before each use.
-        let mut steps: Vec<Step<S>> = (0..calls.len())
-            .map(|i| {
-                let meth = spec.lookup(calls[i].name).expect("checked above");
-                let eval = CallEval {
-                    call: calls[i].clone(),
-                    s_ret: cdsspec_c11::SpecVal::Unit,
-                    concurrent: (0..calls.len())
-                        .filter(|&j| order.concurrent(i, j))
-                        .map(|j| calls[j].clone())
-                        .collect(),
-                };
-                (meth, eval)
-            })
-            .collect();
+        // is re-armed before each use. The contexts are copied into the
+        // previous execution's buffers.
+        let n = calls.len();
+        self.meths.clear();
+        self.meths.extend(
+            calls
+                .iter()
+                .map(|c| spec.method_index(c.name).expect("checked above")),
+        );
+        while self.evals.len() < n {
+            self.evals.push(CallEval {
+                call: self.pool.copy(&calls[self.evals.len()]),
+                s_ret: cdsspec_c11::SpecVal::Unit,
+                concurrent: Vec::new(),
+            });
+        }
+        for (i, eval) in self.evals[..n].iter_mut().enumerate() {
+            eval.call.clone_from(&calls[i]);
+            eval.s_ret = cdsspec_c11::SpecVal::Unit;
+            self.pool.retire(&mut eval.concurrent);
+            for j in (0..n).filter(|&j| order.concurrent(i, j)) {
+                eval.concurrent.push(self.pool.copy(&calls[j]));
+            }
+        }
+        let meths = &self.meths[..];
+        let evals = &mut self.evals[..n];
 
         let mut all = CheckAll {
-            seq: Sequential::new(spec, &mut steps),
+            seq: Sequential::new(spec, meths, evals),
             calls,
             failure: None,
         };
@@ -207,11 +245,11 @@ impl<S: Send + 'static> SpecChecker<S> {
         // them.
         let mut bugs = Vec::new();
         for (i, call) in calls.iter().enumerate() {
-            if !steps[i].0.has_justification() {
+            if !spec.methods[meths[i]].has_justification() {
                 continue;
             }
             let mut search = Justify {
-                seq: Sequential::new(spec, &mut steps),
+                seq: Sequential::new(spec, meths, evals),
                 m: i,
                 justified: false,
             };
@@ -244,18 +282,21 @@ impl<S: Send + 'static> SpecChecker<S> {
 }
 
 /// The equivalent sequential data structure along a walk: the state
-/// after the current prefix, and each call's spec and context.
-struct Sequential<'w, 'a, S> {
-    spec: &'a Spec<S>,
-    steps: &'w mut [Step<'a, S>],
+/// after the current prefix, and each call's method (an index into the
+/// spec's methods) and context.
+struct Sequential<'w, S> {
+    spec: &'w Spec<S>,
+    meths: &'w [usize],
+    evals: &'w mut [CallEval],
     state: S,
 }
 
-impl<'w, 'a, S> Sequential<'w, 'a, S> {
-    fn new(spec: &'a Spec<S>, steps: &'w mut [Step<'a, S>]) -> Self {
+impl<'w, S> Sequential<'w, S> {
+    fn new(spec: &'w Spec<S>, meths: &'w [usize], evals: &'w mut [CallEval]) -> Self {
         Sequential {
             spec,
-            steps,
+            meths,
+            evals,
             state: (spec.init)(),
         }
     }
@@ -266,9 +307,9 @@ impl<'w, 'a, S> Sequential<'w, 'a, S> {
     fn reset(&mut self, prefix: &[usize]) {
         self.state = (self.spec.init)();
         for &v in prefix {
-            let (meth, eval) = &mut self.steps[v];
+            let eval = &mut self.evals[v];
             eval.s_ret = cdsspec_c11::SpecVal::Unit;
-            if let Some(se) = &meth.side_effect {
+            if let Some(se) = &self.spec.methods[self.meths[v]].side_effect {
                 se(&mut self.state, eval);
             }
         }
@@ -278,20 +319,21 @@ impl<'w, 'a, S> Sequential<'w, 'a, S> {
 /// Step 4 on the walker: each call's pre/postcondition, checked once per
 /// edge. Each call's context is re-armed (`s_ret` reset) before its
 /// pre/effect/post run.
-struct CheckAll<'w, 'a, S> {
-    seq: Sequential<'w, 'a, S>,
+struct CheckAll<'w, S> {
+    seq: Sequential<'w, S>,
     calls: &'w [MethodCall],
     /// The first violated condition, then its witness history.
     failure: Option<String>,
 }
 
-impl<S> Replay for CheckAll<'_, '_, S> {
+impl<S> Replay for CheckAll<'_, S> {
     fn reset(&mut self, prefix: &[usize]) {
         self.seq.reset(prefix);
     }
 
     fn step(&mut self, v: usize) -> bool {
-        let (meth, eval) = &mut self.seq.steps[v];
+        let meth = &self.seq.spec.methods[self.seq.meths[v]];
+        let eval = &mut self.seq.evals[v];
         let state = &mut self.seq.state;
         eval.s_ret = cdsspec_c11::SpecVal::Unit;
         if let Some(pre) = &meth.pre {
@@ -333,20 +375,21 @@ impl<S> Replay for CheckAll<'_, '_, S> {
 /// Step 5 on the walker: a search for a justifying subhistory of `m`,
 /// which every sort places last. Only `m`'s justifying conditions are
 /// checked; the other calls apply their side effects.
-struct Justify<'w, 'a, S> {
-    seq: Sequential<'w, 'a, S>,
+struct Justify<'w, S> {
+    seq: Sequential<'w, S>,
     m: usize,
     /// Did the last sort justify `m`?
     justified: bool,
 }
 
-impl<S> Replay for Justify<'_, '_, S> {
+impl<S> Replay for Justify<'_, S> {
     fn reset(&mut self, prefix: &[usize]) {
         self.seq.reset(prefix);
     }
 
     fn step(&mut self, v: usize) -> bool {
-        let (meth, eval) = &mut self.seq.steps[v];
+        let meth = &self.seq.spec.methods[self.seq.meths[v]];
+        let eval = &mut self.seq.evals[v];
         let state = &mut self.seq.state;
         eval.s_ret = cdsspec_c11::SpecVal::Unit;
         if v == self.m {
@@ -378,30 +421,48 @@ impl<S: Send + 'static> Plugin for SpecChecker<S> {
     /// instance independently against its own sequential state
     /// (specification composition, paper §3.2 / Theorem 1).
     fn check(&mut self, trace: &Trace) -> Vec<Bug> {
-        let all_calls = match extract_calls(trace) {
-            Ok(c) => c,
-            Err(e) => return vec![plugin_bug(format!("annotation error: {e}"))],
+        let mut extractor = std::mem::take(&mut self.extractor);
+        let bugs = match extractor.extract(trace, &mut self.pool) {
+            Ok(()) => self.check_calls(trace, &extractor.calls),
+            Err(e) => vec![plugin_bug(format!("annotation error: {e}"))],
         };
+        self.extractor = extractor;
+        bugs
+    }
+}
+
+impl<S: Send + 'static> SpecChecker<S> {
+    /// Check an execution's extracted calls, object by object.
+    fn check_calls(&mut self, trace: &Trace, all_calls: &[MethodCall]) -> Vec<Bug> {
         if all_calls.is_empty() {
             return Vec::new();
         }
-        let mut objs: Vec<u64> = all_calls.iter().map(|c| c.obj).collect();
+        let mut objs = std::mem::take(&mut self.objs);
+        objs.clear();
+        objs.extend(all_calls.iter().map(|c| c.obj));
         objs.sort_unstable();
         objs.dedup();
         // Single-object executions (the overwhelmingly common case) skip
-        // the per-object projection clone entirely.
-        if objs.len() == 1 {
-            return self.check_object(trace, &all_calls);
-        }
-        let mut bugs = Vec::new();
-        for obj in objs {
-            let calls: Vec<MethodCall> =
-                all_calls.iter().filter(|c| c.obj == obj).cloned().collect();
-            bugs.extend(self.check_object(trace, &calls));
-            if !bugs.is_empty() {
-                break; // one witness per execution
+        // the per-object projection entirely.
+        let bugs = if objs.len() == 1 {
+            self.check_object(trace, all_calls)
+        } else {
+            let mut calls = std::mem::take(&mut self.projection);
+            let mut bugs = Vec::new();
+            for &obj in &objs {
+                self.pool.retire(&mut calls);
+                for c in all_calls.iter().filter(|c| c.obj == obj) {
+                    calls.push(self.pool.copy(c));
+                }
+                bugs.extend(self.check_object(trace, &calls));
+                if !bugs.is_empty() {
+                    break; // one witness per execution
+                }
             }
-        }
+            self.projection = calls;
+            bugs
+        };
+        self.objs = objs;
         bugs
     }
 }

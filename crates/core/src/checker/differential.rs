@@ -19,6 +19,10 @@ use rand::{Rng, SeedableRng};
 
 use super::*;
 use crate::call::CallId;
+use crate::spec::MethodSpec;
+
+/// One call's method spec and its evaluation context.
+type Step<'a, S> = (&'a MethodSpec<S>, CallEval);
 
 /// The sequential state: a hash of the calls applied, in order. Neither
 /// `Clone` nor `Hash`, like a spec state the checker cannot copy.

@@ -30,7 +30,7 @@ const WORD: usize = u64::BITS as usize;
 /// relation and of its closure coincide, a call is ready to place once its
 /// row is a subset of the calls placed so far, and its justifying
 /// subhistories are the sortings of its row followed by the call itself.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CallOrder {
     n: usize,
     /// Mask words per row.
@@ -42,12 +42,17 @@ pub struct CallOrder {
 impl CallOrder {
     /// An order over `n` calls with no edges yet.
     pub fn new(n: usize) -> Self {
-        let words = n.div_ceil(WORD);
-        CallOrder {
-            n,
-            words,
-            pred: vec![0; n * words],
-        }
+        let mut order = CallOrder::default();
+        order.reset(n);
+        order
+    }
+
+    /// Make this an order over `n` calls with no edges, in the same buffer.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(WORD);
+        self.pred.clear();
+        self.pred.resize(n * self.words, 0);
     }
 
     /// Number of calls.

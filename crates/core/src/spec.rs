@@ -237,7 +237,12 @@ impl<S> Spec<S> {
 
     /// Look up a method spec by name.
     pub(crate) fn lookup(&self, name: &str) -> Option<&MethodSpec<S>> {
-        self.methods.iter().find(|m| m.name == name)
+        self.method_index(name).map(|i| &self.methods[i])
+    }
+
+    /// The position of method `name` among the method specs.
+    pub(crate) fn method_index(&self, name: &str) -> Option<usize> {
+        self.methods.iter().position(|m| m.name == name)
     }
 
     /// Number of method specs (statistics harness).

@@ -9,7 +9,7 @@ use crate::worker::with_ctx;
 
 /// Perform a visible operation for the calling modeled thread.
 pub(crate) fn visible_op(op: Op) -> Reply {
-    with_ctx(|ctx| runtime::visible_op(&ctx.shared, ctx.tid, op))
+    with_ctx(|ctx| runtime::visible_op(ctx.shared, ctx.tid, op))
 }
 
 /// Modeled threads.
@@ -44,7 +44,7 @@ pub mod thread {
     /// operation.
     pub fn spawn<F: FnOnce() + Send + 'static>(f: F) -> JoinHandle {
         with_ctx(|ctx| {
-            let tid = runtime::spawn_thread(&ctx.shared, ctx.tid, Box::new(f));
+            let tid = runtime::spawn_thread(ctx.shared_arc(), ctx.tid, Box::new(f));
             JoinHandle { tid }
         })
     }
@@ -123,15 +123,16 @@ pub fn new_object_id() -> u64 {
     if !crate::worker::in_model() {
         return 0;
     }
-    with_ctx(|ctx| ctx.shared.inner.lock().mem.next_object_id())
+    with_ctx(|ctx| ctx.lock().mem.next_object_id())
 }
 
 /// Record a specification annotation (used by `cdsspec-core`; data
-/// structures call the typed wrappers there instead).
+/// structures call the typed wrappers there instead). The note is
+/// buffered without taking the execution lock and committed, anchored to
+/// the thread's last event, by the thread's next engine call (see
+/// `Shared::lock_as`).
 pub fn annotate(note: SpecNote) {
-    with_ctx(|ctx| {
-        ctx.shared.inner.lock().mem.annotate(ctx.tid, note);
-    })
+    with_ctx(|_| crate::worker::buffer_note(note))
 }
 
 /// Model-checked assertion: panics (reported as a bug with the message)

@@ -36,13 +36,7 @@ impl<T: PrimVal> Atomic<T> {
     /// unordered store by the constructing thread; visibility to other
     /// threads flows through whatever publishes the handle).
     pub fn new(v: T) -> Self {
-        let loc = with_ctx(|ctx| {
-            ctx.shared
-                .inner
-                .lock()
-                .mem
-                .alloc_atomic(ctx.tid, Some(v.to_bits()))
-        });
+        let loc = with_ctx(|ctx| ctx.lock().mem.alloc_atomic(ctx.tid, Some(v.to_bits())));
         Atomic {
             loc,
             _marker: PhantomData,
@@ -53,7 +47,7 @@ impl<T: PrimVal> Atomic<T> {
     /// before any store are reported as CDSChecker-style "uninitialized
     /// load" bugs — this is how the known Chase-Lev resize bug manifests.
     pub fn uninit() -> Self {
-        let loc = with_ctx(|ctx| ctx.shared.inner.lock().mem.alloc_atomic(ctx.tid, None));
+        let loc = with_ctx(|ctx| ctx.lock().mem.alloc_atomic(ctx.tid, None));
         Atomic {
             loc,
             _marker: PhantomData,

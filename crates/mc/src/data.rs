@@ -28,7 +28,7 @@ impl<T: PrimVal> Data<T> {
     /// A new cell initialized to `v` by the current thread.
     pub fn new(v: T) -> Self {
         let d = with_ctx(|ctx| {
-            let mut st = ctx.shared.inner.lock();
+            let mut st = ctx.lock();
             let id = st.mem.alloc_data();
             // The constructor's write is ordered before any access through
             // a published handle, so it is never racy.
@@ -48,9 +48,9 @@ impl<T: PrimVal> Data<T> {
     /// past it ends the execution as diverged, as at a visible op.
     pub fn read(&self) -> T {
         with_ctx(|ctx| {
-            let mut st = ctx.shared.inner.lock();
+            let mut st = ctx.lock();
             let (val, bug) = st.mem.apply_data_read(ctx.tid, self.id);
-            runtime::data_access_done(&ctx.shared, st, ctx.tid, bug);
+            runtime::data_access_done(ctx.shared, st, ctx.tid, bug);
             T::from_bits(val)
         })
     }
@@ -58,9 +58,9 @@ impl<T: PrimVal> Data<T> {
     /// Non-atomic write; races are reported as built-in bugs.
     pub fn write(&self, v: T) {
         with_ctx(|ctx| {
-            let mut st = ctx.shared.inner.lock();
+            let mut st = ctx.lock();
             let bug = st.mem.apply_data_write(ctx.tid, self.id, v.to_bits());
-            runtime::data_access_done(&ctx.shared, st, ctx.tid, bug);
+            runtime::data_access_done(ctx.shared, st, ctx.tid, bug);
         })
     }
 

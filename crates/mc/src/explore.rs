@@ -49,7 +49,7 @@ use std::time::Instant;
 use crate::config::Config;
 use crate::plugin::{Plugin, PluginFactory};
 use crate::report::{Bug, FoundBug, ShardSpec, Stats, StopReason, MAX_BUG_RECORDS};
-use crate::runtime::{run_once, ChoiceRec, Reuse, RunOutcome, RunResult};
+use crate::runtime::{run_once, ChoiceRec, Reuse, RunOutcome};
 use crate::worker::{panic_message, Pool};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -66,7 +66,14 @@ use rand::SeedableRng;
 ///
 /// Version 2: a suite frontier shard stands for its own subtree only,
 /// where a version-1 shard also covered every later suite part.
-pub const TREE_VERSION: u64 = 2;
+///
+/// Version 3: with sleep sets on, a thread whose pending op is invisible
+/// (a join, spin, yield or non-SC fence) runs first without branching,
+/// its decision recorded with one option unless the execution ends
+/// before the next one; and
+/// `rf_signature` hashes with a one-multiply mixer instead of FNV-1a, so
+/// signatures persisted under version 2 do not compare with new ones.
+pub const TREE_VERSION: u64 = 3;
 
 /// One explorer worker: a DFS over the shards the coordinator hands it.
 pub(crate) struct Explorer {
@@ -127,16 +134,18 @@ impl Explorer {
         }
     }
 
-    /// Run one execution and fold its outcome into the stats. Returns the
-    /// choice record (for DFS backtracking) plus `Some(reason)` when the
-    /// campaign must stop because of what happened *inside* the execution
-    /// (a bug with `stop_on_first_bug`, or a crashed checker).
-    pub(crate) fn step(
-        &mut self,
-        script: &[usize],
-        sampler: Option<StdRng>,
-    ) -> (RunResult, Option<StopReason>) {
-        let mut result = run_once(
+    /// The choice record of the last execution [`Explorer::step`] ran
+    /// (for DFS backtracking).
+    pub(crate) fn choices(&self) -> &[ChoiceRec] {
+        &self.reuse.choices
+    }
+
+    /// Run one execution and fold its outcome into the stats. Returns
+    /// `Some(reason)` when the campaign must stop because of what happened
+    /// *inside* the execution (a bug with `stop_on_first_bug`, or a
+    /// crashed checker).
+    pub(crate) fn step(&mut self, script: &[usize], sampler: Option<StdRng>) -> Option<StopReason> {
+        let result = run_once(
             &self.config,
             &self.pool,
             script,
@@ -145,7 +154,7 @@ impl Explorer {
             &mut self.reuse,
         );
         self.stats.executions += 1;
-        self.stats.peak_depth = self.stats.peak_depth.max(result.choices.len() as u64);
+        self.stats.peak_depth = self.stats.peak_depth.max(self.reuse.choices.len() as u64);
         self.stats.executions_pruned += result.pruned;
 
         if self.config.verbose {
@@ -254,10 +263,9 @@ impl Explorer {
         }
         // The plugins are done with the trace: hand the buffer back to the
         // harness so the next execution's event/mo/sc vectors start at
-        // their high-water capacity. Callers of `step` only consume the
-        // outcome and the choice record.
-        self.reuse.trace = Some(std::mem::take(&mut result.trace));
-        (result, stop)
+        // their high-water capacity.
+        self.reuse.trace = Some(result.trace);
+        stop
     }
 
     /// Deadline degradation, run after the merge on worker 0: probe the
@@ -276,7 +284,7 @@ impl Explorer {
                 break;
             };
             let rng = StdRng::seed_from_u64(self.config.sample_seed.wrapping_add(i));
-            let (result, stop) = self.step(&prefix, Some(rng));
+            let stop = self.step(&prefix, Some(rng));
             self.stats.sampled += 1;
             if stop.is_some() {
                 // Keep `Deadline` as the overall stop reason unless the
@@ -290,7 +298,8 @@ impl Explorer {
             // Advance the DFS frontier past the prefix we just probed.
             // Only the scripted prefix is deterministic; the random tail
             // must not leak into the stored frontier.
-            let replayed = &result.choices[..prefix.len().min(result.choices.len())];
+            let choices = self.choices();
+            let replayed = &choices[..prefix.len().min(choices.len())];
             frontier = next_script(replayed);
         }
         merged.add_counters(&self.stats);
@@ -350,19 +359,28 @@ fn next_script(choices: &[ChoiceRec]) -> Option<Vec<usize>> {
 /// `>= floor`. Returns `None` when the shard's subtree is exhausted —
 /// alternatives above the floor belong to other shards.
 pub(crate) fn next_script_bounded(choices: &[ChoiceRec], floor: usize) -> Option<Vec<usize>> {
-    let mut i = choices.len();
-    loop {
-        if i <= floor {
-            return None;
-        }
-        i -= 1;
-        if choices[i].picked + 1 < choices[i].num_options {
-            break;
-        }
-    }
-    let mut script: Vec<usize> = choices[..i].iter().map(|c| c.picked).collect();
+    let mut script = Vec::new();
+    next_script_into(choices, floor, &mut script).then_some(script)
+}
+
+/// [`next_script_bounded`] into a reused buffer: overwrite `script` with
+/// the next script and return `true`, or leave it alone and return
+/// `false` when the shard is exhausted.
+pub(crate) fn next_script_into(
+    choices: &[ChoiceRec],
+    floor: usize,
+    script: &mut Vec<usize>,
+) -> bool {
+    let Some(i) = (floor..choices.len())
+        .rev()
+        .find(|&i| choices[i].picked + 1 < choices[i].num_options)
+    else {
+        return false;
+    };
+    script.clear();
+    script.extend(choices[..i].iter().map(|c| c.picked));
     script.push(choices[i].picked + 1);
-    Some(script)
+    true
 }
 
 /// Sibling subtrees a capped shard splits off its DFS path, at most.

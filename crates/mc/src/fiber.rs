@@ -123,7 +123,7 @@ use cdsspec_c11::Tid;
 use crate::config::Config;
 use crate::report::Bug;
 use crate::runtime::Shared;
-use crate::worker::{self, Job};
+use crate::worker::{self, Body, Job};
 
 /// Is fiber hosting implemented for this target?
 pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", unix));
@@ -455,6 +455,9 @@ impl Stack {
 
 thread_local! {
     static RT: RefCell<Option<FiberRt>> = const { RefCell::new(None) };
+    /// The slot list (emptied) and host save slot of the last execution
+    /// this OS thread hosted, so the next one allocates neither.
+    static SPARE: Cell<Option<(Vec<FiberSlot>, Box<usize>)>> = const { Cell::new(None) };
     /// Stacks recycled across the executions hosted by this OS thread.
     static STACK_POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
 }
@@ -502,6 +505,8 @@ fn pool_size() -> usize {
 struct FiberSlot {
     tid: Tid,
     stack: Stack,
+    /// What the fiber runs, until its root takes it on first entry.
+    job: Option<Job>,
     /// Has the fiber run at least once? Unstarted fibers hold the running
     /// token (they are "executing user code" as far as the scheduler's
     /// accounting goes) and must be given control before the token count
@@ -536,12 +541,6 @@ struct FiberRt {
     stack_size: usize,
 }
 
-/// Is a fiber-hosted execution in progress on this OS thread?
-pub(crate) fn active() -> bool {
-    let _gate = engine_section();
-    RT.with(|rt| rt.borrow().is_some())
-}
-
 /// The lowest-tid fiber that has never run. Token accounting (see
 /// [`FiberSlot::started`]) guarantees one exists whenever the running
 /// count is nonzero and the current fiber has posted its operation.
@@ -565,15 +564,16 @@ pub(crate) fn first_unstarted() -> Option<Tid> {
 /// draining its surviving fibers.
 pub(crate) fn run_execution(
     shared: &Arc<Shared>,
-    closure: Box<dyn FnOnce() + Send + 'static>,
+    main: Body,
     hang_timeout: Option<Duration>,
     stack_size: usize,
 ) {
+    let (fibers, host_sp) = SPARE.take().unwrap_or_default();
     RT.with(|rt| {
         let prev = rt.borrow_mut().replace(FiberRt {
             shared: Arc::clone(shared),
-            fibers: Vec::new(),
-            host_sp: Box::new(0),
+            fibers,
+            host_sp,
             current: None,
             poisoned: false,
             stack_size: effective_stack_size(stack_size),
@@ -585,7 +585,7 @@ pub(crate) fn run_execution(
         let rt = rt.as_ref().expect("fiber rt just installed");
         HOST_SP_SLOT.set(&*rt.host_sp as *const usize);
     });
-    spawn_fiber(Tid::MAIN, Arc::clone(shared), closure);
+    spawn_fiber(Tid::MAIN, Arc::clone(shared), main);
     signals::ensure();
     let watch = watchdog::arm(shared, hang_timeout);
 
@@ -601,7 +601,7 @@ pub(crate) fn run_execution(
             Some(rescue) => {
                 // The abandoned fiber's modeled-thread context is still
                 // installed; clear it before engine code runs here.
-                worker::set_fiber_ctx(None);
+                worker::clear_ctx();
                 RT.with(|rt| {
                     let mut rt = rt.borrow_mut();
                     let rt = rt.as_mut().expect("fiber rt present during rescue");
@@ -625,7 +625,7 @@ pub(crate) fn run_execution(
     // Teardown: reclaim the stacks. An abandoned stack is leaked (its
     // frames own live state); after any rescue the whole pool is
     // discarded; a stack whose canary died is dropped.
-    let rt = RT
+    let mut rt = RT
         .with(|rt| rt.borrow_mut().take())
         .expect("fiber rt present");
     HOST_SP_SLOT.set(std::ptr::null());
@@ -638,7 +638,7 @@ pub(crate) fn run_execution(
     if poisoned {
         poison_pool();
     }
-    for f in rt.fibers {
+    for f in rt.fibers.drain(..) {
         if f.abandoned {
             std::mem::forget(f.stack);
         } else if !poisoned && f.stack.canary_ok() {
@@ -646,16 +646,13 @@ pub(crate) fn run_execution(
         }
         // else: drop frees/unmaps it.
     }
+    SPARE.set(Some((rt.fibers, rt.host_sp)));
 }
 
 /// Create (but do not run) the fiber for modeled thread `tid`. Called by
 /// [`crate::runtime::spawn_thread`] in place of a pool dispatch; the new
 /// fiber holds the running token until its first visible operation.
-pub(crate) fn spawn_fiber(
-    tid: Tid,
-    shared: Arc<Shared>,
-    closure: Box<dyn FnOnce() + Send + 'static>,
-) {
+pub(crate) fn spawn_fiber(tid: Tid, shared: Arc<Shared>, body: Body) {
     let _gate = engine_section();
     let size = RT.with(|rt| {
         rt.borrow()
@@ -664,18 +661,14 @@ pub(crate) fn spawn_fiber(
             .stack_size
     });
     let mut stack = checkout_stack(size);
-    let job = Box::new(Job {
-        tid,
-        shared,
-        closure,
-    });
-    arch::craft_initial_frame(&mut stack, Box::into_raw(job) as usize);
+    arch::craft_initial_frame(&mut stack, tid.0 as usize);
     RT.with(|rt| {
         let mut rt = rt.borrow_mut();
         let rt = rt.as_mut().expect("spawn_fiber outside a fiber execution");
         rt.fibers.push(FiberSlot {
             tid,
             stack,
+            job: Some(Job { tid, shared, body }),
             started: false,
             dead: false,
             abandoned: false,
@@ -823,31 +816,43 @@ fn slot_mut(rt: &mut FiberRt, tid: Tid) -> &mut FiberSlot {
         .expect("fiber slot exists for every registered thread")
 }
 
-/// (Re)install the modeled-thread context for the fiber about to run.
+/// (Re)install the modeled-thread context for the fiber about to run,
+/// or clear it when control goes back to the host.
 fn install_ctx(tid: Option<Tid>, shared: &Arc<Shared>) {
-    worker::set_fiber_ctx(tid.map(|tid| worker::Ctx {
-        tid,
-        shared: Arc::clone(shared),
-    }));
+    match tid {
+        // SAFETY: `shared` is `FiberRt::shared`, alive until
+        // `run_execution`'s teardown; by then the last fiber's exit (or a
+        // rescue) has cleared the context.
+        Some(tid) => unsafe { worker::set_ctx(tid, shared) },
+        None => worker::clear_ctx(),
+    }
 }
 
 /// Root of every fiber: run the modeled thread like a pooled worker
 /// would, then hand control to whichever fiber the runtime says runs
-/// next. `arg` is the boxed [`Job`] smuggled through the crafted initial
-/// stack frame.
+/// next. `arg` is the fiber's tid, passed through the crafted initial
+/// stack frame; its [`Job`] waits in its slot.
 extern "C" fn fiber_entry(arg: usize) -> ! {
     // The switch that started this fiber left its transfer window open.
     end_transfer();
     // `exit_current` never returns, so nothing in this frame is ever
     // dropped: everything the root owns lives in this block and is gone
-    // before the terminal switch (the job box and a `Shared` count would
-    // otherwise leak once per fiber).
+    // before the terminal switch (the job's closure and a `Shared` count
+    // would otherwise leak once per fiber).
     let next = {
-        let job = unsafe { Box::from_raw(arg as *mut Job) };
+        let job = {
+            let _gate = engine_section();
+            RT.with(|rt| {
+                let mut rt = rt.borrow_mut();
+                let rt = rt.as_mut().expect("fiber entry outside a fiber execution");
+                slot_mut(rt, Tid(arg as u32)).job.take()
+            })
+            .expect("a fiber's job is taken once, on first entry")
+        };
         let shared = Arc::clone(&job.shared);
         // run_job installs the context itself and catches every unwind
         // (normal return, DieMarker abort, real panic) before this frame.
-        worker::run_job(*job);
+        worker::run_job(job);
         // Past this point the job's exit is fully accounted (`job_exited`
         // ran); a rescue landing in the remaining window would double-count
         // it. Shut the gate for the rest of this fiber's life — the guard is

@@ -116,8 +116,11 @@ pub struct MemState {
     pub trace: Trace,
     /// Modeled threads (index = tid).
     pub threads: Vec<ThreadState>,
-    /// Per-atomic-location store lists live in `trace.mo`.
+    /// Non-atomic locations (the atomic ones' store lists live in
+    /// `trace.mo`). Only the first `data_len` are live; the rest keep
+    /// their read-set buffers for [`Self::alloc_data`] to reuse.
     data: Vec<DataState>,
+    data_len: usize,
     /// Release payloads of stores, indexed by event id.
     sync_of: Vec<Option<Payload>>,
     /// Per-location mo index of the latest SC store (29.3 p3-p4).
@@ -146,21 +149,21 @@ impl MemState {
     }
 
     /// Rewind to the initial state (main thread registered, nothing else),
-    /// recycling `recycle` as the new trace buffer so the event/mo/sc
-    /// vectors keep the capacity earlier executions grew. Equivalent to
-    /// `*self = MemState::new()` up to observable behavior.
-    pub fn reset(&mut self, mut recycle: Trace) {
-        self.mo_pool.extend(recycle.mo.drain(..).map(|mut v| {
+    /// keeping the capacity earlier executions grew in every buffer: the
+    /// trace's columns, the store lists, the per-thread and per-location
+    /// tables. Equivalent to `*self = MemState::new()` up to observable
+    /// behavior.
+    pub fn reset(&mut self) {
+        self.mo_pool.extend(self.trace.mo.drain(..).map(|mut v| {
             v.clear();
             v
         }));
         // Clears every column and incremental index while keeping their
         // capacity.
-        recycle.clear();
-        self.trace = recycle;
+        self.trace.clear();
         self.threads.clear();
         self.threads.push(ThreadState::default());
-        self.data.clear();
+        self.data_len = 0;
         self.sync_of.clear();
         self.sc_last_store = CoherenceMap::new();
         self.sc_fence_published = CoherenceMap::new();
@@ -203,8 +206,16 @@ impl MemState {
 
     /// Allocate a fresh non-atomic location.
     pub fn alloc_data(&mut self) -> DataId {
-        let id = DataId(self.data.len() as u32);
-        self.data.push(DataState::default());
+        let id = DataId(self.data_len as u32);
+        if self.data_len == self.data.len() {
+            self.data.push(DataState::default());
+        } else {
+            let d = &mut self.data[self.data_len];
+            d.value = 0;
+            d.last_write = None;
+            d.reads_since_write.clear();
+        }
+        self.data_len += 1;
         id
     }
 

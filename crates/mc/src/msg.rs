@@ -122,6 +122,21 @@ impl Op {
         }
     }
 
+    /// Is the op *invisible*: independent of every op of every other
+    /// thread ([`Op::dependent`] is false for it against anything), and
+    /// unable to be disabled by one? That holds for spins, yields, non-SC
+    /// fences and joins, the latter once enabled: a finished thread stays
+    /// finished. `schedule` runs such an op first without branching, and
+    /// branches there after all if the execution ends before the next
+    /// decision (see ARCHITECTURE.md, "Exploration identity").
+    pub fn invisible(&self) -> bool {
+        match self {
+            Op::Join { .. } | Op::Spin | Op::Yield => true,
+            Op::Fence { ord } => !ord.is_seq_cst(),
+            Op::Load { .. } | Op::Store { .. } | Op::Rmw { .. } => false,
+        }
+    }
+
     /// Dependence relation used by the sleep-set reduction.
     ///
     /// Two pending ops are *independent* when executing them in either

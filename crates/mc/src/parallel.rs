@@ -50,7 +50,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::Config;
-use crate::explore::{next_script_bounded, split_frontier, stop_frontier, Explorer};
+use crate::explore::{next_script_into, split_frontier, stop_frontier, Explorer};
 use crate::plugin::Plugin;
 use crate::report::{ShardSpec, Stats, StopReason};
 use crate::worker::run_shard_threads;
@@ -162,23 +162,26 @@ fn shard_worker(coord: &Coordinator, mut ex: Explorer) -> (Explorer, Vec<ShardSp
         let mut floor = shard.floor;
         let mut script = shard.script;
         loop {
-            let (result, stop) = ex.step(&script, None);
+            let stop = ex.step(&script, None);
             let total = coord.executions.fetch_add(1, Ordering::Relaxed) + 1;
             // Where DFS would go next — recorded before deciding to stop,
-            // so an interrupted run always knows its frontier.
-            let frontier = next_script_bounded(&result.choices, floor);
+            // so an interrupted run always knows its frontier. The script
+            // just run is overwritten in place.
+            let more = next_script_into(ex.choices(), floor, &mut script);
 
             if let Some(reason) = stop {
                 ex.stats.stop = ex.stats.stop.worst(reason);
                 coord.halt(reason);
-                leftovers.extend(frontier.map(|script| ShardSpec { floor, script }));
+                if more {
+                    leftovers.push(ShardSpec { floor, script });
+                }
                 break 'shards;
             }
             // Exhaustion outranks the resource limits: a cap or deadline
             // that fires on the final leaf did not truncate anything.
-            let Some(next) = frontier else {
+            if !more {
                 continue 'shards; // shard exhausted; fetch the next one
-            };
+            }
             // The deadline is only checked between executions: partition
             // counts stay exact across checkpoint/resume.
             let limit = if total >= coord.max_executions {
@@ -194,13 +197,12 @@ fn shard_worker(coord: &Coordinator, mut ex: Explorer) -> (Explorer, Vec<ShardSp
             // This worker's own limit, or someone else stopped the run:
             // park the frontier and go.
             if let Some(reason) =
-                limit.or_else(|| coord.check_in(&next, &result.choices, &mut floor))
+                limit.or_else(|| coord.check_in(&script, ex.choices(), &mut floor))
             {
                 ex.stats.stop = ex.stats.stop.worst(reason);
-                leftovers.extend(stop_frontier(reason, next, &result.choices, floor));
+                leftovers.extend(stop_frontier(reason, script, ex.choices(), floor));
                 break 'shards;
             }
-            script = next;
         }
     }
     (ex, leftovers)

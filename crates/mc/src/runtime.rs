@@ -31,7 +31,7 @@ use crate::config::Config;
 use crate::memstate::MemState;
 use crate::msg::{Op, Reply, RmwKind};
 use crate::report::Bug;
-use crate::worker::{DieMarker, Job, Pool};
+use crate::worker::{Body, DieMarker, Job, Pool};
 
 /// One recorded choice point.
 #[derive(Clone, Copy, Debug)]
@@ -62,11 +62,11 @@ pub(crate) enum RunOutcome {
     EngineError(String),
 }
 
-/// Result of one execution.
+/// Result of one execution. Its choice record is left in
+/// [`Reuse::choices`].
 pub(crate) struct RunResult {
     pub outcome: RunOutcome,
     pub trace: Trace,
-    pub choices: Vec<ChoiceRec>,
     /// The execution wedged an OS worker that had to be leaked (the
     /// watchdog aborted, but one job never exited). The per-execution
     /// arena is intentionally kept alive in this case.
@@ -112,12 +112,22 @@ pub(crate) struct ExecState {
     futile: Vec<Vec<FutileSlot>>,
     /// Thread scheduled most recently (preferred by the default schedule).
     last_sched: Tid,
+    /// The last scheduling decision ran an invisible op without a choice
+    /// point (see [`schedule`]) and had `.1` options: `.0` indexes its
+    /// one-option record in `choices`. If the execution is aborted before
+    /// the next decision, [`abort`] reopens that record to all `.1`
+    /// options.
+    reopenable: Option<(usize, usize)>,
     /// Execution verdict; set exactly once.
     outcome: Option<RunOutcome>,
     /// Abort in progress: every live thread has a `Reply::Die` deposited
     /// and unwinds with [`DieMarker`] when it picks it up (or at its next
     /// visible op).
     dying: bool,
+    /// The modeled threads run as fibers of the explorer's thread
+    /// (`fiber::HostChoice::Fiber`), so nobody waits on a condvar: a
+    /// parked fiber finds its reply itself (see [`fiber_next`]).
+    fibers: bool,
     /// Sleep-blocked run-out in progress: the outcome is already
     /// `SleepPruned`, and instead of unwinding every live thread the
     /// scheduler keeps going until they all return normally. Sleep sets
@@ -191,6 +201,23 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Lock the execution state on behalf of modeled thread `tid`, which
+    /// runs on the calling OS thread, and commit the annotations it
+    /// buffered since its last engine call (`worker::buffer_note`) before
+    /// anything else happens under the lock. Every engine call a modeled
+    /// thread makes goes through here, so each note is anchored to the
+    /// thread's last event exactly as if it had been committed when
+    /// recorded: between two engine calls the thread commits no event.
+    /// Under fiber hosting no other thread runs either, so the notes keep
+    /// their order across threads. On the OS-thread pool a spawned child
+    /// runs beside its parent until its first visible op, and the two
+    /// threads' notes in that window race, as they always have.
+    pub(crate) fn lock_as(&self, tid: Tid) -> MutexGuard<'_, ExecState> {
+        let mut st = self.inner.lock();
+        crate::worker::drain_notes(|note| st.mem.annotate(tid, note));
+        st
+    }
+
     fn cv(&self, tid: Tid) -> Arc<Condvar> {
         self.cvs.lock()[tid.idx()].clone()
     }
@@ -261,6 +288,35 @@ impl ExecState {
         picked
     }
 
+    /// [`ExecState::choose`] for a decision whose option 0 is an
+    /// invisible op that runs without branching (see [`schedule`]). A
+    /// fresh decision takes it, records one option and remembers the
+    /// record in `reopenable`; a replay takes the script's option, which
+    /// is not 0 only for a record [`abort`] reopened, and then records
+    /// all `n`.
+    fn choose_unbranched(&mut self, n: usize) -> usize {
+        if n <= 1 {
+            return 0;
+        }
+        let fresh = self.cursor >= self.script.len();
+        let picked = if fresh { 0 } else { self.script[self.cursor] };
+        assert!(
+            picked < n,
+            "replay divergence: script wants option {picked} of {n} at choice {} — \
+             the test closure is nondeterministic",
+            self.cursor
+        );
+        if fresh {
+            self.reopenable = Some((self.choices.len(), n));
+        }
+        self.choices.push(ChoiceRec {
+            picked,
+            num_options: if picked == 0 { 1 } else { n },
+        });
+        self.cursor += 1;
+        picked
+    }
+
     fn register_thread(&mut self) -> Tid {
         let idx = self.pending.len();
         self.pending.push(None);
@@ -288,8 +344,8 @@ impl ExecState {
     /// `Shared` back through [`Reuse`]. The `config` is deliberately kept:
     /// a `Reuse` never crosses explorers, and an explorer's config is
     /// fixed for its lifetime.
-    fn reset(&mut self, script: &[usize], sampler: Option<StdRng>, recycle: Trace) {
-        self.mem.reset(recycle);
+    fn reset(&mut self, script: &[usize], sampler: Option<StdRng>) {
+        self.mem.reset();
         self.script.clear();
         self.script.extend_from_slice(script);
         self.cursor = 0;
@@ -302,6 +358,7 @@ impl ExecState {
         self.sleep.clear();
         self.spins.clear();
         self.last_sched = Tid::MAIN;
+        self.reopenable = None;
         self.outcome = None;
         self.dying = false;
         self.running_out = false;
@@ -392,6 +449,12 @@ impl ExecState {
             return Err(RunOutcome::Diverged);
         }
         Ok(())
+    }
+
+    /// Is `t`'s pending op invisible (`Op::invisible`)? Such an op runs
+    /// without branching (see [`schedule`]).
+    fn unbranched(&self, t: Tid) -> bool {
+        self.pending[t.idx()].as_ref().is_some_and(Op::invisible)
     }
 
     /// Record a read for futile-read tracking; `true` = prune.
@@ -581,6 +644,7 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
         return abort(shared, st, RunOutcome::BugFound(Bug::Deadlock { blocked }));
     }
 
+    let mut run_first = None;
     if st.config.sleep_sets && !st.running_out {
         let sleep = &st.sleep;
         if runnable.iter().all(|t| sleep[t.idx()]) {
@@ -592,6 +656,19 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
             st.wake_floor.fill(None);
         } else {
             runnable.retain(|t| !sleep[t.idx()]);
+            // A thread whose pending op is invisible (`Op::invisible`)
+            // runs at once, with no thread put to sleep: the op commutes
+            // with every op of every other thread, and nothing can disable
+            // it. The last-scheduled thread goes first, then the lowest
+            // tid. The decision is still recorded, with one option, so
+            // that `abort` can reopen it to every runnable thread if the
+            // execution ends before the next decision (see
+            // `ExecState::reopenable`).
+            run_first = if st.unbranched(st.last_sched) && runnable.contains(&st.last_sched) {
+                Some(st.last_sched)
+            } else {
+                runnable.iter().copied().find(|&t| st.unbranched(t))
+            };
         }
     }
     // Prefer continuing the last-scheduled thread: fewer context switches
@@ -616,7 +693,16 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
         });
     }
 
-    let pick = st.choose(runnable.len());
+    st.reopenable = None;
+    let pick = match run_first {
+        Some(u) => {
+            // The invisible op is option 0; the rest keep their order.
+            let pos = runnable.iter().position(|&t| t == u).expect("runnable");
+            runnable[..=pos].rotate_right(1);
+            st.choose_unbranched(runnable.len())
+        }
+        None => st.choose(runnable.len()),
+    };
     let t = runnable[pick];
     for &u in &runnable[..pick] {
         st.sleep[u.idx()] = true;
@@ -705,7 +791,7 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
             // Under fiber hosting nobody waits on condvars: the parked
             // fiber that ran this decision finds the reply itself and
             // stack-switches to its owner (see `fiber_next`).
-            if t != caller && !crate::fiber::active() {
+            if t != caller && !st.fibers {
                 shared.cv(t).notify_one();
             }
         }
@@ -721,16 +807,23 @@ fn abort(shared: &Shared, st: &mut ExecState, outcome: RunOutcome) {
     if st.outcome.is_none() {
         st.outcome = Some(outcome);
     }
+    // The abort came between an unbranched decision and the next one: the
+    // invisible op, or its thread's code up to its next visible op, ended
+    // the execution, which disables every other thread, so the op did not
+    // commute with them. They become siblings of that decision again.
+    if let Some((i, n)) = st.reopenable.take() {
+        st.choices[i].num_options = n;
+    }
     st.running_out = false;
     st.dying = true;
-    let fiber_mode = crate::fiber::active();
+    let fiber_mode = st.fibers;
     for i in 0..st.alive.len() {
         if st.alive[i] {
             st.replies[i] = Some(Reply::Die);
             // Fiber-hosted threads drain via `fiber_next` transfers, not
             // condvar wakeups — nobody parks on a condvar in fiber mode,
-            // including the host-side watchdog-rescue abort (which runs
-            // with `fiber::active()` still true and drains the survivors
+            // including the host-side watchdog-rescue abort (which
+            // drains the survivors
             // through `run_execution`'s switch loop).
             if !fiber_mode {
                 shared.cv(Tid(i as u32)).notify_one();
@@ -768,7 +861,8 @@ pub(crate) fn fiber_rescued(
     limit: Option<Duration>,
 ) {
     let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
+    // The wedged fiber's buffered notes are still on this OS thread.
+    let mut st = shared.lock_as(wedged);
     if st.alive.get(wedged.idx()).copied().unwrap_or(false) {
         st.alive[wedged.idx()] = false;
         st.running = st.running.saturating_sub(1);
@@ -832,7 +926,7 @@ pub(crate) fn visible_op(shared: &Shared, me: Tid, op: Op) -> Reply {
     // fiber holding `inner` or mid-bookkeeping. (The gate is per-fiber —
     // saved/restored across the suspension inside `switch_to`.)
     let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
+    let mut st = shared.lock_as(me);
     if st.dying {
         drop(st);
         std::panic::panic_any(DieMarker);
@@ -846,7 +940,7 @@ pub(crate) fn visible_op(shared: &Shared, me: Tid, op: Op) -> Reply {
     // (the common case), the reply is already deposited and the cvs lock
     // is never touched. Fetching under `inner` follows the established
     // inner→cvs lock order (see `spawn_thread` and `schedule`).
-    let fiber_mode = crate::fiber::active();
+    let fiber_mode = st.fibers;
     let mut cv = None;
     loop {
         if let Some(reply) = st.replies[me.idx()].take() {
@@ -876,12 +970,12 @@ pub(crate) fn visible_op(shared: &Shared, me: Tid, op: Op) -> Reply {
 
 /// Spawn a modeled child thread.
 pub(crate) fn spawn_thread(
-    shared: &Arc<Shared>,
+    shared: Arc<Shared>,
     me: Tid,
     closure: Box<dyn FnOnce() + Send + 'static>,
 ) -> Tid {
     let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
+    let mut st = shared.lock_as(me);
     if st.dying {
         drop(st);
         std::panic::panic_any(DieMarker);
@@ -891,7 +985,7 @@ pub(crate) fn spawn_thread(
             tid: me,
             message: "max_threads exceeded".into(),
         };
-        abort(shared, &mut st, RunOutcome::BugFound(bug));
+        abort(&shared, &mut st, RunOutcome::BugFound(bug));
         drop(st);
         std::panic::panic_any(DieMarker);
     }
@@ -901,22 +995,22 @@ pub(crate) fn spawn_thread(
     st.mem.spawn_thread(me);
     st.running += 1; // the child runs until its first visible op
     st.active_jobs += 1;
-    if crate::fiber::active() {
+    if st.fibers {
         // Fiber hosting: the child becomes a fiber of this OS thread. It
         // runs when a parking fiber picks it via `fiber_next` (it holds a
         // running token until its first visible op, so that is guaranteed
         // before the next scheduling decision). Creation cannot fail —
         // there is no pool to exhaust.
         drop(st);
-        crate::fiber::spawn_fiber(child, Arc::clone(shared), closure);
+        crate::fiber::spawn_fiber(child, shared, Body::Spawned(closure));
         return child;
     }
     let pool = Arc::clone(&shared.pool);
     drop(st);
     let dispatched = pool.lock().dispatch(Job {
         tid: child,
-        shared: Arc::clone(shared),
-        closure,
+        shared: Arc::clone(&shared),
+        body: Body::Spawned(closure),
     });
     if !dispatched {
         // The pool could not keep a worker alive for the child (bounded
@@ -928,7 +1022,7 @@ pub(crate) fn spawn_thread(
         st.running -= 1;
         st.active_jobs -= 1;
         abort(
-            shared,
+            &shared,
             &mut st,
             RunOutcome::EngineError(format!(
                 "worker pool exhausted its respawn budget dispatching {child}"
@@ -978,7 +1072,7 @@ pub(crate) fn data_access_done(
 /// Called by the job wrapper when the closure returns normally.
 pub(crate) fn thread_finished(shared: &Shared, me: Tid) {
     let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
+    let mut st = shared.lock_as(me);
     if st.alive[me.idx()] {
         st.mem.apply_finish(me);
         st.alive[me.idx()] = false;
@@ -992,7 +1086,7 @@ pub(crate) fn thread_finished(shared: &Shared, me: Tid) {
 /// Called by the job wrapper when the closure unwound with [`DieMarker`].
 pub(crate) fn thread_aborted(shared: &Shared, me: Tid) {
     let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
+    let mut st = shared.lock_as(me);
     if st.alive[me.idx()] {
         st.alive[me.idx()] = false;
         // A dying thread was counted running iff it held the token; it
@@ -1009,7 +1103,7 @@ pub(crate) fn thread_aborted(shared: &Shared, me: Tid) {
 /// Called by the job wrapper when the closure panicked for real.
 pub(crate) fn thread_panicked(shared: &Shared, me: Tid, message: String) {
     let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
+    let mut st = shared.lock_as(me);
     if st.alive[me.idx()] {
         st.alive[me.idx()] = false;
         st.running -= 1;
@@ -1020,12 +1114,14 @@ pub(crate) fn thread_panicked(shared: &Shared, me: Tid, message: String) {
     st.replies[me.idx()] = None;
 }
 
-/// Job-exit accounting: the last job out signals the explorer.
+/// Job-exit accounting: the last job out signals the explorer. Under
+/// fiber hosting nobody waits: the host returns from `run_execution`
+/// fully drained, so the notify (a syscall in the condvar) is skipped.
 pub(crate) fn job_exited(shared: &Shared) {
     let _gate = crate::fiber::engine_section();
     let mut st = shared.inner.lock();
     st.active_jobs -= 1;
-    if st.active_jobs == 0 && st.outcome.is_some() {
+    if st.active_jobs == 0 && st.outcome.is_some() && !st.fibers {
         shared.done.notify_all();
     }
     // Liveness guard: if every job exited but no outcome was decided, the
@@ -1043,11 +1139,12 @@ pub(crate) fn job_exited(shared: &Shared) {
 
 /// Execution-harness state carried between the executions of one
 /// exploration campaign: the `Shared` handle (with every buffer at its
-/// high-water capacity) and the recycled trace buffer of the previous
-/// execution. Per-execution setup cost — a fresh `Arc<Shared>`, every
-/// `Vec` regrowing from zero, one `Arc<Condvar>` per modeled thread —
-/// is a large share of short executions, so `run_once` rewinds this
-/// state in place instead of rebuilding it.
+/// high-water capacity), the trace buffer the explorer handed back, and
+/// the last execution's choice record. Per-execution setup cost — a
+/// fresh `Arc<Shared>`, every `Vec` regrowing from zero, one
+/// `Arc<Condvar>` per modeled thread — is a large share of short
+/// executions, so `run_once` rewinds this state in place instead of
+/// rebuilding it.
 ///
 /// One `Reuse` belongs to exactly one explorer (and therefore one
 /// `Config`); it must not be shared across campaigns with different
@@ -1058,6 +1155,10 @@ pub(crate) struct Reuse {
     /// Trace buffer handed back by the explorer once the plugins are done
     /// with the previous execution's trace.
     pub trace: Option<Trace>,
+    /// The last execution's choice record. The two choice buffers and the
+    /// two traces (this one and `ExecState`'s) swap at the end of every
+    /// execution, so a warm harness allocates neither.
+    pub choices: Vec<ChoiceRec>,
 }
 
 /// Execute the test closure once, replaying `script`. With a `sampler`,
@@ -1073,10 +1174,9 @@ pub(crate) fn run_once(
     sampler: Option<StdRng>,
     reuse: &mut Reuse,
 ) -> RunResult {
-    let recycle = reuse.trace.take().unwrap_or_default();
     let shared = match reuse.shared.take() {
         Some(shared) => {
-            shared.inner.lock().reset(script, sampler, recycle);
+            shared.inner.lock().reset(script, sampler);
             // A bug posted right before an abort-for-another-reason could
             // survive the previous execution; it must not leak into this
             // one.
@@ -1102,7 +1202,9 @@ pub(crate) fn run_once(
                 spins: Vec::new(),
                 futile: Vec::new(),
                 last_sched: Tid::MAIN,
+                reopenable: None,
                 outcome: None,
+                fibers: false,
                 dying: false,
                 running_out: false,
                 sampler,
@@ -1123,15 +1225,6 @@ pub(crate) fn run_once(
         }),
     };
 
-    {
-        let mut st = shared.inner.lock();
-        let main = st.register_thread();
-        debug_assert_eq!(main, Tid::MAIN);
-        shared.ensure_cv(main);
-        st.running = 1;
-        st.active_jobs = 1;
-    }
-    let t2 = Arc::clone(&test);
     // Host selection is centralized in `fiber::host_choice` (shared with
     // `fiber::enabled_here` so the gating logic cannot drift). Fibers run
     // *every* modeled thread of the execution on this (explorer) thread
@@ -1139,11 +1232,21 @@ pub(crate) fn run_once(
     // transfer — and, with a hang_timeout, arm the monitor-thread
     // watchdog for signal-directed rescue. The OS-thread pool, the
     // reference host, covers the rest (notably nested explorations).
-    match crate::fiber::host_choice(config) {
+    let host = crate::fiber::host_choice(config);
+    {
+        let mut st = shared.inner.lock();
+        let main = st.register_thread();
+        debug_assert_eq!(main, Tid::MAIN);
+        shared.ensure_cv(main);
+        st.running = 1;
+        st.active_jobs = 1;
+        st.fibers = host == crate::fiber::HostChoice::Fiber;
+    }
+    match host {
         crate::fiber::HostChoice::Fiber => {
             crate::fiber::run_execution(
                 &shared,
-                Box::new(move || t2()),
+                Body::Main(test),
                 config.hang_timeout,
                 config.fiber_stack,
             );
@@ -1152,7 +1255,7 @@ pub(crate) fn run_once(
             let dispatched = pool.lock().dispatch(Job {
                 tid: Tid::MAIN,
                 shared: Arc::clone(&shared),
-                closure: Box::new(move || t2()),
+                body: Body::Main(test),
             });
             if !dispatched {
                 // No worker could host even the main modeled thread: void
@@ -1175,7 +1278,8 @@ pub(crate) fn run_once(
     // whose scheduler makes no progress for the configured interval is
     // aborted (`Bug::InternalHang`), and if the wedged job still refuses
     // to exit, it is leaked rather than parking the explorer forever.
-    let (outcome, trace, choices, hung, pruned) = {
+    let mut trace = reuse.trace.take().unwrap_or_default();
+    let (outcome, hung, pruned) = {
         let mut st = shared.inner.lock();
         let mut hung = false;
         match config.hang_timeout {
@@ -1224,13 +1328,11 @@ pub(crate) fn run_once(
                 }
             }
         }
-        (
-            st.outcome.clone().expect("decided"),
-            std::mem::take(&mut st.mem.trace),
-            std::mem::take(&mut st.choices),
-            hung,
-            st.pruned,
-        )
+        // Hand out this execution's trace and choices; the buffers they
+        // swap with are cleared by the next `reset`.
+        std::mem::swap(&mut st.mem.trace, &mut trace);
+        std::mem::swap(&mut st.choices, &mut reuse.choices);
+        (st.outcome.clone().expect("decided"), hung, st.pruned)
     };
     if !hung {
         shared.arena.lock().clear();
@@ -1246,7 +1348,6 @@ pub(crate) fn run_once(
     RunResult {
         outcome,
         trace,
-        choices,
         hung,
         pruned,
     }

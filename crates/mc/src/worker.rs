@@ -7,13 +7,14 @@
 //! exploration time (EXPERIMENTS.md records the visible-op round trip).
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Once};
 
-use cdsspec_c11::Tid;
+use cdsspec_c11::{SpecNote, Tid};
+use parking_lot::MutexGuard;
 
-use crate::runtime::{self, Shared};
+use crate::runtime::{self, ExecState, Shared};
 
 /// Marker panic payload used to unwind a modeled thread when the runtime
 /// abandons an execution (`Reply::Die`): a diverged, buggy or
@@ -22,68 +23,123 @@ use crate::runtime::{self, Shared};
 /// to a normal return and unwind nothing.
 pub(crate) struct DieMarker;
 
-/// Per-modeled-thread context installed in the worker's thread-local while
-/// it runs a job.
-pub(crate) struct Ctx {
+/// The running modeled thread's context, as [`with_ctx`] hands it out.
+pub(crate) struct Ctx<'a> {
     pub tid: Tid,
-    pub shared: Arc<Shared>,
+    pub shared: &'a Shared,
+}
+
+impl Ctx<'_> {
+    /// Lock the execution state as this thread: see [`Shared::lock_as`].
+    pub fn lock(&self) -> MutexGuard<'_, ExecState> {
+        self.shared.lock_as(self.tid)
+    }
+
+    /// A new handle on the execution (a spawn hands one to the child).
+    pub fn shared_arc(&self) -> Arc<Shared> {
+        let ptr: *const Shared = self.shared;
+        // SAFETY: `ptr` is `Arc::as_ptr` of an `Arc` that is alive while
+        // the context is installed (see `CTX`), so its count may be
+        // bumped and a new `Arc` built on it.
+        unsafe {
+            Arc::increment_strong_count(ptr);
+            Arc::from_raw(ptr)
+        }
+    }
 }
 
 thread_local! {
-    static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    /// The modeled thread this OS thread is running: its tid and
+    /// `Arc::as_ptr` of its execution's [`Shared`], null outside a model
+    /// run. The `Arc` is owned by the job ([`run_job`]'s frame) or by the
+    /// fiber host's runtime, and each clears or re-points this slot before
+    /// letting go of it. A plain `Cell`: reading the context clones no
+    /// `Arc` and borrows no `RefCell`, and a fiber switch re-points it
+    /// with one store.
+    static CTX: Cell<(Tid, *const Shared)> = const { Cell::new((Tid::MAIN, std::ptr::null())) };
+    /// Annotations the running modeled thread recorded since its last
+    /// engine call, committed by that thread's next [`Shared::lock_as`].
+    /// Control moves between modeled threads only inside engine calls,
+    /// which commit first, so one buffer per OS thread serves every
+    /// fiber it hosts and the commit order is the recording order.
+    static NOTES: RefCell<Vec<SpecNote>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with the current modeled-thread context. Panics (with a clear
 /// message) when called outside `mc::explore`/`mc::model`.
-///
-/// The context is cloned out (a `Tid` copy plus one `Arc` bump) so the
-/// `RefCell` borrow is released *before* `f` runs. This is load-bearing
-/// under fiber hosting: `f` may suspend the calling fiber mid-operation,
-/// and the fiber that runs next re-points `CTX` for itself — a borrow
-/// held across the switch would make that re-point panic.
-pub(crate) fn with_ctx<R>(f: impl FnOnce(&Ctx) -> R) -> R {
-    // Preemption gate, held across `f` as well as the `RefCell` borrow:
-    // every `with_ctx` callback is engine code (they lock `Shared::inner`,
-    // the arena, or the pending-bug slot), and a signal rescue abandoning
-    // a fiber inside one of those locks would deadlock the explorer when
-    // the host relocks on its side. Holding the gate across a suspension
-    // inside `f` is fine — the switch paths save/restore each fiber's
-    // depth — but the borrow still must not span a switch, so it stays
-    // scoped tightly below.
+pub(crate) fn with_ctx<R>(f: impl FnOnce(&Ctx<'_>) -> R) -> R {
+    // Preemption gate, held across `f`: every `with_ctx` callback is
+    // engine code (they lock `Shared::inner`, the arena, the pending-bug
+    // slot or the note buffer), and a signal rescue abandoning a fiber
+    // inside one of those would deadlock the explorer when the host
+    // relocks on its side. Holding the gate across a suspension inside
+    // `f` is fine: the switch paths save and restore each fiber's depth.
     let _gate = crate::fiber::engine_section();
-    let ctx = CTX.with(|c| {
-        let b = c.borrow();
-        let ctx = b
-            .as_ref()
-            .expect("cdsspec-mc primitives may only be used inside mc::explore/mc::model");
-        Ctx {
-            tid: ctx.tid,
-            shared: Arc::clone(&ctx.shared),
-        }
-    });
-    f(&ctx)
+    let (tid, shared) = CTX.get();
+    if shared.is_null() {
+        panic!("cdsspec-mc primitives may only be used inside mc::explore/mc::model");
+    }
+    // SAFETY: see `CTX`; the owner outlives every callback, including
+    // one that suspends this fiber.
+    f(&Ctx {
+        tid,
+        shared: unsafe { &*shared },
+    })
 }
 
 /// Is the caller inside a modeled thread?
 pub fn in_model() -> bool {
-    let _gate = crate::fiber::engine_section();
-    CTX.with(|c| c.borrow().is_some())
+    !CTX.get().1.is_null()
 }
 
-/// Install (or clear) the modeled-thread context directly — used by the
-/// fiber host, which multiplexes many modeled threads on one OS thread
-/// and must re-point the context at every stack switch.
-pub(crate) fn set_fiber_ctx(ctx: Option<Ctx>) {
-    let _gate = crate::fiber::engine_section();
-    CTX.with(|c| *c.borrow_mut() = ctx);
+/// Make modeled thread `tid` of `shared`'s execution the running context
+/// of this OS thread: a job does it when it starts, and the fiber host,
+/// which runs many modeled threads on one OS thread, at every switch.
+///
+/// # Safety
+///
+/// `shared` must stay alive until the context is cleared ([`clear_ctx`])
+/// or set again: [`with_ctx`] hands out references through it.
+pub(crate) unsafe fn set_ctx(tid: Tid, shared: &Arc<Shared>) {
+    CTX.set((tid, Arc::as_ptr(shared)));
 }
 
-/// A unit of work for a pooled OS thread: run `closure` as modeled thread
-/// `tid` of the execution owned by `shared`.
+/// Clear this OS thread's running context: it runs no modeled thread.
+pub(crate) fn clear_ctx() {
+    CTX.set((Tid::MAIN, std::ptr::null()));
+}
+
+/// Buffer an annotation of the running modeled thread (see `NOTES`).
+pub(crate) fn buffer_note(note: SpecNote) {
+    NOTES.with(|n| n.borrow_mut().push(note));
+}
+
+/// Hand this OS thread's buffered annotations to `commit`, in recording
+/// order, and empty the buffer.
+pub(crate) fn drain_notes(mut commit: impl FnMut(SpecNote)) {
+    NOTES.with(|n| {
+        let mut n = n.borrow_mut();
+        if !n.is_empty() {
+            n.drain(..).for_each(&mut commit);
+        }
+    });
+}
+
+/// A unit of work for a pooled OS thread or a fiber: run `body` as
+/// modeled thread `tid` of the execution owned by `shared`.
 pub(crate) struct Job {
     pub tid: Tid,
     pub shared: Arc<Shared>,
-    pub closure: Box<dyn FnOnce() + Send + 'static>,
+    pub body: Body,
+}
+
+/// What a modeled thread runs.
+pub(crate) enum Body {
+    /// The main thread runs the test closure itself: a shared handle, so
+    /// starting an execution boxes nothing.
+    Main(Arc<dyn Fn() + Send + Sync>),
+    /// A spawned thread runs its own closure.
+    Spawned(Box<dyn FnOnce() + Send + 'static>),
 }
 
 struct WorkerHandle {
@@ -242,31 +298,21 @@ fn spawn_worker(index: usize, free_tx: Sender<usize>) -> WorkerHandle {
 }
 
 /// Host one modeled thread to completion: install its context, run the
-/// closure, catch any unwind, and report the exit to the runtime. The
-/// body of every pool worker and of every fiber root (`crate::fiber`).
+/// body, catch any unwind, and report the exit to the runtime. The body
+/// of every pool worker and of every fiber root (`crate::fiber`).
 pub(crate) fn run_job(job: Job) {
-    let Job {
-        tid,
-        shared,
-        closure,
-    } = job;
-    {
-        // Gate the `RefCell` borrow against signal rescue (see with_ctx).
-        let _gate = crate::fiber::engine_section();
-        CTX.with(|c| {
-            *c.borrow_mut() = Some(Ctx {
-                tid,
-                shared: Arc::clone(&shared),
-            });
-        });
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(closure));
-    {
-        let _gate = crate::fiber::engine_section();
-        CTX.with(|c| {
-            *c.borrow_mut() = None;
-        });
-    }
+    let Job { tid, shared, body } = job;
+    debug_assert!(
+        NOTES.with(|n| n.borrow().is_empty()),
+        "annotations left over from an earlier modeled thread"
+    );
+    // SAFETY: `shared` lives in this frame until after `clear_ctx` below.
+    unsafe { set_ctx(tid, &shared) };
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match body {
+        Body::Main(test) => test(),
+        Body::Spawned(closure) => closure(),
+    }));
+    clear_ctx();
     match result {
         Ok(()) => runtime::thread_finished(&shared, tid),
         Err(payload) => {

@@ -38,16 +38,13 @@ mod posthoc {
 
     /// `relations`' sentinel for "reads the initial (uninitialized) value".
     const NO_RF: u64 = 0x5eed_0000_0000_0001;
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    const MIX_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-    /// FNV-1a over the little-endian bytes of `v`, chained from `h` (the
-    /// step `cdsspec_c11` folds signatures with).
-    fn fnv(mut h: u64, v: u64) -> u64 {
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        h
+    /// The one-multiply word mixer, chained from `h` (the step
+    /// `cdsspec_c11` folds signatures with).
+    fn mix(h: u64, v: u64) -> u64 {
+        let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^ (x >> 29)
     }
 
     /// `relations::rf_signature` derived the original way: three full
@@ -62,20 +59,20 @@ mod posthoc {
         // Canonical thread names from the spawn tree.
         let mut canon = vec![0u64; nthreads];
         let mut spawn_count = vec![0u64; nthreads];
-        canon[0] = fnv(FNV_OFFSET, 0);
+        canon[0] = mix(MIX_SEED, 0);
         for i in 0..n {
             let id = EventId(i as u32);
             if let EventKind::ThreadCreate { child } = trace.kind(id) {
                 let p = trace.tid(id).idx();
-                canon[child.idx()] = fnv(fnv(canon[p], 1), spawn_count[p]);
+                canon[child.idx()] = mix(mix(canon[p], 1), spawn_count[p]);
                 spawn_count[p] += 1;
             }
         }
 
         // Canonical event id: (thread name, per-thread sequence number).
         let ceid = |id: EventId| -> u64 {
-            fnv(
-                fnv(FNV_OFFSET, canon[trace.tid(id).idx()]),
+            mix(
+                mix(MIX_SEED, canon[trace.tid(id).idx()]),
                 trace.seq(id) as u64,
             )
         };
@@ -106,17 +103,17 @@ mod posthoc {
         }
 
         // Per-thread operation chains.
-        let mut thread_hash: Vec<u64> = canon.iter().map(|&c| fnv(FNV_OFFSET, c)).collect();
+        let mut thread_hash: Vec<u64> = canon.iter().map(|&c| mix(MIX_SEED, c)).collect();
         for i in 0..n {
             let id = EventId(i as u32);
             let h = &mut thread_hash[trace.tid(id).idx()];
             *h = match trace.kind(id) {
                 EventKind::AtomicLoad { loc, ord, rf, .. } => {
                     let rf = rf.map(ceid).unwrap_or(NO_RF);
-                    fnv(fnv(fnv(fnv(*h, 1), loc_min[loc.idx()]), ord as u64), rf)
+                    mix(mix(mix(mix(*h, 1), loc_min[loc.idx()]), ord as u64), rf)
                 }
                 EventKind::AtomicStore { loc, ord, .. } => {
-                    fnv(fnv(fnv(*h, 2), loc_min[loc.idx()]), ord as u64)
+                    mix(mix(mix(*h, 2), loc_min[loc.idx()]), ord as u64)
                 }
                 EventKind::Rmw {
                     loc,
@@ -127,22 +124,22 @@ mod posthoc {
                 } => {
                     let rf = rf.map(ceid).unwrap_or(NO_RF);
                     let wrote = written.is_some() as u64;
-                    fnv(
-                        fnv(fnv(fnv(fnv(*h, 3), loc_min[loc.idx()]), ord as u64), rf),
+                    mix(
+                        mix(mix(mix(mix(*h, 3), loc_min[loc.idx()]), ord as u64), rf),
                         wrote,
                     )
                 }
-                EventKind::Fence { ord } => fnv(fnv(*h, 4), ord as u64),
-                EventKind::ThreadCreate { child } => fnv(fnv(*h, 5), canon[child.idx()]),
-                EventKind::ThreadJoin { target } => fnv(fnv(*h, 6), canon[target.idx()]),
-                EventKind::ThreadFinish => fnv(*h, 7),
-                EventKind::DataWrite { loc } => fnv(fnv(*h, 8), data_min[loc.idx()]),
-                EventKind::DataRead { loc } => fnv(fnv(*h, 9), data_min[loc.idx()]),
+                EventKind::Fence { ord } => mix(mix(*h, 4), ord as u64),
+                EventKind::ThreadCreate { child } => mix(mix(*h, 5), canon[child.idx()]),
+                EventKind::ThreadJoin { target } => mix(mix(*h, 6), canon[target.idx()]),
+                EventKind::ThreadFinish => mix(*h, 7),
+                EventKind::DataWrite { loc } => mix(mix(*h, 8), data_min[loc.idx()]),
+                EventKind::DataRead { loc } => mix(mix(*h, 9), data_min[loc.idx()]),
             };
         }
         let mut sig = 0u64;
         for h in thread_hash {
-            sig = sig.wrapping_add(fnv(FNV_OFFSET, h));
+            sig = sig.wrapping_add(mix(MIX_SEED, h));
         }
 
         // Per-location modification orders (commutative across locations).
@@ -150,21 +147,21 @@ mod posthoc {
             if chain.is_empty() {
                 continue;
             }
-            let mut h = fnv(fnv(FNV_OFFSET, 10), loc_min[li]);
+            let mut h = mix(mix(MIX_SEED, 10), loc_min[li]);
             for &w in chain {
-                h = fnv(h, ceid(w));
+                h = mix(h, ceid(w));
             }
             sig = sig.wrapping_add(h);
         }
 
         // The SC order (one global chain).
-        let mut h = fnv(FNV_OFFSET, 11);
+        let mut h = mix(MIX_SEED, 11);
         for &s in &trace.sc_order {
-            h = fnv(h, ceid(s));
+            h = mix(h, ceid(s));
         }
         sig = sig.wrapping_add(h);
 
-        fnv(sig, trace.num_threads as u64)
+        mix(sig, trace.num_threads as u64)
     }
 }
 

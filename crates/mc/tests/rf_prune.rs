@@ -226,7 +226,11 @@ fn pruned_counter_partitions_across_checkpoint() {
 /// A step of a random program (mirrors the generator the axiom proptests
 /// use, compact enough to duplicate here). A `Cas` carries its failure
 /// ordering, drawn independently of the success ordering; a `Fence` takes
-/// the step's ordering.
+/// the step's ordering. `Spin`, `Yield` and `Join` are the ops besides
+/// non-SC fences that the reduced explorer runs without a choice point:
+/// `Join(k)` has the main thread join the `k`-th spawned thread (modulo
+/// their number) there, mid-thread, unless it already did; in any other
+/// thread it does nothing.
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Load(usize),
@@ -234,6 +238,9 @@ enum Step {
     FetchAdd(usize, i64),
     Cas(usize, i64, i64, MemOrd),
     Fence,
+    Spin,
+    Yield,
+    Join(usize),
 }
 
 type Program = Vec<Vec<(Step, MemOrd)>>;
@@ -263,13 +270,21 @@ fn access_strategy(locs: usize) -> impl Strategy<Value = Step> {
     ]
 }
 
-/// One step in three is a fence, most of them `seq_cst` (see
-/// [`legal_ord`]).
+/// Four steps in seven are accesses, two are fences, most of them
+/// `seq_cst` (see [`legal_ord`]), and one is a spin, a yield or a join.
 fn step_strategy(locs: usize) -> impl Strategy<Value = Step> {
     prop_oneof![
         access_strategy(locs),
         access_strategy(locs),
+        access_strategy(locs),
+        access_strategy(locs),
         Just(Step::Fence),
+        Just(Step::Fence),
+        prop_oneof![
+            Just(Step::Spin),
+            Just(Step::Yield),
+            (0..2usize).prop_map(Step::Join),
+        ],
     ]
 }
 
@@ -302,7 +317,12 @@ fn legal_ord(step: Step, ord: MemOrd) -> MemOrd {
     }
 }
 
-fn interp(steps: &[(Step, MemOrd)], cells: &[Atomic<i64>]) -> Vec<i64> {
+/// Run one thread's steps; `join(k)` performs a `Join(k)` step.
+fn interp(
+    steps: &[(Step, MemOrd)],
+    cells: &[Atomic<i64>],
+    mut join: impl FnMut(usize),
+) -> Vec<i64> {
     let mut reads = Vec::new();
     for &(step, ord) in steps {
         let ord = legal_ord(step, ord);
@@ -317,6 +337,9 @@ fn interp(steps: &[(Step, MemOrd)], cells: &[Atomic<i64>]) -> Vec<i64> {
                 });
             }
             Step::Fence => mc::fence(ord),
+            Step::Spin => mc::spin_loop(),
+            Step::Yield => mc::yield_now(),
+            Step::Join(k) => join(k),
         }
     }
     reads
@@ -333,14 +356,19 @@ fn run_threads(prog: &Arc<Program>, locs: usize) -> Vec<i64> {
         let steps = steps.clone();
         let cells = cells.clone();
         let reads = Arc::clone(&reads);
-        handles.push(mc::thread::spawn(move || {
-            let r = interp(&steps, &cells);
+        handles.push(Some(mc::thread::spawn(move || {
+            let r = interp(&steps, &cells, |_| {});
             reads.lock().unwrap().push((ti, r));
-        }));
+        })));
     }
-    let r0 = interp(&prog[0], &cells);
+    let n = handles.len();
+    let r0 = interp(&prog[0], &cells, |k| {
+        if let Some(h) = handles[k % n].take() {
+            h.join();
+        }
+    });
     reads.lock().unwrap().push((0, r0));
-    for h in handles {
+    for h in handles.into_iter().flatten() {
         h.join();
     }
     let mut all = reads.lock().unwrap().clone();
@@ -488,6 +516,147 @@ fn sc_failure_cas_keeps_every_rf_class() {
         vec![(Cas(0, 0, 1, SeqCst), Release), (Load(1), SeqCst)],
     ];
     sleep_sets_preserve_classes(&prog);
+}
+
+/// A spin past `max_spins` ends the execution: `b` fails its assertion
+/// only by reading `a`'s fifth increment, which is `a`'s last op before
+/// its fifth spin trips the bound (`max_spins` is 4). The spin runs
+/// first without branching, so the decision must be reopened when it
+/// ends the execution, or `b` never gets the window to read the fifth
+/// increment in and the reduced tree loses the bug the unreduced one
+/// finds.
+#[test]
+fn a_spin_that_trips_the_bound_still_branches() {
+    let test = || {
+        let x = Atomic::new(0i64);
+        let a = mc::thread::spawn(move || loop {
+            if x.fetch_add(1, Relaxed) == 4 {
+                mc::spin_loop();
+                break;
+            }
+            mc::spin_loop();
+        });
+        let b = mc::thread::spawn(move || {
+            let v = x.load(Relaxed);
+            mc_assert!(v < 5, "read the fifth increment");
+        });
+        a.join();
+        b.join();
+    };
+    let base = Config {
+        stop_on_first_bug: false,
+        ..Config::default()
+    };
+    let reduced = mc::explore(base.clone(), test);
+    let full = mc::explore(
+        Config {
+            sleep_sets: false,
+            rf_prune: false,
+            ..base
+        },
+        test,
+    );
+    assert_eq!(bug_set(&full).len(), 1, "{}", full.summary());
+    assert_eq!(
+        bug_set(&reduced),
+        bug_set(&full),
+        "{} / {}",
+        reduced.summary(),
+        full.summary()
+    );
+}
+
+/// The invisible op that `a` runs before it ends the execution itself.
+#[derive(Clone, Copy, Debug)]
+enum Invisible {
+    Fence,
+    Yield,
+    Spin,
+    Join,
+}
+
+impl Invisible {
+    const ALL: [Invisible; 4] = [
+        Invisible::Fence,
+        Invisible::Yield,
+        Invisible::Spin,
+        Invisible::Join,
+    ];
+
+    /// Run the op; for `Join`, of a thread that has finished by then in
+    /// every schedule that reaches the join's decision.
+    fn run(self) {
+        match self {
+            Invisible::Fence => mc::fence(Acquire),
+            Invisible::Yield => mc::yield_now(),
+            Invisible::Spin => mc::spin_loop(),
+            Invisible::Join => mc::thread::spawn(|| {}).join(),
+        }
+    }
+}
+
+/// `a` runs `op` and then ends the execution before its next visible op
+/// (`a_end`), while `b` stores and then fails an assertion. `b`'s bug is
+/// only found if `b` runs before `a` ends the execution, so the decision
+/// that ran `op` without branching must get `b` back as a sibling.
+/// Requires the reduced tree's bug set to equal the unreduced tree's,
+/// with and without first-bug stops, and `b`'s bug in it without.
+fn invisible_op_then_end(op: Invisible, a_end: fn(&mc::Data<u32>)) {
+    let test = move || {
+        let x = Atomic::new(0i64);
+        let d = mc::Data::new(0u32);
+        let a = mc::thread::spawn(move || {
+            op.run();
+            a_end(&d);
+        });
+        let b = mc::thread::spawn(move || {
+            x.store(1, Relaxed);
+            mc_assert!(false, "b asserts");
+        });
+        a.join();
+        b.join();
+    };
+    for stop_on_first_bug in [false, true] {
+        let base = Config {
+            stop_on_first_bug,
+            max_steps_per_thread: 50,
+            ..Config::default()
+        };
+        let reduced = mc::explore(base.clone(), test);
+        let full = mc::explore(
+            Config {
+                sleep_sets: false,
+                rf_prune: false,
+                ..base
+            },
+            test,
+        );
+        let what = format!(
+            "{op:?}, stop_on_first_bug {stop_on_first_bug}: {} / {}",
+            reduced.summary(),
+            full.summary()
+        );
+        let b_found = bug_set(&full).iter().any(|m| m.contains("b asserts"));
+        assert!(b_found || stop_on_first_bug, "{what}");
+        assert_eq!(bug_set(&reduced), bug_set(&full), "{what}");
+    }
+}
+
+/// `a` spins on a `Data` read that never changes until
+/// `max_steps_per_thread` ends the execution as diverged.
+#[test]
+fn an_invisible_op_before_a_data_loop_branches() {
+    for op in Invisible::ALL {
+        invisible_op_then_end(op, |d| while d.read() == 0 {});
+    }
+}
+
+/// `a` fails an assertion: without first-bug stops both bugs are found.
+#[test]
+fn an_invisible_op_before_an_assertion_branches() {
+    for op in Invisible::ALL {
+        invisible_op_then_end(op, |_| mc_assert!(false, "a asserts"));
+    }
 }
 
 /// Debug builds keep the proptest budget small; release builds sample

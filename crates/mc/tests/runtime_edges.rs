@@ -497,7 +497,7 @@ fn run_out_program(tally: Arc<Tally>, end: RunOutEnd) -> impl Fn() + Send + Sync
 /// executions, feasible, diverged, sleep-pruned, rf-pruned branches, rf
 /// classes and peak depth. Measured while sleep-blocked executions were
 /// still unwound at once, for every `RunOutEnd`.
-const RUN_OUT_TREE: [u64; 7] = [7, 2, 0, 5, 3, 2, 3];
+const RUN_OUT_TREE: [u64; 7] = [4, 2, 0, 2, 2, 2, 3];
 
 fn tree_counts(stats: &mc::Stats) -> [u64; 7] {
     [
