@@ -617,6 +617,13 @@ impl Trace {
         }
     }
 
+    /// Value read by `id`, if it reads (a load, or an RMW successful or
+    /// not).
+    #[inline]
+    pub fn read_val(&self, id: EventId) -> Option<Val> {
+        self.is_read(id).then(|| self.arena.vals[id.idx()])
+    }
+
     /// Materialize the logical [`EventKind`] of `id` from the columns
     /// (allocation-free; `EventKind` is `Copy`).
     pub fn kind(&self, id: EventId) -> EventKind {
@@ -686,12 +693,6 @@ impl Trace {
         self.clocks[bi].knows(Tid(self.tids[ai]), self.seqs[ai])
     }
 
-    /// Alias of [`Trace::happens_before`] (historical name).
-    #[inline]
-    pub fn hb(&self, a: EventId, b: EventId) -> bool {
-        self.happens_before(a, b)
-    }
-
     /// Are `a` and `b` both SC and is `a` before `b` in *S*?
     #[inline]
     pub fn sc_before(&self, a: EventId, b: EventId) -> bool {
@@ -703,7 +704,7 @@ impl Trace {
     /// `b` when `a` happens-before `b` **or** `a` precedes `b` in *S*.
     #[inline]
     pub fn ordered_before(&self, a: EventId, b: EventId) -> bool {
-        self.hb(a, b) || self.sc_before(a, b)
+        self.happens_before(a, b) || self.sc_before(a, b)
     }
 
     /// All writes to `loc` in modification order.
@@ -873,8 +874,8 @@ mod tests {
     #[test]
     fn hb_and_sc_queries() {
         let t = two_event_trace();
-        assert!(t.hb(EventId(0), EventId(1)));
-        assert!(!t.hb(EventId(1), EventId(0)));
+        assert!(t.happens_before(EventId(0), EventId(1)));
+        assert!(!t.happens_before(EventId(1), EventId(0)));
         assert!(t.sc_before(EventId(0), EventId(1)));
         assert!(!t.sc_before(EventId(1), EventId(0)));
         assert!(t.ordered_before(EventId(0), EventId(1)));

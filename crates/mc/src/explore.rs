@@ -181,13 +181,12 @@ impl Explorer {
                 self.stats
                     .rf_classes
                     .insert(cdsspec_c11::relations::rf_signature(&result.trace));
-                // Two-tier axiom checking: `validate_axioms` runs the full
-                // independent oracle (O(n²) hb closure, clock cross-check);
-                // otherwise `debug_audit` runs the fast auditor that trusts
-                // the trace's incremental indexes. Both produce identical
-                // error strings for the violations they can both see.
+                // Two-tier axiom checking, one set of axiom checks:
+                // `validate_axioms` recomputes hb (O(n²) closure) and
+                // cross-checks the clocks against it; otherwise
+                // `debug_audit` answers hb from the clocks.
                 let errors = if self.config.validate_axioms {
-                    cdsspec_c11::relations::validate(&result.trace, true)
+                    cdsspec_c11::relations::validate(&result.trace)
                 } else if self.config.debug_audit {
                     cdsspec_c11::relations::audit(&result.trace)
                 } else {

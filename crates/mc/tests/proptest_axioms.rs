@@ -211,8 +211,12 @@ fn recurse(
     }
 }
 
+/// Debug builds keep the proptest budget small; release builds sample
+/// more programs from the same generators.
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 240 };
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
     /// Every feasible execution of a random weakly-ordered program passes
     /// the independent axiom validator (checked inside explore via
@@ -301,7 +305,7 @@ fn modeled_closure(prog: Arc<Program>, locs: usize) -> impl Fn() + Send + Sync +
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: CASES * 2 / 3, ..ProptestConfig::default() })]
 
     /// `executions(full) == executions(to checkpoint) + executions(resume)`
     /// for every counter, on litmus-sized random programs.

@@ -9,10 +9,12 @@
 //! 1. `relations::rf_signature` (O(n) fold over the incremental state)
 //!    must equal [`posthoc::rf_signature`], the full re-walk it replaced,
 //!    kept in this file as the reference;
-//! 2. the fast auditor `relations::audit` (trusts clocks and indexes)
-//!    must report nothing the full oracle `relations::validate` does not
-//!    — and vice versa for the checks both perform. The oracle also
-//!    cross-checks every stored clock against the hb it recomputes.
+//! 2. `relations::audit` (hb from the clocks) and `relations::validate`
+//!    (hb recomputed, clocks cross-checked against it) run the same
+//!    axiom checks and must both report nothing;
+//! 3. the indexes those checks trust — `readers_of(loc)`, `mo_of(loc)`
+//!    and each store's `mo_index` — must equal a re-derivation from the
+//!    trace's columns.
 //!
 //! The lockstep plugin rides along a capped-then-resumed exploration and
 //! a two-worker (shard-stealing) exploration too: recycled trace buffers
@@ -282,14 +284,14 @@ impl Plugin for Lockstep {
             )));
         }
 
-        // The auditor performs every validate check except HbCycle /
-        // ClockMismatch, with identical messages; on these (correct)
-        // programs both must be empty — any asymmetry is a divergence.
+        // The two checkers share every axiom check and differ in where
+        // hb comes from; on these (correct) programs both must be empty —
+        // any asymmetry is a divergence.
         let mut audit: Vec<String> = relations::audit(trace)
             .iter()
             .map(|e| e.to_string())
             .collect();
-        let mut oracle: Vec<String> = relations::validate(trace, true)
+        let mut oracle: Vec<String> = relations::validate(trace)
             .iter()
             .map(|e| e.to_string())
             .collect();
@@ -300,8 +302,53 @@ impl Plugin for Lockstep {
                 "audit/oracle diverged:\n  audit:  {audit:?}\n  oracle: {oracle:?}"
             )));
         }
+        bugs.extend(index_divergences(trace).into_iter().map(bug));
         bugs
     }
+}
+
+/// The per-location indexes the axiom checks trust, re-derived from the
+/// columns: a location's readers are its loads and RMWs in commit order,
+/// and its mo chain is its writes ordered by mo index, which must number
+/// them 0, 1, 2, ...
+fn index_divergences(trace: &Trace) -> Vec<String> {
+    let mut out = Vec::new();
+    let ids = (0..trace.len() as u32).map(EventId);
+    let locs = ids
+        .clone()
+        .filter_map(|id| trace.atomic_loc(id))
+        .map(|loc| loc.idx() + 1)
+        .max()
+        .unwrap_or(0)
+        .max(trace.loc_bound());
+    for li in 0..locs {
+        let loc = LocId(li as u32);
+        let at_loc = ids.clone().filter(|&id| trace.atomic_loc(id) == Some(loc));
+        let readers: Vec<EventId> = at_loc.clone().filter(|&id| trace.is_read(id)).collect();
+        if trace.readers_of(loc) != readers {
+            out.push(format!(
+                "readers_of({loc}) = {:?}, columns give {readers:?}",
+                trace.readers_of(loc)
+            ));
+        }
+        let mut writes: Vec<EventId> = at_loc.filter(|&id| trace.is_write(id)).collect();
+        writes.sort_by_key(|&w| trace.mo_index(w));
+        if trace.mo_of(loc) != writes {
+            out.push(format!(
+                "mo_of({loc}) = {:?}, columns give {writes:?}",
+                trace.mo_of(loc)
+            ));
+        }
+        for (k, &w) in writes.iter().enumerate() {
+            if trace.mo_index(w) != Some(k as u32) {
+                out.push(format!(
+                    "{w} has mo index {:?} but is write {k} of {loc}",
+                    trace.mo_index(w)
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// One [`Lockstep`] checker per explorer worker.
@@ -332,8 +379,12 @@ fn assert_clean(stats: &mc::Stats) {
     assert!(stats.feasible > 0, "nothing explored: {}", stats.summary());
 }
 
+/// Debug builds keep the proptest budget small; release builds sample
+/// more programs from the same generators.
+const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 160 };
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
     /// Straight-through exploration: every feasible execution agrees.
     #[test]
@@ -363,7 +414,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: CASES / 2, ..ProptestConfig::default() })]
 
     /// Two-worker exploration: shard-peeled replays and work stealing
     /// reuse per-worker harnesses; every worker's executions must agree.
@@ -456,7 +507,7 @@ fn hand_built(events: &[RawEvent]) -> Trace {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: CASES * 8, ..ProptestConfig::default() })]
 
     #[test]
     fn signatures_agree_on_hand_built_traces(events in prop::collection::vec(raw_event(), 1..12)) {
@@ -620,4 +671,24 @@ fn signature_survives_trace_reuse() {
     build(&mut reused);
     assert_eq!(relations::rf_signature(&reused), expect);
     assert_eq!(posthoc::rf_signature(&reused), expect);
+}
+
+/// The index check is not vacuous: two writes sharing an mo index, and an
+/// `mo` chain that lists a write twice and the other not at all, are
+/// flagged.
+#[test]
+fn index_check_flags_a_bad_mo_chain() {
+    let store = |val| EventKind::AtomicStore {
+        loc: LocId(0),
+        ord: Relaxed,
+        val,
+        mo_index: 0,
+    };
+    let mut t = Trace::default();
+    let w = t.push(Tid(0), 1, store(1), VecClock::new());
+    t.push(Tid(0), 2, store(2), VecClock::new());
+    t.mo.push(vec![w, w]);
+    let found = index_divergences(&t);
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(found[0].starts_with("mo_of(") && found[1].contains("is write 1"));
 }
